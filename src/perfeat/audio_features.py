@@ -41,6 +41,10 @@ class TruncatedData(WavError):
     """A chunk or the sample payload is shorter than declared."""
 
 
+class NonFiniteSample(WavError):
+    """A 32-bit float payload holds a NaN or infinite sample."""
+
+
 class ClipTooShort(ValueError):
     """Shorter than one analysis frame."""
 
@@ -80,8 +84,9 @@ class AudioClip:
 def read_wav(data: bytes) -> AudioClip:
     """Decode a RIFF/WAVE byte string to a mono clip.
 
-    16-bit PCM is scaled by 1/32768; 32-bit float is taken as is.  Other
-    codecs raise UnsupportedCodec.  Multichannel audio is averaged to mono.
+    16-bit PCM is scaled by 1/32768; 32-bit float is taken as is and must be
+    finite, else NonFiniteSample.  Other codecs raise UnsupportedCodec.
+    Multichannel audio is averaged to mono.
     """
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise NotRiff("not a RIFF/WAVE stream")
@@ -119,7 +124,11 @@ def read_wav(data: bytes) -> AudioClip:
     frame_bytes = channels * (bits // 8)
     if len(payload) % frame_bytes:
         raise TruncatedData("sample payload is not a whole number of frames")
-    samples = np.frombuffer(payload, dtype=sample_type).astype(np.float64) * scale
+    codes = np.frombuffer(payload, dtype=sample_type)
+    if audio_format == 3 and not np.isfinite(codes).all():
+        first = int(np.argmin(np.isfinite(codes))) // channels
+        raise NonFiniteSample(f"sample frame {first} is NaN or infinite")
+    samples = codes.astype(np.float64) * scale
     samples = samples.reshape(-1, channels).mean(axis=1)
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 

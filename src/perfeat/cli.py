@@ -22,7 +22,6 @@ from . import audio_features as af
 from . import midi_features as mf
 from .io import (
     SchemaError,
-    format_number,
     load_annotations,
     load_calibration,
     load_config,

@@ -71,14 +71,7 @@ class Design:
             raise ValueError("one name per predictor column is required")
         if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("design contains missing values; use from_arrays")
-        if X.shape[0] <= X.shape[1] + 1:
-            raise TooFewRows(
-                f"{X.shape[0]} rows cannot support {X.shape[1]} predictors"
-            )
-        spans = X.max(axis=0) - X.min(axis=0)
-        if np.any(spans == 0):
-            j = int(np.argmin(spans))
-            raise RankDeficient(f"predictor {self.names[j]!r} is constant")
+        _check_rows_and_predictors(X, self.names)
 
     @classmethod
     def from_arrays(
@@ -99,13 +92,24 @@ class Design:
         return self.X.shape[1]
 
 
+def _check_rows_and_predictors(X: np.ndarray, names: Sequence[str]) -> None:
+    """Require n > k + 1 rows and no constant column."""
+    if X.shape[0] <= X.shape[1] + 1:
+        raise TooFewRows(f"{X.shape[0]} rows cannot support {X.shape[1]} predictors")
+    spans = X.max(axis=0) - X.min(axis=0)
+    if np.any(spans == 0):
+        j = int(np.argmin(spans))
+        raise RankDeficient(f"predictor {names[j]!r} is constant")
+
+
 @dataclass(frozen=True)
 class OlsFit:
     """Ordinary least squares results.
 
     Coefficient arrays exclude the intercept and follow ``names`` order.
     ``sr`` is the signed semipartial correlation: the signed square root of
-    the R-squared drop when that predictor is removed.
+    the R-squared drop when that predictor is removed.  Removal raises the
+    SSE by b_j^2 / [(X'X)^-1]_jj, so sr_j = b_j / sqrt([(X'X)^-1]_jj * SST).
     """
 
     names: Tuple[str, ...]
@@ -138,22 +142,13 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
 
 
 def _qr_solve(X1: np.ndarray, y: np.ndarray):
-    """Least squares via thin QR; returns coefficients and R factor."""
+    """Least squares via thin QR; returns coefficients and the Q and R factors."""
     q, r = np.linalg.qr(X1)
     diag = np.abs(np.diag(r))
     if diag.min() < _RANK_RTOL * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")
     coef = np.linalg.solve(r, q.T @ y)
-    return coef, r
-
-
-def _r2_of_subset(X: np.ndarray, y: np.ndarray, keep: Sequence[int], sst: float) -> float:
-    X1 = np.column_stack([np.ones(X.shape[0]), X[:, keep]]) if len(keep) else np.ones(
-        (X.shape[0], 1)
-    )
-    coef = np.linalg.lstsq(X1, y, rcond=None)[0]
-    resid = y - X1 @ coef
-    return 1.0 - float(resid @ resid) / sst
+    return coef, q, r
 
 
 def ols_fit(design: Design) -> OlsFit:
@@ -167,7 +162,7 @@ def ols_fit(design: Design) -> OlsFit:
     X, y = design.X, design.y
     n, k = design.n, design.k
     X1 = np.column_stack([np.ones(n), X])
-    coef, r_factor = _qr_solve(X1, y)
+    coef, _, r_factor = _qr_solve(X1, y)
     fitted = X1 @ coef
     resid = y - fitted
     sse = float(resid @ resid)
@@ -193,11 +188,7 @@ def ols_fit(design: Design) -> OlsFit:
             p[i] = student_t_two_tailed(t[i], df)
     slopes = coef[1:]
     beta_std = slopes * X.std(axis=0, ddof=1) / y.std(ddof=1)
-    sr = np.empty(k)
-    for j in range(k):
-        keep = [c for c in range(k) if c != j]
-        r2_without = _r2_of_subset(X, y, keep, sst)
-        sr[j] = math.copysign(math.sqrt(max(r2 - r2_without, 0.0)), slopes[j])
+    sr = slopes / np.sqrt(unscaled[1:] * sst)
     return OlsFit(
         names=design.names,
         intercept=float(coef[0]),
@@ -382,6 +373,25 @@ class CvReport:
     r2_cv: float
 
 
+def _press_errors(
+    design: Design, q: np.ndarray, resid: np.ndarray, held_out: np.ndarray, train: np.ndarray
+) -> np.ndarray:
+    """Held-out errors of the OLS refit on ``train``, from the full-data fit.
+
+    They are (I - Q_F Q_F')^-1 r_F, the block PRESS identity (Hastie,
+    Tibshirani & Friedman, ESL 7.10).  The block's determinant is
+    det(X_tr'X_tr) / det(X'X): singular exactly when the training design is.
+    """
+    _check_rows_and_predictors(design.X[train], design.names)
+    q_f = q[held_out]
+    eigenvalues, vectors = np.linalg.eigh(np.eye(len(held_out)) - q_f @ q_f.T)
+    if eigenvalues[0] < _RANK_RTOL:
+        raise RankDeficient("training design is rank deficient")
+    if np.ptp(design.y[train]) == 0:
+        raise ConstantResponse("response does not vary")
+    return vectors @ (vectors.T @ resid[held_out] / eigenvalues)
+
+
 def repeated_kfold_cv(
     design: Design,
     method: str = "ols",
@@ -396,7 +406,10 @@ def repeated_kfold_cv(
     nearly equal parts (sizes differ by at most one), and pools the held-out
     squared errors into one MSE.  The summary is the mean over repeats of
     1 - MSE / Var(y), with the population variance of the full response.
-    Identical inputs and seed give bit-identical results.
+    Identical inputs and seed give bit-identical results.  OLS errors equal
+    those of per-fold refits up to rounding; PLS refits each fold.  A
+    degenerate training fold raises its domain error with a message that
+    names the repeat and the fold.
     """
     if method not in ("ols", "pls"):
         raise ValueError(f"unknown method {method!r}")
@@ -411,20 +424,27 @@ def repeated_kfold_cv(
     if y_variance == 0:
         raise ConstantResponse("response does not vary")
     rng = np.random.default_rng(seed)
-    permutations = [rng.permutation(n) for _ in range(repeats)]
+    if method == "ols":
+        X1 = np.column_stack([np.ones(n), design.X])
+        coef, q, _ = _qr_solve(X1, design.y)
+        resid = design.y - X1 @ coef
     mse_per_repeat = []
-    for permutation in permutations:
+    for repeat in range(repeats):
         squared_errors = np.empty(n)
-        for held_out in np.array_split(permutation, folds):
+        for fold, held_out in enumerate(np.array_split(rng.permutation(n), folds)):
             train = np.ones(n, dtype=bool)
             train[held_out] = False
-            sub = Design(design.X[train], design.y[train], design.names)
-            if method == "ols":
-                model: Model = ols_fit(sub)
-            else:
-                model = pls_fit(sub, m)
-            predictions = model.predict(design.X[held_out])
-            squared_errors[held_out] = (predictions - design.y[held_out]) ** 2
+            try:
+                if method == "ols":
+                    errors = _press_errors(design, q, resid, held_out, train)
+                else:
+                    sub = Design(design.X[train], design.y[train], design.names)
+                    errors = design.y[held_out] - pls_fit(sub, m).predict(design.X[held_out])
+            except (TooFewRows, RankDeficient, RankExceeded, ConstantResponse) as err:
+                raise type(err)(
+                    f"repeat {repeat + 1} of {repeats}, fold {fold + 1} of {folds}: {err}"
+                ) from err
+            squared_errors[held_out] = errors ** 2
         mse_per_repeat.append(float(squared_errors.mean()))
     r2_cv = float(np.mean([1.0 - mse / y_variance for mse in mse_per_repeat]))
     return CvReport(

@@ -11,6 +11,7 @@ from perfeat.audio_features import (
     AllFramesSilent,
     AudioClip,
     ClipTooShort,
+    NonFiniteSample,
     NotRiff,
     SilentFrame,
     TooFewFrames,
@@ -85,6 +86,13 @@ class TestWavReader:
     def test_truncated_payload(self):
         with pytest.raises(TruncatedData):
             read_wav(wav([0, 1, 2, 3], 8000, truncate_payload=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample(self, bad):
+        x = np.zeros(200)
+        x[151] = bad
+        with pytest.raises(NonFiniteSample, match="frame 75"):
+            read_wav(wav(x, 8000, fmt=3, bits=32, channels=2))
 
     def test_missing_data_chunk(self):
         import struct

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfeat.regress import (
     ConstantResponse,
@@ -23,6 +25,9 @@ from perfeat.regress import (
 )
 
 NAMES6 = ("a", "b", "c", "d", "e", "f")
+
+# Derandomized so that every run of the suite draws the same examples.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def random_design(rng, n=50, k=5, noise=1.0):
@@ -110,6 +115,26 @@ class TestOls:
             for j in range(design.k):
                 implied = fit.t[j] ** 2 * (1 - fit.r2) / df
                 assert fit.sr[j] ** 2 == pytest.approx(implied, abs=1e-9)
+
+    @PROPERTY
+    @given(
+        k=st.integers(1, 6),
+        spare=st.integers(1, 40),
+        noise=st.sampled_from([0.0, 0.1, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_semipartial_equals_drop_one_r2_loss(self, k, spare, noise, seed):
+        rng = np.random.default_rng(seed)
+        n = k + 1 + spare
+        design = random_design(rng, n=n, k=k, noise=noise)
+        fit = ols_fit(design)
+        sst = float(((design.y - design.y.mean()) ** 2).sum())
+        for j in range(k):
+            X1 = np.column_stack([np.ones(n), np.delete(design.X, j, axis=1)])
+            resid = design.y - X1 @ np.linalg.lstsq(X1, design.y, rcond=None)[0]
+            loss = fit.r2 - (1.0 - float(resid @ resid) / sst)
+            assert fit.sr[j] ** 2 == pytest.approx(loss, abs=1e-9)
+            assert np.sign(fit.sr[j]) == np.sign(fit.coef[j])
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(52)
@@ -368,6 +393,77 @@ class TestCrossValidation:
         design = random_design(rng, n=15, k=2)
         with pytest.raises(TooFewRows):
             repeated_kfold_cv(design, "ols", folds=10)
+
+    @PROPERTY
+    @given(
+        k=st.integers(1, 5),
+        folds=st.integers(2, 10),
+        extra=st.integers(0, 30),
+        repeats=st.integers(1, 4),
+        cv_seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ols_equals_per_fold_refit(self, k, folds, extra, repeats, cv_seed, data_seed):
+        # n >= 2k + 4 leaves every training fold more than k + 1 rows.
+        n = max(2 * folds, 2 * k + 4) + extra
+        design = random_design(np.random.default_rng(data_seed), n=n, k=k)
+        report = repeated_kfold_cv(design, "ols", folds=folds, repeats=repeats, seed=cv_seed)
+        rng = np.random.default_rng(cv_seed)
+        permutations = [rng.permutation(n) for _ in range(repeats)]
+        refit_mse = []
+        for permutation in permutations:
+            squared_errors = np.empty(n)
+            for held_out in np.array_split(permutation, folds):
+                train = np.ones(n, dtype=bool)
+                train[held_out] = False
+                fit = ols_fit(Design(design.X[train], design.y[train], design.names))
+                predictions = fit.predict(design.X[held_out])
+                squared_errors[held_out] = (predictions - design.y[held_out]) ** 2
+            refit_mse.append(squared_errors.mean())
+        np.testing.assert_allclose(report.mse_per_repeat, refit_mse, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("method", ["ols", "pls"])
+    def test_rare_binary_predictor_names_repeat_and_fold(self, method):
+        # One positive in 40 rows: the fold that holds it out leaves the
+        # predictor constant in training.
+        rng = np.random.default_rng(7)
+        flag = np.zeros(40)
+        flag[17] = 1.0
+        X = np.column_stack([rng.normal(size=(40, 2)), flag])
+        y = X @ np.array([1.0, -0.5, 0.3]) + rng.normal(0.0, 0.2, 40)
+        design = Design(X, y, ("x1", "x2", "flag"))
+        permutation = np.random.default_rng(0).permutation(40)
+        fold = next(
+            f for f, part in enumerate(np.array_split(permutation, 10)) if 17 in part
+        )
+        with pytest.raises(RankDeficient) as raised:
+            repeated_kfold_cv(design, method, m=2, folds=10, repeats=3, seed=0)
+        message = str(raised.value)
+        assert f"repeat 1 of 3, fold {fold + 1} of 10" in message
+        assert "'flag' is constant" in message
+
+    @pytest.mark.parametrize("method", ["ols", "pls"])
+    def test_fold_constant_response_names_repeat_and_fold(self, method):
+        rng = np.random.default_rng(79)
+        design = Design(rng.normal(size=(30, 2)), np.eye(30)[11], ("a", "b"))
+        permutation = np.random.default_rng(2).permutation(30)
+        fold = next(f for f, part in enumerate(np.array_split(permutation, 3)) if 11 in part)
+        with pytest.raises(ConstantResponse, match=f"repeat 1 of 1, fold {fold + 1} of 3"):
+            repeated_kfold_cv(design, method, m=1, folds=3, repeats=1, seed=2)
+
+    def test_fold_collinear_predictors_rank_deficient(self):
+        # b equals a except in row 5, so the training fold without row 5 is
+        # collinear although no predictor in it is constant.
+        rng = np.random.default_rng(78)
+        a = rng.normal(size=30)
+        b = a.copy()
+        b[5] += 1.0
+        X = np.column_stack([a, b])
+        design = Design(X, X @ np.array([1.0, 2.0]) + rng.normal(size=30), ("a", "b"))
+        permutation = np.random.default_rng(4).permutation(30)
+        fold = next(f for f, part in enumerate(np.array_split(permutation, 5)) if 5 in part)
+        with pytest.raises(RankDeficient, match=f"repeat 1 of 2, fold {fold + 1} of 5"):
+            repeated_kfold_cv(design, "ols", folds=5, repeats=2, seed=4)
 
     def test_frozen_regression_value(self):
         # Pinned output for one fixed configuration; any change to fold
