@@ -49,6 +49,10 @@ class ClipTooShort(ValueError):
     """Shorter than one analysis frame."""
 
 
+class FrameTooShort(ValueError):
+    """An analysis frame needs at least two samples."""
+
+
 class TooFewFrames(ValueError):
     """Flux needs at least two frames."""
 
@@ -151,7 +155,6 @@ class SpectralFrameSeries:
 
     magnitudes: np.ndarray
     bin_frequencies: np.ndarray
-    hop_seconds: float
 
 
 def stft_magnitudes(
@@ -163,8 +166,11 @@ def stft_magnitudes(
     """Magnitude spectrogram over complete frames only.
 
     The frame count is floor((len - frame_length) / hop_length) + 1: a
-    trailing partial frame is dropped, never padded.
+    trailing partial frame is dropped, never padded.  A frame shorter than
+    two samples raises FrameTooShort.
     """
+    if frame_length < 2:
+        raise FrameTooShort(f"frame_length must be at least 2 samples, got {frame_length}")
     x = clip.samples
     if len(x) < frame_length:
         raise ClipTooShort(f"{len(x)} samples, need {frame_length}")
@@ -176,11 +182,7 @@ def stft_magnitudes(
     frames = x[starts[:, None] + np.arange(frame_length)] * taper
     magnitudes = np.abs(np.fft.rfft(frames, axis=1))
     bin_frequencies = np.fft.rfftfreq(frame_length, 1.0 / clip.sample_rate)
-    return SpectralFrameSeries(
-        magnitudes=magnitudes,
-        bin_frequencies=bin_frequencies,
-        hop_seconds=hop_length / clip.sample_rate,
-    )
+    return SpectralFrameSeries(magnitudes=magnitudes, bin_frequencies=bin_frequencies)
 
 
 @dataclass(frozen=True)
@@ -349,37 +351,86 @@ def extract_audio_features(
     A frame is silent when its magnitude spectrum is all zero.  Flux is
     computed over the subsequence of non-silent frames in order.  Zero
     crossing rate and RMS are whole-clip values on the raw samples.
+
+    The descriptors are computed in one pass over the live frames x bins
+    matrix and equal the mean over live frames of :func:`spectral_moments`,
+    :func:`spectral_flatness`, :func:`spectral_rolloff` and
+    :func:`brightness` up to rounding (rolloff exactly).  Rolloff fractions
+    and brightness cutoffs are checked before the STFT runs.
     """
+    for fraction in rolloff_fractions:
+        if not 0.0 < fraction < 1.0:
+            raise ValueError(f"rolloff fraction {fraction:g} is not strictly between 0 and 1")
+    for cutoff in brightness_cutoffs:
+        if not math.isfinite(cutoff):
+            raise ValueError(f"brightness cutoff {cutoff:g} is not finite")
     series = stft_magnitudes(clip, frame_length, hop_length, window)
+    frequencies = series.bin_frequencies
     live = series.magnitudes.any(axis=1)
     if not live.any():
         raise AllFramesSilent("every frame of the clip is silent")
     frames = series.magnitudes[live]
-    frequencies = series.bin_frequencies
-    moments = [spectral_moments(frame, frequencies) for frame in frames]
-    flatnesses = [spectral_flatness(frame) for frame in frames]
-    rolloffs = {
-        fraction: float(
-            np.mean([spectral_rolloff(f, frequencies, fraction) for f in frames])
-        )
-        for fraction in rolloff_fractions
-    }
-    brightnesses = {
-        float(cutoff): float(
-            np.mean([brightness(f, frequencies, cutoff) for f in frames])
-        )
-        for cutoff in brightness_cutoffs
-    }
+    del series
+    flux = spectral_flux(frames)
+
+    # Moments, centred on each frame's centroid: expanding raw moments
+    # instead cancels on near-line spectra.  Two frames x bins work arrays
+    # serve every descriptor below.
+    total = frames.sum(axis=1)
+    centroid = frames @ frequencies / total
+    deviations = frequencies - centroid[:, None]
+    work = frames * deviations
+    work *= deviations
+    spread = np.sqrt(np.maximum(work.sum(axis=1) / total, 0.0))
+    work *= deviations
+    third = work.sum(axis=1) / total
+    work *= deviations
+    fourth = work.sum(axis=1) / total
+    shaped = spread >= _DEGENERATE_SPREAD_RTOL * frequencies[-1]
+    skewness = np.divide(third, spread**3, out=np.zeros_like(third), where=shaped)
+    kurtosis = np.divide(fourth, spread**4, out=np.zeros_like(fourth), where=shaped)
+
+    # Flatness over the non-DC bins; a frame with a zero bin reads zero.
+    band = frames[:, 1:]
+    positive = band > 0
+    logs = deviations[:, 1:]
+    logs.fill(0.0)
+    np.log(band, out=logs, where=positive)
+    arithmetic = band.mean(axis=1)
+    flatness = np.divide(
+        np.exp(logs.mean(axis=1)),
+        arithmetic,
+        out=np.zeros_like(arithmetic),
+        where=positive.all(axis=1),
+    )
+
+    energy = np.multiply(frames, frames, out=deviations)
+    energy_total = energy.sum(axis=1)
+    if not energy_total.all():
+        raise SilentFrame("a non-silent frame's energy underflows to zero")
+    # Bin frequencies ascend, so the bins at or above a cutoff are a suffix.
+    brightnesses = {}
+    for cutoff in brightness_cutoffs:
+        above = energy[:, np.searchsorted(frequencies, cutoff) :].sum(axis=1)
+        brightnesses[float(cutoff)] = float(np.mean(above / energy_total))
+    # The count of cumulative energies below the target is the oracle's
+    # left-sided searchsorted against the same row total.
+    cumulative = np.cumsum(energy, axis=1, out=work)
+    last = len(frequencies) - 1
+    rolloffs = {}
+    for fraction in rolloff_fractions:
+        below = np.count_nonzero(cumulative < (fraction * energy_total)[:, None], axis=1)
+        rolloffs[fraction] = float(np.mean(frequencies[np.minimum(below, last)]))
     zcr, rms = time_domain_features(clip)
     return AudioFeatureVector(
         zcr=zcr,
         rms=rms,
-        centroid=float(np.mean([m.centroid for m in moments])),
-        spread=float(np.mean([m.spread for m in moments])),
-        skewness=float(np.mean([m.skewness for m in moments])),
-        kurtosis=float(np.mean([m.kurtosis for m in moments])),
-        flatness=float(np.mean(flatnesses)),
+        centroid=float(centroid.mean()),
+        spread=float(spread.mean()),
+        skewness=float(skewness.mean()),
+        kurtosis=float(kurtosis.mean()),
+        flatness=float(flatness.mean()),
         rolloff=rolloffs,
-        flux=spectral_flux(frames),
+        flux=flux,
         brightness=brightnesses,
     )

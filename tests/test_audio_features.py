@@ -2,18 +2,24 @@
 
 import io as std_io
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import pcm16, wav
 from perfeat.audio_features import (
     AllFramesSilent,
     AudioClip,
     ClipTooShort,
+    FrameTooShort,
     NonFiniteSample,
     NotRiff,
     SilentFrame,
+    SpectralFrameSeries,
     TooFewFrames,
     TruncatedData,
     UnsupportedCodec,
@@ -115,6 +121,18 @@ class TestStft:
     def test_too_short(self):
         with pytest.raises(ClipTooShort):
             stft_magnitudes(AudioClip(np.zeros(100), 8000), 2048, 1024)
+
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("frame_length", [-4, 0, 1])
+    def test_frame_shorter_than_two_samples(self, frame_length, window):
+        # A one-sample Hann frame is an all-zero taper, which would read as
+        # a silent clip; zero or negative lengths would fail inside the FFT.
+        clip = AudioClip(np.ones(64), 8000)
+        with pytest.raises(FrameTooShort, match="frame_length"):
+            stft_magnitudes(clip, frame_length, 1, window)
+        with pytest.raises(FrameTooShort, match="frame_length"):
+            extract_audio_features(clip, frame_length=frame_length, hop_length=1,
+                                   window=window)
 
     def test_dc_concentrates_in_bin_zero(self):
         clip = AudioClip(np.full(4096, 0.5), 8000)
@@ -410,3 +428,141 @@ class TestExtract:
         vector = extract_audio_features(clip)
         direct = extract_audio_features(AudioClip(pcm16(x) / 32768.0, sample_rate))
         assert vector.centroid == pytest.approx(direct.centroid, rel=1e-12)
+
+    def test_energy_underflow_is_a_silent_frame(self):
+        # Magnitudes this small are non-zero but square to zero.
+        x = 1e-170 * np.random.default_rng(10).normal(size=4096)
+        with pytest.raises(SilentFrame):
+            extract_audio_features(AudioClip(x, 8000))
+
+
+class TestDescriptorArguments:
+    """Rolloff fractions and brightness cutoffs are checked before the STFT."""
+
+    # Too short for one frame: the STFT, had it run first, raises ClipTooShort.
+    SHORT = AudioClip(np.zeros(100), 8000)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_rolloff_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="rolloff fraction") as raised:
+            extract_audio_features(self.SHORT, rolloff_fractions=(0.85, fraction))
+        assert not isinstance(raised.value, ClipTooShort)
+
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_brightness_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="brightness cutoff") as raised:
+            extract_audio_features(self.SHORT, brightness_cutoffs=(1000.0, cutoff))
+        assert not isinstance(raised.value, ClipTooShort)
+
+
+# Derandomized so that every run of the suite draws the same examples.
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+# Per-frame rounding differs between the batched pass and the oracles, so
+# values agree to 1e-12 relative; a mean that is itself near zero (a
+# skewness, the spread of single lines) is compared on its natural scale.
+RTOL = 1e-12
+
+JUST_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _close(batched, oracle, scale):
+    return abs(batched - oracle) <= RTOL * max(abs(batched), abs(oracle), scale)
+
+
+@st.composite
+def spectra(draw):
+    """Frames x bins magnitudes with the cases the batched pass must match.
+
+    Rows are silent, single lines (the degenerate branch, DC included),
+    small integers with exact-zero bins, or flat; integer energies put
+    dyadic rolloff fractions exactly on a cumulative-energy boundary.
+    """
+    bins = draw(st.integers(2, 40))
+    n_live = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(n_live):
+        rows.extend(np.zeros(bins) for _ in range(draw(st.integers(0, 2))))
+        kind = draw(st.sampled_from(["line", "integers", "flat"]))
+        if kind == "line":
+            row = np.zeros(bins)
+            row[draw(st.integers(0, bins - 1))] = 1.0
+        elif kind == "integers":
+            row = np.array(draw(st.lists(st.integers(0, 4), min_size=bins,
+                                         max_size=bins)), dtype=float)
+            if not row.any():
+                row[-1] = 1.0
+        else:
+            row = np.ones(bins)
+        scale = draw(st.sampled_from([1.0, 1.0, 3.0, 0.1, 1e-3, 1e4])
+                     | st.floats(1e-3, 1e3))
+        rows.append(scale * row)
+    rows.extend(np.zeros(bins) for _ in range(draw(st.integers(0, 2))))
+    return np.array(rows)
+
+
+fractions = st.lists(
+    st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.85, 0.95, JUST_BELOW_ONE])
+    | st.floats(1e-6, JUST_BELOW_ONE),
+    min_size=1, max_size=3,
+)
+cutoffs = st.lists(st.floats(-100.0, 4100.0) | st.sampled_from([0.0, 2000.0, 4000.0]),
+                   min_size=1, max_size=3)
+
+
+def _extract_from(magnitudes, frequencies, **options):
+    series = SpectralFrameSeries(magnitudes=magnitudes, bin_frequencies=frequencies)
+    with mock.patch("perfeat.audio_features.stft_magnitudes", return_value=series):
+        return extract_audio_features(AudioClip(np.zeros(8), 8000), **options)
+
+
+class TestBatchedDescriptors:
+    @PROPERTY
+    @given(magnitudes=spectra(), fractions=fractions, cutoffs=cutoffs)
+    @example(
+        # Four equal energies: 0.25, 0.5 and 0.75 land on cumulative sums.
+        magnitudes=np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0],
+                             [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]]),
+        fractions=[0.25, 0.5, 0.75], cutoffs=[4000.0 / 3],
+    )
+    def test_equals_mean_of_single_frame_oracles(self, magnitudes, fractions,
+                                                 cutoffs):
+        frequencies = np.linspace(0.0, 4000.0, magnitudes.shape[1])
+        vector = _extract_from(magnitudes, frequencies, rolloff_fractions=fractions,
+                               brightness_cutoffs=cutoffs)
+        live = magnitudes[magnitudes.any(axis=1)]
+        moments = [spectral_moments(frame, frequencies) for frame in live]
+        nyquist = frequencies[-1]
+        for name, scale in (("centroid", nyquist), ("spread", nyquist),
+                            ("skewness", 1.0), ("kurtosis", 1.0)):
+            oracle = np.mean([getattr(m, name) for m in moments])
+            assert _close(getattr(vector, name), oracle, scale), name
+        oracle = np.mean([spectral_flatness(frame) for frame in live])
+        assert _close(vector.flatness, oracle, 1.0)
+        for cutoff in cutoffs:
+            oracle = np.mean([brightness(frame, frequencies, cutoff) for frame in live])
+            assert _close(vector.brightness[cutoff], oracle, 1.0), cutoff
+        for fraction in fractions:
+            oracle = np.mean([spectral_rolloff(frame, frequencies, fraction)
+                              for frame in live])
+            assert vector.rolloff[fraction] == oracle, fraction
+        assert vector.flux == spectral_flux(live)
+
+    def test_zero_bins_and_single_lines_raise_no_warning(self):
+        # Two-sample rectangular frames have the exact spectrum
+        # (a + b, |a - b|): DC-only and Nyquist-only lines, a flat frame and
+        # silent frames.
+        pairs = [(1, 1), (0, 0), (1, -1), (0, 0), (0, 0), (1, 0), (0.5, 0.5)]
+        clip = AudioClip(np.array(pairs, dtype=float).ravel(), 8000)
+        magnitudes = np.array([[0.0, 0.0, 3.0], [2.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vector = extract_audio_features(clip, frame_length=2, hop_length=2,
+                                            window="rect")
+            batched = _extract_from(magnitudes, np.array([0.0, 2000.0, 4000.0]))
+        # Three of the four live frames are lines; the flat one has kurtosis 1.
+        assert vector.skewness == 0.0
+        assert vector.kurtosis == pytest.approx(0.25, rel=1e-12)
+        assert vector.flatness == pytest.approx(0.5, rel=1e-12)
+        assert batched.flatness == 0.0
+        assert batched.centroid == pytest.approx((4000.0 + 8000.0 / 3) / 3, rel=1e-12)

@@ -194,6 +194,29 @@ class TestExtractAudio:
         assert "rolloff50" in names and "bright2000" in names
         assert "rolloff85" not in names
 
+    @pytest.mark.parametrize("frame_length", ["0", "-8", "1"])
+    def test_frame_length_below_two_names_the_file(self, wav_corpus, tmp_path,
+                                                   frame_length, capsys):
+        assert run(
+            "extract-audio", "--wav-dir", wav_corpus, "--out-dir", tmp_path / "out",
+            "--frame-length", frame_length,
+        ) == 1
+        err = capsys.readouterr().err
+        assert "clip_high.wav" in err and "frame_length must be at least 2" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--brightness-cutoffs", "nan", "brightness cutoff nan is not finite"),
+        ("--rolloff-fractions", "0.85,1.5", "rolloff fraction 1.5"),
+    ])
+    def test_bad_descriptor_argument_names_the_file(self, wav_corpus, tmp_path,
+                                                    flag, value, message, capsys):
+        out = tmp_path / "out"
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", out,
+                   flag, value) == 1
+        err = capsys.readouterr().err
+        assert "clip_high.wav" in err and message in err
+        assert not (out / "audio_features.csv").exists()
+
 
 class TestAgreement:
     def test_reports_per_feature(self, ratings_dir, tmp_path):
