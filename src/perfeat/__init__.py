@@ -30,7 +30,6 @@ from .regress import (
     adjusted_r2,
     ols_fit,
     pls_fit,
-    predict,
     repeated_kfold_cv,
 )
 from .smf import (
@@ -38,7 +37,6 @@ from .smf import (
     Song,
     TrackCategory,
     annotate_tracks,
-    build_tempo_map,
     parse_smf,
 )
 from .stats import (
@@ -71,7 +69,6 @@ __all__ = [
     "TrackCategory",
     "adjusted_r2",
     "annotate_tracks",
-    "build_tempo_map",
     "cronbach_alpha",
     "cross_correlation_matrix",
     "default_calibration",
@@ -85,7 +82,6 @@ __all__ = [
     "parse_smf",
     "pearson",
     "pls_fit",
-    "predict",
     "read_wav",
     "regularized_incomplete_beta",
     "repeated_kfold_cv",

@@ -33,6 +33,7 @@ from .io import (
 from .regress import Design, OlsFit, ols_fit, pls_fit, repeated_kfold_cv
 from .smf import annotate_tracks, parse_smf
 from .stats import (
+    MIN_COMPLETE_ITEMS,
     cross_correlation_matrix,
     flag_outlier_raters,
     inter_rater_agreement,
@@ -338,6 +339,11 @@ def _cmd_agreement(opts: _Options) -> int:
             )
             notes.append(f"{feature}: flagged raters {listed}; values in"
                          " parentheses are with those raters removed.")
+        if report.alpha is None:
+            notes.append(
+                f"{feature}: alpha undefined: {report.n_complete_items} complete"
+                f" items, need {MIN_COMPLETE_ITEMS}."
+            )
         if report.skipped_pairs:
             notes.append(
                 f"{feature}: {len(report.skipped_pairs)} rater pair(s) had no"

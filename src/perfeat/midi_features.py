@@ -15,6 +15,7 @@ from itertools import pairwise
 from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .smf import (
+    PERCUSSION_CHANNEL,
     MidiNote,
     PercussionClass,
     Song,
@@ -277,73 +278,41 @@ def extract_midi_features(
     """Compute the full symbolic feature vector for one song.
 
     The soft-note filter runs first, once, against the loudest note of the
-    song; every feature then sees the same filtered note list.  Unannotated
-    notes count toward the whole-song aggregates only.
+    song; every feature then sees the same filtered note list.  A note's
+    role is its track's entry in ``song.annotations``.  Without one, a note
+    on the percussion channel is drums and any other note counts toward
+    the whole-song aggregates only.
     """
     kept = filter_soft_notes(song.notes, calibration)
-    groups: Dict[str, List[MidiNote]] = {"mel": [], "acc": [], "bas": [], "dru": []}
+    groups: Dict[str, List[MidiNote]] = defaultdict(list, all=kept)
     for note in kept:
-        suffix = _ROLE_SUFFIX.get(note.category)
-        if suffix is not None:
-            groups[suffix].append(note)
-    toms = [
-        n
-        for n in groups["dru"]
-        if classify_percussion_key(n.key, tom_keys) is PercussionClass.TOM
-    ]
-    rest = [
-        n
-        for n in groups["dru"]
-        if classify_percussion_key(n.key, tom_keys) is PercussionClass.REST
-    ]
+        role = song.annotations.get(note.track_id)
+        if role is None and note.channel == PERCUSSION_CHANNEL:
+            role = TrackCategory.DRUMS
+        suffix = _ROLE_SUFFIX.get(role)
+        if suffix is None:
+            continue
+        groups[suffix].append(note)
+        if suffix == "dru":
+            tom = classify_percussion_key(note.key, tom_keys) is PercussionClass.TOM
+            groups["dru_tom" if tom else "dru_rest"].append(note)
 
+    # Field f"{prefix}_{suffix}" is the statistic over that group's notes.
+    table = (
+        ("nps", lambda notes: note_density(notes, song.duration, merge_window),
+         ("all", "mel", "acc", "bas", "dru", "dru_tom", "dru_rest")),
+        ("sl", lambda notes: mean_sound_level(notes, calibration),
+         ("all", "mel", "acc", "bas", "dru")),
+        ("f0", mean_pitch, ("all", "mel", "acc", "bas")),
+        ("art", mean_articulation, ("all", "mel", "acc", "bas")),
+    )
     out = MidiFeatureVector()
     out.ann_tempo = tempo if tempo is not None else song.annotated_tempo
-
-    density_groups = [
-        ("nps_all", kept),
-        ("nps_mel", groups["mel"]),
-        ("nps_acc", groups["acc"]),
-        ("nps_bas", groups["bas"]),
-        ("nps_dru", groups["dru"]),
-        ("nps_dru_tom", toms),
-        ("nps_dru_rest", rest),
-    ]
-    for field_name, members in density_groups:
-        if members:
-            setattr(out, field_name, note_density(members, song.duration, merge_window))
-
-    level_groups = [
-        ("sl_all", kept),
-        ("sl_mel", groups["mel"]),
-        ("sl_acc", groups["acc"]),
-        ("sl_bas", groups["bas"]),
-        ("sl_dru", groups["dru"]),
-    ]
-    for field_name, members in level_groups:
-        if members:
-            setattr(out, field_name, mean_sound_level(members, calibration))
-
-    pitch_groups = [
-        ("f0_all", kept),
-        ("f0_mel", groups["mel"]),
-        ("f0_acc", groups["acc"]),
-        ("f0_bas", groups["bas"]),
-    ]
-    for field_name, members in pitch_groups:
-        if members:
-            setattr(out, field_name, mean_pitch(members))
-
-    articulation_groups = [
-        ("art_all", kept),
-        ("art_mel", groups["mel"]),
-        ("art_acc", groups["acc"]),
-        ("art_bas", groups["bas"]),
-    ]
-    for field_name, members in articulation_groups:
-        try:
-            setattr(out, field_name, mean_articulation(members))
-        except EmptyCategory:
-            pass
-
+    for prefix, statistic, suffixes in table:
+        for suffix in suffixes:
+            if groups[suffix]:
+                try:
+                    setattr(out, f"{prefix}_{suffix}", statistic(groups[suffix]))
+                except EmptyCategory:
+                    pass  # no qualifying notes: the field stays absent
     return out

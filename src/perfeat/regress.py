@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,9 +336,6 @@ def pls_fit(design: Design, m: int) -> PlsModel:
     )
 
 
-Model = Union[OlsFit, PlsModel]
-
-
 def _check_prediction_input(
     X_new, model_names: Tuple[str, ...], names: Optional[Sequence[str]]
 ) -> np.ndarray:
@@ -352,11 +349,6 @@ def _check_prediction_input(
             f"{X_new.shape[1]} prediction columns, model has {len(model_names)}"
         )
     return X_new
-
-
-def predict(model: Model, X_new, names: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Predict with either model type; rows with missing values give NaN."""
-    return model.predict(X_new, names)
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,6 @@ class MidiNote:
         Note-on velocity 1..127.
     volume_cc : int
         Channel volume (controller 7) in force at the onset.
-    category : TrackCategory
-        Instrumental role assigned by :func:`annotate_tracks`.
     """
 
     track_id: int
@@ -105,7 +103,6 @@ class MidiNote:
     duration: float
     velocity: int
     volume_cc: int = DEFAULT_VOLUME_CC
-    category: TrackCategory = TrackCategory.UNANNOTATED
 
     @property
     def offset(self) -> float:
@@ -164,11 +161,6 @@ class TempoMap:
             raise ValueError("tick must be non-negative")
         i = bisect_right(self._ticks, tick) - 1
         return self._seconds[i] + (tick - self._ticks[i]) * self._rates[i]
-
-
-def build_tempo_map(events: Iterable[Tuple[int, int]], ticks_per_quarter: int) -> TempoMap:
-    """Make a :class:`TempoMap` from (tick, us_per_quarter) change points."""
-    return TempoMap(events, ticks_per_quarter)
 
 
 class _Reader:
@@ -314,7 +306,7 @@ def parse_smf(data: bytes, song_id: str = "") -> Song:
         end_ticks.append(end_tick)
         tempo_events.extend(tempos)
     tempo_events.sort(key=lambda event: event[0])
-    tempo_map = build_tempo_map(tempo_events, division)
+    tempo_map = TempoMap(tempo_events, division)
     notes = []
     for track_id, closed in per_track:
         for on_tick, off_tick, channel, key, velocity, vol in closed:
@@ -339,24 +331,15 @@ def parse_smf(data: bytes, song_id: str = "") -> Song:
 
 
 def annotate_tracks(song: Song, annotations: Mapping[int, TrackCategory]) -> Song:
-    """Return a copy of the song with per-track roles applied to its notes.
+    """Return a copy of the song carrying per-track roles.
 
-    Tracks without an annotation keep their notes unannotated, except that
-    notes on the percussion channel default to the drum role.
+    The notes are shared, not rebuilt.  Feature extraction reads each
+    note's role from these annotations; there, a note of an unannotated
+    track is drums when it is on the percussion channel.
     """
     for track_id in annotations:
         if not 0 <= track_id < song.n_tracks:
             raise UnknownTrackId(
                 f"annotation for track {track_id}, file has {song.n_tracks} tracks"
             )
-    notes = []
-    for note in song.notes:
-        category = annotations.get(note.track_id)
-        if category is None:
-            category = (
-                TrackCategory.DRUMS
-                if note.channel == PERCUSSION_CHANNEL
-                else TrackCategory.UNANNOTATED
-            )
-        notes.append(replace(note, category=category))
-    return replace(song, notes=tuple(notes), annotations=dict(annotations))
+    return replace(song, annotations=dict(annotations))

@@ -20,6 +20,9 @@ from .tdist import student_t_two_tailed
 MIN_PAIRS = 3
 """A correlation needs at least this many complete pairs."""
 
+MIN_COMPLETE_ITEMS = 3
+"""Internal consistency needs at least this many items rated by every rater."""
+
 OUTLIER_SD_FACTOR = 2.5
 """Raters this many sample SDs below the mean agreement level are flagged."""
 
@@ -155,7 +158,7 @@ class RatingMatrix:
         )
 
 
-def cronbach_alpha(matrix: RatingMatrix, min_items: int = 3) -> float:
+def cronbach_alpha(matrix: RatingMatrix, min_items: int = MIN_COMPLETE_ITEMS) -> float:
     """Internal consistency of the rater panel over complete cases.
 
     alpha = k / (k - 1) * (1 - sum of per-rater variances / variance of row
@@ -180,10 +183,14 @@ def cronbach_alpha(matrix: RatingMatrix, min_items: int = 3) -> float:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Panel-level agreement summary for one rating matrix."""
+    """Panel-level agreement summary for one rating matrix.
+
+    ``alpha`` is None when fewer than :data:`MIN_COMPLETE_ITEMS` items are
+    rated by every rater.
+    """
 
     mean_pairwise_r: float
-    alpha: float
+    alpha: Optional[float]
     n_items: int
     n_complete_items: int
     n_raters: int
@@ -204,33 +211,40 @@ def _pairwise_r_table(matrix: RatingMatrix):
     return computed, skipped
 
 
+def _per_rater_mean_r(
+    matrix: RatingMatrix, computed: Dict[Tuple[str, str], float]
+) -> Dict[str, float]:
+    """Each rater's mean correlation over their defined pairs; NaN with none."""
+    per_rater: Dict[str, List[float]] = {rid: [] for rid in matrix.rater_ids}
+    for (a, b), r in computed.items():
+        per_rater[a].append(r)
+        per_rater[b].append(r)
+    return {
+        rid: (math.fsum(rs) / len(rs) if rs else math.nan)
+        for rid, rs in per_rater.items()
+    }
+
+
 def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     """Mean pairwise correlation and internal consistency for a panel.
 
     Pairwise correlations use pairwise deletion; pairs that are undefined
     (constant rater, too much missingness) are skipped and reported.  The
-    consistency coefficient uses complete cases.
+    consistency coefficient uses complete cases and is absent (None) when
+    there are too few of them.
     """
     computed, skipped = _pairwise_r_table(matrix)
     if not computed:
         raise ConstantInput("no rater pair has a defined correlation")
-    alpha = cronbach_alpha(matrix)
-    per_rater: Dict[str, List[float]] = {rid: [] for rid in matrix.rater_ids}
-    for (a, b), r in computed.items():
-        per_rater[a].append(r)
-        per_rater[b].append(r)
-    per_rater_mean = {
-        rid: (math.fsum(rs) / len(rs) if rs else math.nan)
-        for rid, rs in per_rater.items()
-    }
     complete_rows = int(np.isfinite(matrix.values).all(axis=1).sum())
+    alpha = cronbach_alpha(matrix) if complete_rows >= MIN_COMPLETE_ITEMS else None
     return AgreementReport(
         mean_pairwise_r=math.fsum(computed.values()) / len(computed),
         alpha=alpha,
         n_items=matrix.n_items,
         n_complete_items=complete_rows,
         n_raters=matrix.n_raters,
-        per_rater_mean_r=per_rater_mean,
+        per_rater_mean_r=_per_rater_mean_r(matrix, computed),
         skipped_pairs=tuple(skipped),
     )
 
@@ -248,14 +262,7 @@ def flag_outlier_raters(
     if matrix.n_raters < 3:
         raise ValueError("outlier flagging needs at least three raters")
     computed, _ = _pairwise_r_table(matrix)
-    per_rater: Dict[str, List[float]] = {rid: [] for rid in matrix.rater_ids}
-    for (a, b), r in computed.items():
-        per_rater[a].append(r)
-        per_rater[b].append(r)
-    means = {
-        rid: (math.fsum(rs) / len(rs) if rs else math.nan)
-        for rid, rs in per_rater.items()
-    }
+    means = _per_rater_mean_r(matrix, computed)
     defined = [m for m in means.values() if not math.isnan(m)]
     if defined:
         grand_mean = math.fsum(defined) / len(defined)

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from perfeat.smf import MidiNote, TrackCategory
+from perfeat.smf import MidiNote
 
 # ----------------------------------------------------------------- SMF bytes
 
@@ -114,7 +114,6 @@ def note(
     volume_cc: int = 127,
     track_id: int = 0,
     channel: int = 0,
-    category: TrackCategory = TrackCategory.UNANNOTATED,
 ) -> MidiNote:
     return MidiNote(
         track_id=track_id,
@@ -124,7 +123,6 @@ def note(
         duration=duration,
         velocity=velocity,
         volume_cc=volume_cc,
-        category=category,
     )
 
 

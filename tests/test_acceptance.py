@@ -24,7 +24,7 @@ from perfeat.audio_features import (
 )
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, adjusted_r2, ols_fit, pls_fit, repeated_kfold_cv
-from perfeat.smf import MidiNote, TrackCategory, parse_smf
+from perfeat.smf import MidiNote, parse_smf
 from perfeat.stats import (
     RatingMatrix,
     cronbach_alpha,
@@ -212,9 +212,9 @@ def test_midi_known_answers():
     )
     expected_notes = (
         MidiNote(track_id=0, channel=0, key=60, onset=0.0, duration=0.375,
-                 velocity=100, volume_cc=100, category=TrackCategory.UNANNOTATED),
+                 velocity=100, volume_cc=100),
         MidiNote(track_id=0, channel=0, key=72, onset=0.5, duration=0.25,
-                 velocity=100, volume_cc=100, category=TrackCategory.UNANNOTATED),
+                 velocity=100, volume_cc=100),
     )
     _expect(
         failures, articulation.notes == expected_notes,

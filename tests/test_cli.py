@@ -262,6 +262,26 @@ class TestAgreement:
         assert record["flagged_raters"] == "r5"
         assert float(record["mean_r_trimmed"]) > float(record["mean_r"])
 
+    def test_no_complete_item_leaves_alpha_empty(self, tmp_path):
+        # 12 items x 5 raters, each item missing one rater: no item is
+        # complete, but every rater pair shares enough items for r.
+        rng = np.random.default_rng(31)
+        lines = ["item,r0,r1,r2,r3,r4"]
+        for i, value in enumerate(rng.uniform(2, 8, size=12)):
+            cells = [f"{c:.2f}" for c in np.clip(value + rng.normal(0, 0.5, 5), 1, 9)]
+            cells[i % 5] = ""
+            lines.append(f"item{i:02d}," + ",".join(cells))
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out) == 0
+        record = read_records(out / "agreement.csv")[0]
+        assert record["n_complete_items"] == "0"
+        assert float(record["mean_r"]) > 0.5
+        assert record["alpha"] == "" and record["alpha_trimmed"] == ""
+        text = (out / "agreement.txt").read_text(encoding="utf-8")
+        assert "panel: alpha undefined: 0 complete items, need 3." in text
+
     def test_out_of_scale_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("item,r1,r2\ns1,3,11\n", encoding="utf-8")

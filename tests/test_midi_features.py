@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import note
 from perfeat.midi_features import (
@@ -27,12 +29,13 @@ from perfeat.midi_features import (
 from perfeat.smf import Song, TrackCategory
 
 
-def song_of(notes, duration, tempo=None):
+def song_of(notes, duration, tempo=None, annotations=None):
     return Song(
         id="test",
         notes=tuple(notes),
         duration=duration,
         n_tracks=1 + max((n.track_id for n in notes), default=0),
+        annotations=dict(annotations or {}),
         annotated_tempo=tempo,
     )
 
@@ -243,11 +246,13 @@ class TestExtract:
 
     def test_single_melody_track_degenerates(self):
         notes = [
-            note(0.0, 0.4, key=60, category=TrackCategory.MELODY),
-            note(0.5, 0.4, key=64, category=TrackCategory.MELODY),
-            note(1.0, 0.4, key=67, category=TrackCategory.MELODY),
+            note(0.0, 0.4, key=60),
+            note(0.5, 0.4, key=64),
+            note(1.0, 0.4, key=67),
         ]
-        v = extract_midi_features(song_of(notes, 2.0))
+        v = extract_midi_features(
+            song_of(notes, 2.0, annotations={0: TrackCategory.MELODY})
+        )
         assert v.nps_all == v.nps_mel == pytest.approx(1.5, abs=1e-12)
         assert v.sl_all == v.sl_mel
         assert v.f0_all == v.f0_mel == pytest.approx(63.6667, abs=1e-3)
@@ -259,11 +264,13 @@ class TestExtract:
 
     def test_percussion_split(self):
         notes = [
-            note(0.0, 0.1, key=36, track_id=0, category=TrackCategory.DRUMS),
-            note(1.0, 0.1, key=36, track_id=0, category=TrackCategory.DRUMS),
-            note(0.5, 0.1, key=42, track_id=0, category=TrackCategory.DRUMS),
+            note(0.0, 0.1, key=36, track_id=0),
+            note(1.0, 0.1, key=36, track_id=0),
+            note(0.5, 0.1, key=42, track_id=0),
         ]
-        v = extract_midi_features(song_of(notes, 2.0))
+        v = extract_midi_features(
+            song_of(notes, 2.0, annotations={0: TrackCategory.DRUMS})
+        )
         assert v.nps_dru == pytest.approx(1.5, abs=1e-12)
         assert v.nps_dru_tom == pytest.approx(1.0, abs=1e-12)
         assert v.nps_dru_rest == pytest.approx(0.5, abs=1e-12)
@@ -274,33 +281,45 @@ class TestExtract:
         # The drum note is within 20 dB of the loudest drum but not of the
         # song maximum, so it must disappear from every feature.
         notes = [
-            note(0.0, 0.4, velocity=127, category=TrackCategory.MELODY),
-            note(1.0, 0.4, velocity=127, category=TrackCategory.MELODY),
-            note(0.0, 0.1, velocity=10, key=36, track_id=1,
-                 category=TrackCategory.DRUMS),
+            note(0.0, 0.4, velocity=127),
+            note(1.0, 0.4, velocity=127),
+            note(0.0, 0.1, velocity=10, key=36, track_id=1),
         ]
-        v = extract_midi_features(song_of(notes, 2.0))
+        v = extract_midi_features(
+            song_of(
+                notes, 2.0,
+                annotations={0: TrackCategory.MELODY, 1: TrackCategory.DRUMS},
+            )
+        )
         assert v.nps_dru is None
         assert v.sl_dru is None
         assert v.nps_all == pytest.approx(1.0, abs=1e-12)
 
     def test_unannotated_notes_count_in_pooled_only(self):
         notes = [
-            note(0.0, 0.4, key=60, category=TrackCategory.MELODY),
-            note(1.0, 0.4, key=72, track_id=1,
-                 category=TrackCategory.UNANNOTATED),
+            note(0.0, 0.4, key=60),
+            note(1.0, 0.4, key=72, track_id=1),
         ]
-        v = extract_midi_features(song_of(notes, 2.0))
+        v = extract_midi_features(
+            song_of(notes, 2.0, annotations={0: TrackCategory.MELODY})
+        )
         assert v.nps_all == pytest.approx(1.0, abs=1e-12)
         assert v.nps_mel == pytest.approx(0.5, abs=1e-12)
         assert v.f0_all == pytest.approx(66.0, abs=1e-12)
         assert v.f0_mel == pytest.approx(60.0, abs=1e-12)
 
     def test_annotated_tempo_passthrough(self):
-        notes = [note(0.0, 0.5, category=TrackCategory.MELODY)]
-        assert extract_midi_features(song_of(notes, 1.0, tempo=2.5)).ann_tempo == 2.5
-        assert extract_midi_features(song_of(notes, 1.0), tempo=3.0).ann_tempo == 3.0
-        assert extract_midi_features(song_of(notes, 1.0)).ann_tempo is None
+        notes = [note(0.0, 0.5)]
+        roles = {0: TrackCategory.MELODY}
+        assert extract_midi_features(
+            song_of(notes, 1.0, tempo=2.5, annotations=roles)
+        ).ann_tempo == 2.5
+        assert extract_midi_features(
+            song_of(notes, 1.0, annotations=roles), tempo=3.0
+        ).ann_tempo == 3.0
+        assert extract_midi_features(
+            song_of(notes, 1.0, annotations=roles)
+        ).ann_tempo is None
 
     def test_empty_song_all_absent(self):
         v = extract_midi_features(song_of([], 0.0))
@@ -315,9 +334,10 @@ def _random_song(rng, n_tracks=3):
         TrackCategory.DRUMS,
     ]
     notes = []
+    annotations = {}
     duration = 10.0
     for track_id in range(n_tracks):
-        category = categories[int(rng.integers(len(categories)))]
+        annotations[track_id] = categories[int(rng.integers(len(categories)))]
         count = int(rng.integers(3, 15))
         onsets = np.sort(rng.uniform(0, duration - 1.0, size=count))
         for onset in onsets:
@@ -330,10 +350,9 @@ def _random_song(rng, n_tracks=3):
                     velocity=int(rng.integers(20, 128)),
                     volume_cc=int(rng.integers(60, 128)),
                     track_id=track_id,
-                    category=category,
                 )
             )
-    return song_of(notes, duration)
+    return song_of(notes, duration, annotations=annotations)
 
 
 class TestExtractProperties:
@@ -348,11 +367,12 @@ class TestExtractProperties:
                     note(
                         n.onset, n.duration, key=n.key,
                         velocity=n.velocity * 2, volume_cc=n.volume_cc,
-                        track_id=n.track_id, category=n.category,
+                        track_id=n.track_id,
                     )
                     for n in song.notes
                 ],
                 song.duration,
+                annotations=song.annotations,
             )
             base = extract_midi_features(song)
             scaled = extract_midi_features(halved)
@@ -377,11 +397,12 @@ class TestExtractProperties:
                     note(
                         n.onset + 0.5, n.duration, key=n.key,
                         velocity=n.velocity, volume_cc=n.volume_cc,
-                        track_id=n.track_id, category=n.category,
+                        track_id=n.track_id,
                     )
                     for n in song.notes
                 ],
                 song.duration,
+                annotations=song.annotations,
             )
             base = extract_midi_features(song)
             moved = extract_midi_features(shifted)
@@ -430,3 +451,95 @@ class TestExtractProperties:
             levels = [note_sound_level(n) for n in kept]
             assert min(levels) - 1e-12 <= v.sl_all <= max(levels) + 1e-12
             assert v.sl_all <= 0.0 + 1e-12
+
+
+# Derandomized so that every run of the suite draws the same examples.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+GM_TOM_KEYS = frozenset({35, 36, 38, 40, 41, 43, 45, 47, 48, 50})
+ROLE_FIELDS = {
+    TrackCategory.MELODY: "mel",
+    TrackCategory.ACCOMPANIMENT: "acc",
+    TrackCategory.BASS: "bas",
+}
+
+
+@st.composite
+def annotated_songs(draw):
+    """Tracks whose notes sit on a few channels, channel 9 among the choices,
+    with some tracks unannotated and any track, drums included, given any role.
+    """
+    n_tracks = draw(st.integers(1, 4))
+    notes = []
+    for track_id in range(n_tracks):
+        channels = draw(st.lists(st.sampled_from([0, 1, 2, 9]), min_size=1, max_size=2))
+        for _ in range(draw(st.integers(0, 8))):
+            notes.append(
+                note(
+                    draw(st.integers(0, 128)) / 32,  # a grid, so chords and merges occur
+                    draw(st.integers(1, 48)) / 32,
+                    key=draw(st.integers(30, 90)),
+                    velocity=draw(st.integers(1, 127)),
+                    volume_cc=draw(st.integers(0, 127)),
+                    track_id=track_id,
+                    channel=draw(st.sampled_from(channels)),
+                )
+            )
+    notes.sort(key=lambda n: (n.onset, n.track_id, n.key))
+    roles = st.sampled_from(list(TrackCategory))
+    annotations = draw(
+        st.dictionaries(st.integers(0, n_tracks - 1), roles, max_size=n_tracks)
+    )
+    return song_of(notes, 5.0, annotations=annotations)
+
+
+def _absent_or(statistic, notes):
+    if not notes:
+        return None
+    try:
+        return statistic(notes)
+    except EmptyCategory:
+        return None
+
+
+class TestRoleResolution:
+    @PROPERTY
+    @given(
+        song=annotated_songs(),
+        tom_keys=st.none() | st.frozensets(st.integers(30, 90), max_size=30),
+    )
+    def test_fields_equal_statistics_over_track_channel_roles(self, song, tom_keys):
+        # The role of a note: its track's annotation if there is one, else
+        # drums on channel 9 (MIDI channel 10), else none.
+        def role(n):
+            if n.track_id in song.annotations:
+                return song.annotations[n.track_id]
+            return TrackCategory.DRUMS if n.channel == 9 else None
+
+        kept = filter_soft_notes(song.notes)
+        drums = [n for n in kept if role(n) is TrackCategory.DRUMS]
+        toms = GM_TOM_KEYS if tom_keys is None else tom_keys
+        groups = {"all": kept}
+        for category, name in ROLE_FIELDS.items():
+            groups[name] = [n for n in kept if role(n) is category]
+        expected = {"ann_tempo": None}
+        for name, members in groups.items():
+            expected[f"nps_{name}"] = _absent_or(
+                lambda g: note_density(g, song.duration), members
+            )
+            expected[f"sl_{name}"] = _absent_or(mean_sound_level, members)
+            expected[f"f0_{name}"] = _absent_or(mean_pitch, members)
+            expected[f"art_{name}"] = _absent_or(mean_articulation, members)
+        expected["nps_dru"] = _absent_or(lambda g: note_density(g, song.duration), drums)
+        expected["sl_dru"] = _absent_or(mean_sound_level, drums)
+        expected["nps_dru_tom"] = _absent_or(
+            lambda g: note_density(g, song.duration), [n for n in drums if n.key in toms]
+        )
+        expected["nps_dru_rest"] = _absent_or(
+            lambda g: note_density(g, song.duration),
+            [n for n in drums if n.key not in toms],
+        )
+        assert set(expected) == set(MidiFeatureVector.FIELDS)
+
+        v = extract_midi_features(song, tom_keys=tom_keys)
+        assert v.as_dict() == expected

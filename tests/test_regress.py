@@ -20,7 +20,6 @@ from perfeat.regress import (
     adjusted_r2,
     ols_fit,
     pls_fit,
-    predict,
     repeated_kfold_cv,
 )
 
@@ -326,14 +325,6 @@ class TestPls:
         X_new[1, 0] = np.nan
         out = model.predict(X_new)
         assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
-
-    def test_generic_predict_dispatch(self):
-        rng = np.random.default_rng(69)
-        design = random_design(rng, k=2)
-        for model in (ols_fit(design), pls_fit(design, 2)):
-            np.testing.assert_allclose(
-                predict(model, design.X), model.predict(design.X), atol=0
-            )
 
 
 class TestCrossValidation:

@@ -13,18 +13,19 @@ from helpers import (
     smf,
     track,
 )
+from perfeat.midi_features import extract_midi_features
 from perfeat.smf import (
     DEFAULT_TOM_KEYS,
     MalformedHeader,
     NonMonotoneTempoEvents,
     PercussionClass,
+    TempoMap,
     TrackCategory,
     TruncatedChunk,
     UnknownTrackId,
     UnsupportedDivision,
     UnsupportedFormat,
     annotate_tracks,
-    build_tempo_map,
     classify_percussion_key,
     parse_smf,
 )
@@ -32,38 +33,38 @@ from perfeat.smf import (
 
 class TestTempoMap:
     def test_default_tempo(self):
-        tm = build_tempo_map([], 480)
+        tm = TempoMap([], 480)
         assert tm.seconds(480) == pytest.approx(0.5, abs=1e-12)
         assert tm.seconds(960) == pytest.approx(1.0, abs=1e-12)
         assert tm.seconds(0) == 0.0
 
     def test_single_change_at_zero(self):
-        tm = build_tempo_map([(0, 1_000_000)], 480)
+        tm = TempoMap([(0, 1_000_000)], 480)
         assert tm.seconds(480) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_segments(self):
-        tm = build_tempo_map([(0, 500_000), (480, 1_000_000)], 480)
+        tm = TempoMap([(0, 500_000), (480, 1_000_000)], 480)
         assert tm.seconds(480) == pytest.approx(0.5, abs=1e-12)
         assert tm.seconds(960) == pytest.approx(1.5, abs=1e-12)
 
     def test_same_tick_last_wins(self):
-        tm = build_tempo_map([(0, 250_000), (0, 1_000_000)], 480)
+        tm = TempoMap([(0, 250_000), (0, 1_000_000)], 480)
         assert tm.seconds(480) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_monotone_raises(self):
         with pytest.raises(NonMonotoneTempoEvents):
-            build_tempo_map([(480, 500_000), (240, 250_000)], 480)
+            TempoMap([(480, 500_000), (240, 250_000)], 480)
 
     def test_non_positive_tempo_raises(self):
         with pytest.raises(ValueError):
-            build_tempo_map([(0, 0)], 480)
+            TempoMap([(0, 0)], 480)
 
     def test_strictly_increasing_property(self):
         rng = np.random.default_rng(100)
         for _ in range(50):
             ticks = np.sort(rng.integers(0, 10_000, size=5))
             tempi = rng.integers(100_000, 2_000_000, size=5)
-            tm = build_tempo_map(list(zip(ticks.tolist(), tempi.tolist())), 480)
+            tm = TempoMap(list(zip(ticks.tolist(), tempi.tolist())), 480)
             probes = np.sort(rng.integers(0, 20_000, size=20))
             seconds = [tm.seconds(int(t)) for t in probes]
             for (t0, s0), (t1, s1) in zip(
@@ -270,6 +271,7 @@ class TestHeaderErrors:
 
 class TestAnnotations:
     def _song(self):
+        # Three half-second tracks, one onset each: a role present gives 2.0 nps.
         return parse_smf(
             smf(
                 track(note_on(0, 60, 100), note_off(480, 60)),
@@ -279,24 +281,41 @@ class TestAnnotations:
         )
 
     def test_roles_applied(self):
-        song = annotate_tracks(
-            self._song(),
-            {0: TrackCategory.MELODY, 1: TrackCategory.BASS},
-        )
-        by_track = {n.track_id: n.category for n in song.notes}
-        assert by_track[0] is TrackCategory.MELODY
-        assert by_track[1] is TrackCategory.BASS
+        roles = {0: TrackCategory.MELODY, 1: TrackCategory.BASS}
+        song = annotate_tracks(self._song(), roles)
+        assert song.annotations == roles
+        v = extract_midi_features(song)
+        assert v.nps_mel == v.nps_bas == v.nps_dru == pytest.approx(2.0, abs=1e-12)
+        assert v.f0_mel == 60.0 and v.f0_bas == 40.0
+        assert v.nps_acc is None
 
     def test_percussion_channel_defaults_to_drums(self):
         song = annotate_tracks(self._song(), {0: TrackCategory.MELODY})
-        by_track = {n.track_id: n.category for n in song.notes}
-        assert by_track[2] is TrackCategory.DRUMS
-        assert by_track[1] is TrackCategory.UNANNOTATED
+        assert song.annotations == {0: TrackCategory.MELODY}
+        v = extract_midi_features(song)
+        assert v.nps_dru == pytest.approx(2.0, abs=1e-12)
+        assert v.nps_dru_tom == pytest.approx(2.0, abs=1e-12)  # key 45 is a tom
+        assert v.nps_bas is None and v.nps_acc is None  # track 1 stays unannotated
+        assert v.f0_all == pytest.approx((60 + 40 + 45) / 3, abs=1e-12)
+
+    def test_percussion_default_needs_no_annotation_call(self):
+        song = self._song()
+        assert extract_midi_features(song) == extract_midi_features(
+            annotate_tracks(song, {})
+        )
+        assert extract_midi_features(song).nps_dru == pytest.approx(2.0, abs=1e-12)
 
     def test_explicit_annotation_beats_channel_default(self):
         song = annotate_tracks(self._song(), {2: TrackCategory.ACCOMPANIMENT})
-        by_track = {n.track_id: n.category for n in song.notes}
-        assert by_track[2] is TrackCategory.ACCOMPANIMENT
+        assert song.annotations == {2: TrackCategory.ACCOMPANIMENT}
+        v = extract_midi_features(song)
+        assert v.nps_acc == pytest.approx(2.0, abs=1e-12)
+        assert v.f0_acc == 45.0
+        assert v.nps_dru is None and v.nps_dru_tom is None and v.sl_dru is None
+
+    def test_notes_are_not_rebuilt(self):
+        song = self._song()
+        assert annotate_tracks(song, {0: TrackCategory.MELODY}).notes is song.notes
 
     def test_unknown_track_id(self):
         with pytest.raises(UnknownTrackId):

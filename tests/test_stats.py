@@ -205,6 +205,28 @@ class TestAgreementReport:
         assert len(report.skipped_pairs) == 2
         assert all("r2" in pair for pair in report.skipped_pairs)
 
+    def test_too_few_complete_items_leave_alpha_absent(self):
+        # Two complete rows: alpha is undefined, pairwise r is not.
+        values = np.array(
+            [
+                [1.0, 1.0, 2.0],
+                [2.0, np.nan, 1.0],
+                [3.0, 3.0, np.nan],
+                [np.nan, 4.0, 3.0],
+                [5.0, 5.0, 6.0],
+                [6.0, 7.0, np.nan],
+            ]
+        )
+        report = inter_rater_agreement(matrix(values))
+        assert report.alpha is None
+        assert report.n_complete_items == 2
+        r01 = pearson(values[:, 0], values[:, 1])
+        r02 = pearson(values[:, 0], values[:, 2])
+        r12 = pearson(values[:, 1], values[:, 2])
+        assert report.mean_pairwise_r == pytest.approx(
+            (r01 + r02 + r12) / 3.0, abs=1e-12
+        )
+
 
 class TestOutlierFlagging:
     def test_negated_rater_flagged(self):
