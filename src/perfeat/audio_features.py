@@ -176,10 +176,8 @@ def stft_magnitudes(
         raise ClipTooShort(f"{len(x)} samples, need {frame_length}")
     if hop_length <= 0:
         raise ValueError("hop must be positive")
-    n_frames = (len(x) - frame_length) // hop_length + 1
     taper = _window(window, frame_length)
-    starts = hop_length * np.arange(n_frames)
-    frames = x[starts[:, None] + np.arange(frame_length)] * taper
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop_length] * taper
     magnitudes = np.abs(np.fft.rfft(frames, axis=1))
     bin_frequencies = np.fft.rfftfreq(frame_length, 1.0 / clip.sample_rate)
     return SpectralFrameSeries(magnitudes=magnitudes, bin_frequencies=bin_frequencies)

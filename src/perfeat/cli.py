@@ -296,12 +296,14 @@ def _cmd_agreement(opts: _Options) -> int:
             flagged = (
                 flag_outlier_raters(matrix) if matrix.n_raters >= 3 else []
             )
+            drop = [rid for rid, _ in flagged]
+            remaining = matrix.n_raters - len(drop)
+            # Without --trim, a panel that flagging would empty keeps its
+            # untrimmed statistics; with --trim, drop_raters raises AllDropped.
             trimmed_report = None
-            if flagged:
-                trimmed = matrix.drop_raters([rid for rid, _ in flagged])
-                trimmed_report = inter_rater_agreement(trimmed)
-            drop = [rid for rid, _ in flagged] if (trim and flagged) else []
-            means = item_mean_ratings(matrix, drop)
+            if drop and (trim or remaining >= 2):
+                trimmed_report = inter_rater_agreement(matrix.drop_raters(drop))
+            means = item_mean_ratings(matrix, drop if trim else [])
         except ValueError as err:
             raise _with_file_context(path, err) from err
         column = {}
@@ -337,8 +339,15 @@ def _cmd_agreement(opts: _Options) -> int:
             listed = ", ".join(
                 f"{rid} (mean r {fmt(value)})" for rid, value in flagged
             )
-            notes.append(f"{feature}: flagged raters {listed}; values in"
-                         " parentheses are with those raters removed.")
+            if trimmed_report is not None:
+                notes.append(f"{feature}: flagged raters {listed}; values in"
+                             " parentheses are with those raters removed.")
+            else:
+                notes.append(f"{feature}: flagged raters {listed}.")
+                notes.append(
+                    f"{feature}: trimmed statistics undefined: flagging leaves"
+                    f" {remaining} of {matrix.n_raters} raters, need 2."
+                )
         if report.alpha is None:
             notes.append(
                 f"{feature}: alpha undefined: {report.n_complete_items} complete"

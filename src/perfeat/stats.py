@@ -198,16 +198,59 @@ class AgreementReport:
     skipped_pairs: Tuple[Tuple[str, str], ...]
 
 
+def _pairwise_r(values: np.ndarray) -> np.ndarray:
+    """Pearson matrix of the columns of ``values`` with pairwise deletion.
+
+    Entry (a, b) equals ``pearson(values[:, a], values[:, b])`` up to
+    rounding, and is NaN where that call raises: fewer than
+    :data:`MIN_PAIRS` joint rows, or a column constant (by exact equality)
+    over the joint rows.  Every pair comes from k x k products of n x k
+    arrays, taken with ``einsum`` rather than BLAS so that the result does
+    not depend on the BLAS thread count.  Each column is first centred by
+    its own mean over its present rows, which Pearson's r ignores but which
+    keeps the cancellation in ``sum x**2 - (sum x)**2 / n`` small: the error in
+    r grows with a column's sum of squares about its own mean over the
+    pair's joint rows, divided by its sum of squares about their mean.
+    """
+    present = np.isfinite(values)
+    mask = present.astype(float)
+    filled = np.where(present, values, 0.0)
+    counts = np.einsum("ia,ib->ab", mask, mask)
+    centre = filled.sum(axis=0) / np.maximum(counts.diagonal(), 1.0)
+    x = np.where(present, filled - centre, 0.0)
+    sums = np.einsum("ia,ib->ab", x, mask)
+    cross = np.einsum("ia,ib->ab", x, x)
+    squares = np.einsum("ia,ib->ab", x * x, mask)
+    constant = np.zeros(counts.shape, dtype=bool)
+    for a in range(values.shape[1]):
+        rows = present[:, a]
+        if not rows.any():
+            continue
+        column = values[rows, a][:, None]
+        joint = present[rows]
+        # pearson's np.all(xs == xs[0]), where xs[0] is the pair's first joint row
+        first = column[joint.argmax(axis=0), 0]
+        constant[a] = ~(joint & (column != first)).any(axis=0)
+    defined = (counts >= MIN_PAIRS) & ~constant & ~constant.T
+    n = np.where(defined, counts, 1.0)
+    covariance = cross - sums * sums.T / n
+    spread = squares - sums * sums / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = covariance / np.sqrt(spread * spread.T)
+    return np.where(defined, np.clip(r, -1.0, 1.0), np.nan)
+
+
 def _pairwise_r_table(matrix: RatingMatrix):
     """All rater-pair correlations, with undefined pairs recorded separately."""
+    r = _pairwise_r(matrix.values)
     computed: Dict[Tuple[str, str], float] = {}
     skipped: List[Tuple[str, str]] = []
     for a, b in combinations(range(matrix.n_raters), 2):
         ids = (matrix.rater_ids[a], matrix.rater_ids[b])
-        try:
-            computed[ids] = pearson(matrix.values[:, a], matrix.values[:, b])
-        except (TooFewPairs, ConstantInput):
+        if math.isnan(r[a, b]):
             skipped.append(ids)
+        else:
+            computed[ids] = float(r[a, b])
     return computed, skipped
 
 

@@ -392,3 +392,55 @@ def test_cv_determinism(tmp_path):
             f"{label} run differs from the first",
         )
     _finish("cv-determinism", failures, started, 60.0)
+
+
+def test_agreement_determinism(tmp_path):
+    """agreement outputs are byte-identical across runs and thread counts."""
+    started = time.monotonic()
+    failures = []
+    rng = np.random.default_rng(78)
+    ratings = tmp_path / "ratings"
+    ratings.mkdir()
+    for feature in ("energy", "tension"):
+        truth = rng.uniform(2.0, 8.0, size=60)
+        panel = truth[:, None] + rng.normal(0.0, 0.8, size=(60, 40))
+        panel[:, 39] = 10.0 - panel[:, 39]  # one rater scores against the panel
+        panel = np.clip(panel, 1.0, 9.0)
+        lines = ["item_id," + ",".join(f"r{j:02d}" for j in range(40))]
+        for i, row in enumerate(panel):
+            cells = ["" if rng.random() < 0.15 else f"{v:.2f}" for v in row]
+            lines.append(f"item{i:02d}," + ",".join(cells))
+        (ratings / f"{feature}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    outputs = []
+    for label, threads in (("first", "1"), ("second", "1"), ("threaded", "4")):
+        out_dir = tmp_path / label
+        env = os.environ.copy()
+        for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[variable] = threads
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "perfeat", "agreement",
+                "--ratings", str(ratings), "--out-dir", str(out_dir),
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        _expect(
+            failures, result.returncode == 0,
+            f"{label} run failed: {result.stderr.strip()}",
+        )
+        if result.returncode == 0:
+            outputs.append((label, [
+                (out_dir / name).read_bytes()
+                for name in ("agreement.csv", "item_means.csv")
+            ]))
+    _expect(
+        failures, not outputs or b"r39" in outputs[0][1][0],
+        "the deviant rater r39 was not flagged",
+    )
+    for label, data in outputs[1:]:
+        _expect(
+            failures, data == outputs[0][1],
+            f"{label} run differs from the first",
+        )
+    _finish("agreement-determinism", failures, started, 60.0)

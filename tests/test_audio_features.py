@@ -167,6 +167,26 @@ class TestStft:
             ) / 2048.0
             assert spectral_energy == pytest.approx(time_energy, rel=1e-9)
 
+    @pytest.mark.parametrize("window", ["hann", "rect"])
+    @pytest.mark.parametrize("hop_length", [7, 64, 100])
+    def test_matches_per_frame_rfft(self, hop_length, window):
+        # Hops shorter than, equal to and longer than the frame; the samples
+        # run past the last complete frame, which must be dropped.
+        frame_length = 64
+        x = np.random.default_rng(11).normal(size=1000)
+        taper = (
+            0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_length) / frame_length)
+            if window == "hann"
+            else np.ones(frame_length)
+        )
+        starts = range(0, len(x) - frame_length + 1, hop_length)
+        expected = np.array(
+            [np.abs(np.fft.rfft(x[s : s + frame_length] * taper)) for s in starts]
+        )
+        series = stft_magnitudes(AudioClip(x, 8000), frame_length, hop_length, window)
+        assert series.magnitudes.shape == expected.shape
+        assert np.array_equal(series.magnitudes, expected)
+
     def test_hann_window_is_periodic(self):
         # A periodic window sums to exactly N/2 and its first sample is 0.
         clip = AudioClip(np.ones(2048), 8000)

@@ -282,6 +282,60 @@ class TestAgreement:
         text = (out / "agreement.txt").read_text(encoding="utf-8")
         assert "panel: alpha undefined: 0 complete items, need 3." in text
 
+    @staticmethod
+    def _panel_flagging_empties(tmp_path, kind):
+        """A panel where flagging leaves fewer than two raters."""
+        if kind == "none left":
+            # 12 items x 5 raters, each item missing one rater; every
+            # rater's mean r is negative, so all five are flagged.
+            lines = ["item,r0,r1,r2,r3,r4"]
+            for i in range(12):
+                cells = ["" if j == i % 5 else str(1 + (3 * i + 2 * j) % 9)
+                         for j in range(5)]
+                lines.append(f"item{i:02d}," + ",".join(cells))
+        else:
+            # r1 = -r0 and r2 correlates 0.5 with r0: mean r is -0.25 for
+            # r0, -0.75 for r1 and 0 for r2, so only r2 is left.
+            x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+            z = np.array([2.0, -1.0, -2.0, -1.0, 2.0])
+            columns = [5 + x, 5 - x, 5 + 0.5 * (x + math.sqrt(30 / 14) * z)]
+            lines = ["item,r0,r1,r2"] + [
+                f"item{i}," + ",".join(repr(float(c[i])) for c in columns)
+                for i in range(5)
+            ]
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("kind, flagged, note", [
+        ("none left", "r0;r1;r2;r3;r4", "leaves 0 of 5 raters, need 2."),
+        ("one left", "r0;r1", "leaves 1 of 3 raters, need 2."),
+    ])
+    def test_flagging_below_two_raters_leaves_trimmed_empty(self, tmp_path, kind,
+                                                             flagged, note):
+        path = self._panel_flagging_empties(tmp_path, kind)
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out) == 0
+        record = read_records(out / "agreement.csv")[0]
+        assert record["flagged_raters"] == flagged
+        assert record["n_flagged"] == str(flagged.count(";") + 1)
+        assert record["mean_r"] != "" and float(record["mean_r"]) < 0
+        assert record["mean_r_trimmed"] == "" and record["alpha_trimmed"] == ""
+        text = (out / "agreement.txt").read_text(encoding="utf-8")
+        assert f"panel: trimmed statistics undefined: flagging {note}" in text
+        assert "values in parentheses" not in text
+        assert len(read_records(out / "item_means.csv")) >= 5
+
+    def test_trim_with_every_rater_flagged_fails_naming_the_file(self, tmp_path,
+                                                                 capsys):
+        path = self._panel_flagging_empties(tmp_path, "none left")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out,
+                   "--trim") == 1
+        err = capsys.readouterr().err
+        assert "panel.csv" in err and "fewer than two raters" in err
+        assert not (out / "agreement.csv").exists()
+
     def test_out_of_scale_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("item,r1,r2\ns1,3,11\n", encoding="utf-8")

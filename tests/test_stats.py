@@ -1,9 +1,12 @@
 """Agreement statistics against hand-computed fixtures and invariances."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfeat.stats import (
     AllDropped,
@@ -12,6 +15,7 @@ from perfeat.stats import (
     RatingMatrix,
     TooFewItems,
     TooFewPairs,
+    _pairwise_r,
     correlation_p_value,
     cronbach_alpha,
     cross_correlation_matrix,
@@ -24,6 +28,8 @@ from perfeat.stats import (
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
 
 
 def matrix(values, rater_ids=None, item_ids=None):
@@ -226,6 +232,85 @@ class TestAgreementReport:
         assert report.mean_pairwise_r == pytest.approx(
             (r01 + r02 + r12) / 3.0, abs=1e-12
         )
+
+
+def joint_row_conditioning(values, a, b):
+    """Sum of squares about each column's own mean over its squares about the joint-row mean.
+
+    The pairwise kernel centres a column once, by its mean over all its
+    present rows, so its error in r grows with this ratio; the larger of
+    the pair's two columns is returned.
+    """
+    joint = np.isfinite(values[:, a]) & np.isfinite(values[:, b])
+    ratio = 1.0
+    for c in (a, b):
+        rows = values[joint, c]
+        column_mean = values[np.isfinite(values[:, c]), c].mean()
+        about_column = float(((rows - column_mean) ** 2).sum())
+        about_joint = float(((rows - rows.mean()) ** 2).sum())
+        ratio = max(ratio, about_column / about_joint)
+    return ratio
+
+
+class TestPairwiseKernel:
+    @PROPERTY
+    @given(
+        n=st.integers(1, 40),
+        k=st.integers(2, 40),
+        missing=st.floats(0.0, 0.9),
+        integer=st.booleans(),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+        planted=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pearson(self, n, k, missing, integer, offset, planted, seed):
+        """Same undefined pairs as ``pearson``, and r within 1e-12.
+
+        Integer ratings, offset or not, stay within 1e-12 absolute.
+        Continuous values with near-ties over a pair's joint rows are held
+        to 1e-14 times the joint-row conditioning when that is larger (the
+        kernel's error measured at most about 5 eps times it).
+        """
+        rng = np.random.default_rng(seed)
+        if integer:
+            values = rng.integers(1, 10, size=(n, k)).astype(float)
+        else:
+            values = rng.normal(size=(n, k))
+        values += offset * rng.uniform(-1.0, 1.0, size=k)
+        values[rng.random((n, k)) < missing] = np.nan
+        for _ in range(planted):
+            # Column a repeats one of its own values on a random half of
+            # the rows and column b keeps only those rows, so a is constant
+            # over the pair's joint rows but not over all of its own.
+            a, b = rng.choice(k, size=2, replace=False)
+            rows = rng.random(n) < 0.5
+            held = values[np.isfinite(values[:, a]), a]
+            values[rows, a] = held[0] if held.size else np.nan
+            values[~rows, b] = np.nan
+        r = _pairwise_r(values)
+        for a, b in combinations(range(k), 2):
+            try:
+                expected = pearson(values[:, a], values[:, b])
+            except (TooFewPairs, ConstantInput):
+                assert math.isnan(r[a, b]), (a, b)
+                continue
+            error = abs(r[a, b] - expected)
+            if not error <= 1e-12:
+                assert not integer, (a, b, error)
+                bound = 1e-14 * joint_row_conditioning(values, a, b)
+                assert error <= bound, (a, b, error, bound)
+
+    def test_constant_rater_is_undefined_not_zero_variance(self):
+        # Column 0 is constant over the three rows it shares with column 1
+        # but not overall; after centring by its overall mean, its sum of
+        # squares over those rows is a rounding residue, not an exact zero.
+        values = np.array(
+            [[1e6 + 0.1, 1.0], [1e6 + 0.1, 2.0], [1e6 + 0.1, 4.0],
+             [1e6 + 0.7, np.nan], [1e6 + 0.3, np.nan]]
+        )
+        r = _pairwise_r(values)
+        assert math.isnan(r[0, 1]) and math.isnan(r[1, 0])
+        assert r[0, 0] == pytest.approx(1.0) and r[1, 1] == pytest.approx(1.0)
 
 
 class TestOutlierFlagging:
