@@ -100,7 +100,7 @@ def read_wav(data: bytes) -> AudioClip:
     while pos + 8 <= len(data):
         tag = data[pos : pos + 4]
         size = struct.unpack("<I", data[pos + 4 : pos + 8])[0]
-        body = data[pos + 8 : pos + 8 + size]
+        body = memoryview(data)[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise TruncatedData(f"chunk {tag!r} declares {size} bytes, has {len(body)}")
         if tag == b"fmt ":
@@ -132,8 +132,11 @@ def read_wav(data: bytes) -> AudioClip:
     if audio_format == 3 and not np.isfinite(codes).all():
         first = int(np.argmin(np.isfinite(codes))) // channels
         raise NonFiniteSample(f"sample frame {first} is NaN or infinite")
-    samples = codes.astype(np.float64) * scale
-    samples = samples.reshape(-1, channels).mean(axis=1)
+    samples = codes.astype(np.float64)
+    if scale != 1.0:
+        samples *= scale
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 

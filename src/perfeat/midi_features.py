@@ -281,8 +281,11 @@ def extract_midi_features(
     song; every feature then sees the same filtered note list.  A note's
     role is its track's entry in ``song.annotations``.  Without one, a note
     on the percussion channel is drums and any other note counts toward
-    the whole-song aggregates only.
+    the whole-song aggregates only.  A negative or non-finite
+    ``merge_window`` raises ValueError.
     """
+    if not (math.isfinite(merge_window) and merge_window >= 0):
+        raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
     kept = filter_soft_notes(song.notes, calibration)
     groups: Dict[str, List[MidiNote]] = defaultdict(list, all=kept)
     for note in kept:

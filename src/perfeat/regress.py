@@ -409,6 +409,8 @@ def repeated_kfold_cv(
         raise ValueError("pls needs a factor count")
     if folds < 2:
         raise ValueError("at least two folds are required")
+    if repeats < 1:
+        raise ValueError("at least one repeat is required")
     n = design.n
     if n < 2 * folds:
         raise TooFewRows(f"{n} rows cannot fill {folds} folds")

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +163,24 @@ class TestExtractMidi:
 
     def test_nonexistent_dir_is_data_error(self, tmp_path, capsys):
         assert run("extract-midi", "--midi-dir", tmp_path / "nope") == 1
+
+    @pytest.mark.parametrize("window", ["-1", "nan", "inf"])
+    def test_bad_merge_window_names_the_first_file(self, midi_corpus, tmp_path,
+                                                   window, capsys):
+        corpus, _, _ = midi_corpus
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out,
+                   "--merge-window", window) == 1
+        err = capsys.readouterr().err
+        assert "song_a.mid" in err and "merge_window must be finite and at least 0" in err
+        assert not (out / "midi_features.csv").exists()
+
+    def test_zero_merge_window_is_accepted(self, midi_corpus, tmp_path):
+        corpus, _, _ = midi_corpus
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out,
+                   "--merge-window", "0") == 0
+        assert "# merge_window=0.0" in (out / "midi_features.csv").read_text()
 
     def test_malformed_file_names_the_file(self, tmp_path, capsys):
         corpus = tmp_path / "midi"
@@ -433,6 +452,11 @@ class TestFit:
         assert run("fit", "--table", path, "--target", "loudness") == 1
         assert "loudness" in capsys.readouterr().err
 
+    def test_empty_predictor_list_is_usage_error(self, feature_table, capsys):
+        path, _, _ = feature_table
+        assert run("fit", "--table", path, "--target", "y", "--predictors", ",") == 2
+        assert "--predictors names no columns" in capsys.readouterr().err
+
     def test_target_as_predictor_is_usage_error(self, feature_table):
         path, _, _ = feature_table
         assert run(
@@ -466,6 +490,14 @@ class TestCv:
         assert (out_a / "cv_y_ols.csv").read_bytes() != (
             out_b / "cv_y_ols.csv"
         ).read_bytes()
+
+    def test_zero_repeats_fails(self, feature_table, tmp_path, capsys):
+        path, _, _ = feature_table
+        out = tmp_path / "out"
+        assert run("cv", "--table", path, "--target", "y", "--folds", "4",
+                   "--repeats", "0", "--out-dir", out) == 1
+        assert "at least one repeat is required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_matches_library(self, feature_table, tmp_path):
         from perfeat.regress import repeated_kfold_cv
@@ -517,7 +549,113 @@ class TestConfig:
         assert run("cv", "--config", config, "--target", "y") == 1
         assert "fold_count" in capsys.readouterr().err
 
+    def test_predictor_list(self, feature_table, tmp_path):
+        path, _, _ = feature_table
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "table": str(path), "target": "y", "predictors": ["x1", "x2"],
+            "out_dir": str(out),
+        }), encoding="utf-8")
+        assert run("fit", "--config", config) == 0
+        records = read_records(out / "fit_y_ols.csv")
+        assert [r["name"] for r in records if r["record"] == "coef"] == ["x1", "x2"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("folds", [4]), ("folds", 4.7), ("trim", "false"),
+    ])
+    def test_mistyped_value_names_the_key(self, feature_table, tmp_path, key, value,
+                                          capsys):
+        path, _, _ = feature_table
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "table": str(path), "target": "y", "repeats": 2, "out_dir": str(out),
+            key: value,
+        }), encoding="utf-8")
+        assert run("cv", "--config", config) == 1
+        assert f"configuration key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["transmogrify"])
         assert err.value.code == 2
+
+
+# Literal inputs, so the golden transcript does not depend on a random stream.
+_GOLDEN_RATINGS = {
+    "speed": "item,r1,r2,r3,r4\n" + "".join(
+        f"i{i},{a},{b},{c},{d}\n" for i, (a, b, c, d) in enumerate(
+            [(2, 3, 2, 8), (3, 3, 4, 7), (5, 4, 5, 5), (6, 7, 6, 4),
+             (8, 7, 8, 2), (4, 5, 4, 6), (7, 6, 7, 3), (1, 2, 2, 9)])
+    ),
+    "energy": "item,r1,r2,r3\n" + "".join(
+        f"i{i},{a},{b},{c}\n" for i, (a, b, c) in enumerate(
+            [(5, 6, 5), (2, 2, ""), (7, 8, 7), (4, 3, 4), (6, 6, 5),
+             (3, 4, 3), (8, 8, 9), (5, 4, "")])
+    ),
+}
+_GOLDEN_TABLE = (
+    "song_id,y,x1,x2,x3\n"
+    "s0,3.1,1.0,0.5,2.0\ns1,4.0,1.5,0.1,1.0\ns2,2.2,0.5,0.9,3.0\n"
+    "s3,5.3,2.0,0.2,1.5\ns4,1.9,0.2,0.8,2.5\ns5,4.4,1.8,0.6,0.5\n"
+    "s6,3.6,1.2,0.3,2.2\ns7,2.8,0.8,0.7,1.1\ns8,,1.1,0.4,1.7\n"
+)
+_GOLDEN_COMMANDS = [
+    ["extract-midi", "--midi-dir", "midi", "--annotations", "annotations.csv",
+     "--tempos", "tempos.csv"],
+    ["extract-audio", "--wav-dir", "wavs", "--brightness-cutoffs", "1000,3000"],
+    ["agreement", "--ratings", "ratings"],
+    ["agreement", "--ratings", "ratings/speed.csv", "--trim", "--out-dir", "trim"],
+    ["xcorr", "--table", "features.csv"],
+    ["fit", "--table", "features.csv", "--target", "y"],
+    ["fit", "--table", "features.csv", "--target", "y", "--method", "pls",
+     "--components", "2", "--predictors", "x1,x2"],
+    ["cv", "--table", "features.csv", "--target", "y", "--folds", "3",
+     "--repeats", "2", "--seed", "7"],
+    ["cv", "--table", "features.csv", "--target", "y", "--method", "pls",
+     "--components", "1", "--folds", "4", "--repeats", "3"],
+    ["fit", "--table", "features.csv", "--target", "y", "--method", "pls"],
+    ["extract-midi", "--midi-dir", "nowhere"],
+]
+
+
+def _golden_transcript(capsys) -> str:
+    """Every command's exit code, stdout, stderr and outputs as one text.
+
+    CSVs contribute their preamble, header and first column only: their
+    full-precision numbers may differ in the last bits across BLAS builds.
+    """
+    lines = []
+    for argv in _GOLDEN_COMMANDS:
+        before = set(Path(".").rglob("*.*"))
+        status = run(*argv)
+        captured = capsys.readouterr()
+        lines += [f"$ perfeat {' '.join(argv)}", f"exit {status}",
+                  f"stdout: {captured.out}", f"stderr: {captured.err}"]
+        for path in sorted(set(Path(".").rglob("*.*")) - before):
+            text = path.read_text(encoding="utf-8")
+            lines.append(f"--- {path}")
+            if path.suffix == ".csv":
+                rows = text.splitlines()
+                preamble = [row for row in rows if row.startswith("#")]
+                body = list(csv.reader(rows[len(preamble):]))
+                text = "\n".join(
+                    [*preamble, ",".join(body[0]), *(row[0] for row in body[1:])]
+                ) + "\n"
+            lines.append(text)
+    return "\n".join(lines)
+
+
+def test_golden_transcript(midi_corpus, wav_corpus, tmp_path, monkeypatch, capsys):
+    (tmp_path / "tempos.csv").write_text(
+        "song_id,beats_per_second\nsong_b,2.5\n", encoding="utf-8"
+    )
+    (tmp_path / "ratings").mkdir()
+    for feature, text in _GOLDEN_RATINGS.items():
+        (tmp_path / "ratings" / f"{feature}.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "features.csv").write_text(_GOLDEN_TABLE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    expected = Path(__file__).with_name("golden_cli.txt").read_text(encoding="utf-8")
+    assert _golden_transcript(capsys) == expected

@@ -244,6 +244,16 @@ class TestExtract:
         )
         assert len(MidiFeatureVector.FIELDS) == 21
 
+    @pytest.mark.parametrize("window", [-1.0, math.nan, math.inf, -math.inf])
+    def test_merge_window_must_be_finite_and_non_negative(self, window):
+        song = song_of([note(0.0, 0.4), note(0.01, 0.4, key=64)], 1.0)
+        with pytest.raises(ValueError, match="merge_window must be finite and at least 0"):
+            extract_midi_features(song, merge_window=window)
+
+    def test_zero_merge_window_is_accepted(self):
+        song = song_of([note(0.0, 0.4), note(0.01, 0.4, key=64)], 1.0)
+        assert extract_midi_features(song, merge_window=0.0).nps_all == 2.0
+
     def test_single_melody_track_degenerates(self):
         notes = [
             note(0.0, 0.4, key=60),

@@ -385,6 +385,12 @@ class TestCrossValidation:
         with pytest.raises(TooFewRows):
             repeated_kfold_cv(design, "ols", folds=10)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_needs_one_repeat(self, repeats):
+        design = random_design(np.random.default_rng(78), n=20, k=2)
+        with pytest.raises(ValueError, match="at least one repeat is required"):
+            repeated_kfold_cv(design, "ols", folds=4, repeats=repeats)
+
     @PROPERTY
     @given(
         k=st.integers(1, 5),
