@@ -230,6 +230,13 @@ def _ratings_files(raw) -> List[Path]:
             files.extend(inside)
         else:
             files.append(path)
+    # Each file's stem names its column in item_means.csv.
+    first: Dict[str, Path] = {}
+    for path in files:
+        if path.stem in first:
+            raise UsageError(f"ratings files {first[path.stem]} and {path} share"
+                             f" the feature name {path.stem!r}")
+        first[path.stem] = path
     return files
 
 

@@ -2,10 +2,11 @@
 
 OLS is solved by orthogonal (QR) decomposition, never the normal equations,
 and reports standardized coefficients, signed semipartial correlations, and
-t-based two-tailed p-values.  PLS1 runs the classic one-response iterative
-algorithm on autoscaled data.  Cross-validation averages the pooled
-mean-squared error over repeated random fold splits and is fully determined
-by its seed.
+t-based two-tailed p-values.  PLS1 runs the kernel algorithm on autoscaled
+data: its factors come from the k x k cross-products, and the fitted model is
+one regression vector.  Both model types predict with the same affine map.
+Cross-validation averages the pooled mean-squared error over repeated random
+fold splits and is fully determined by its seed.
 """
 
 from __future__ import annotations
@@ -102,8 +103,28 @@ def _check_rows_and_predictors(X: np.ndarray, names: Sequence[str]) -> None:
         raise RankDeficient(f"predictor {names[j]!r} is constant")
 
 
+class _LinearModel:
+    """A fitted affine map, ``intercept + X @ coef`` over the columns ``names``."""
+
+    def predict(self, X_new, names: Optional[Sequence[str]] = None) -> np.ndarray:
+        """Predict each row of ``X_new``; a row with a missing value gives NaN."""
+        if names is not None and tuple(names) != self.names:
+            raise SchemaMismatch(
+                f"prediction columns {tuple(names)} != model columns {self.names}"
+            )
+        X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
+        if X_new.shape[1] != len(self.names):
+            raise SchemaMismatch(
+                f"{X_new.shape[1]} prediction columns, model has {len(self.names)}"
+            )
+        out = np.full(X_new.shape[0], np.nan)
+        ok = np.isfinite(X_new).all(axis=1)
+        out[ok] = self.intercept + X_new[ok] @ self.coef
+        return out
+
+
 @dataclass(frozen=True)
-class OlsFit:
+class OlsFit(_LinearModel):
     """Ordinary least squares results.
 
     Coefficient arrays exclude the intercept and follow ``names`` order.
@@ -125,13 +146,6 @@ class OlsFit:
     n: int
     k: int
     df_residual: int
-
-    def predict(self, X_new, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        X_new = _check_prediction_input(X_new, self.names, names)
-        out = np.full(X_new.shape[0], np.nan)
-        ok = np.isfinite(X_new).all(axis=1)
-        out[ok] = self.intercept + X_new[ok] @ self.coef
-        return out
 
 
 def adjusted_r2(r2: float, n: int, k: int) -> float:
@@ -207,77 +221,40 @@ def ols_fit(design: Design) -> OlsFit:
 
 
 @dataclass(frozen=True)
-class PlsModel:
+class PlsModel(_LinearModel):
     """A fitted one-response partial least squares model.
 
-    Data are autoscaled (centered, unit sample variance) before factor
-    extraction; stored scalers undo this at prediction time.  ``m`` is the
-    number of factors actually kept, which is lower than requested when
-    deflation degenerates.
+    ``beta_std`` is the regression vector on autoscaled data (centered, unit
+    sample variance); ``coef`` and ``intercept`` are the same map in the
+    original units.  ``m`` is the number of factors actually kept, which is
+    lower than requested when the model was ``truncated``.
     """
 
     names: Tuple[str, ...]
     m: int
-    weights: np.ndarray  # k x m
-    loadings: np.ndarray  # k x m
-    q: np.ndarray  # m
-    x_mean: np.ndarray
-    x_scale: np.ndarray
-    y_mean: float
-    y_scale: float
+    beta_std: np.ndarray
+    coef: np.ndarray
+    intercept: float
     truncated: bool
-
-    def predict(self, X_new, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        X_new = _check_prediction_input(X_new, self.names, names)
-        out = np.full(X_new.shape[0], np.nan)
-        ok = np.isfinite(X_new).all(axis=1)
-        if ok.any():
-            residual = (X_new[ok] - self.x_mean) / self.x_scale
-            accumulated = np.zeros(int(ok.sum()))
-            for a in range(self.m):
-                scores = residual @ self.weights[:, a]
-                accumulated += self.q[a] * scores
-                residual = residual - np.outer(scores, self.loadings[:, a])
-            out[ok] = accumulated * self.y_scale + self.y_mean
-        return out
-
-    @property
-    def beta_std(self) -> np.ndarray:
-        """Equivalent regression vector on autoscaled data.
-
-        Prediction is affine in the input, so pushing the identity matrix
-        through the per-factor deflation recovers the collapsed linear map.
-        """
-        k = len(self.names)
-        residual = np.eye(k)
-        collapsed = np.zeros(k)
-        for a in range(self.m):
-            scores = residual @ self.weights[:, a]
-            collapsed += self.q[a] * scores
-            residual = residual - np.outer(scores, self.loadings[:, a])
-        return collapsed
-
-    @property
-    def coef(self) -> np.ndarray:
-        """Regression vector in the original units."""
-        return self.beta_std * self.y_scale / self.x_scale
-
-    @property
-    def intercept(self) -> float:
-        return float(self.y_mean - self.coef @ self.x_mean)
 
 
 def pls_fit(design: Design, m: int) -> PlsModel:
-    """Extract ``m`` latent factors by the one-response iterative algorithm.
+    """Extract ``m`` latent factors by the kernel algorithm on autoscaled data.
 
-    Each factor takes its weight vector from the covariance of the current
-    X residual with the current y residual, then deflates both.  ``m`` = 0
-    is the null model that predicts the training mean.  With ``m`` equal to
-    the predictor rank, fitted values match OLS.  If a residual degenerates
-    early the model is truncated with a warning.
+    The m-factor regression vector is the least-squares solution restricted
+    to the Krylov space K_m(X'X, X'y) (Helland 1988).  The kernel algorithm
+    (Dayal & MacGregor 1997) builds it from the k x k cross-products alone,
+    with X'X held as R'R, R the triangular QR factor of X: each factor takes
+    its weight from the current ``xy = X'y``, deflates ``xy`` by the factor's
+    share, and adds its term to the regression vector.  The factors are
+    those of the one-response iterative algorithm (NIPALS), which the tests
+    keep as the oracle.  ``m`` = 0 is the null model that predicts the
+    training mean.  With ``m`` equal to the predictor rank, fitted values
+    match OLS.  If ``xy`` or a factor's score energy vanishes early, the
+    model is truncated with a warning.
     """
     X, y = design.X, design.y
-    n, k = design.n, design.k
+    k = design.k
     x_mean = X.mean(axis=0)
     x_scale = X.std(axis=0, ddof=1)
     y_mean = float(y.mean())
@@ -286,35 +263,38 @@ def pls_fit(design: Design, m: int) -> PlsModel:
         raise ConstantResponse("response does not vary")
     Xs = (X - x_mean) / x_scale
     ys = (y - y_mean) / y_scale
+    # Rank from the SVD of Xs: an eigenvalue count on X'X would square the
+    # condition number and count rounding noise as rank.
     rank = int(np.linalg.matrix_rank(Xs))
     if m < 0 or m > rank:
         raise RankExceeded(f"{m} factors requested, predictor rank is {rank}")
-    weights = np.zeros((k, m))
+    # Forming X'X would square the condition number; on an ill-conditioned
+    # design its rounding swamps the later factors.
+    gram_root = np.linalg.qr(Xs, mode="r")
+    xy = Xs.T @ ys
+    rotations = np.zeros((k, m))  # r_a: the weights as applied to Xs itself
     loadings = np.zeros((k, m))
-    q = np.zeros(m)
-    x_resid = Xs.copy()
-    y_resid = ys.copy()
+    beta_std = np.zeros(k)
     kept = 0
     truncated = False
     for a in range(m):
-        w = x_resid.T @ y_resid
-        w_norm = float(np.linalg.norm(w))
+        w_norm = float(np.linalg.norm(xy))
         if w_norm < 1e-12:
             truncated = True
             break
-        w /= w_norm
-        scores = x_resid @ w
+        w = xy / w_norm
+        r = w - rotations[:, :a] @ (loadings[:, :a].T @ w)
+        scores = gram_root @ r  # the factor scores Xs r, rotated into k dimensions
         score_energy = float(scores @ scores)
         if score_energy < 1e-24:
             truncated = True
             break
-        loading = x_resid.T @ scores / score_energy
-        q_a = float(y_resid @ scores) / score_energy
-        x_resid = x_resid - np.outer(scores, loading)
-        y_resid = y_resid - q_a * scores
-        weights[:, a] = w
-        loadings[:, a] = loading
-        q[a] = q_a
+        gram_r = gram_root.T @ scores
+        q = float(r @ xy) / score_energy
+        xy = xy - gram_r * q
+        beta_std += q * r
+        rotations[:, a] = r
+        loadings[:, a] = gram_r / score_energy
         kept += 1
     if truncated:
         warnings.warn(
@@ -322,33 +302,15 @@ def pls_fit(design: Design, m: int) -> PlsModel:
             DegenerateDeflationWarning,
             stacklevel=2,
         )
+    coef = beta_std * y_scale / x_scale
     return PlsModel(
         names=design.names,
         m=kept,
-        weights=weights[:, :kept],
-        loadings=loadings[:, :kept],
-        q=q[:kept],
-        x_mean=x_mean,
-        x_scale=x_scale,
-        y_mean=y_mean,
-        y_scale=y_scale,
+        beta_std=beta_std,
+        coef=coef,
+        intercept=float(y_mean - coef @ x_mean),
         truncated=truncated,
     )
-
-
-def _check_prediction_input(
-    X_new, model_names: Tuple[str, ...], names: Optional[Sequence[str]]
-) -> np.ndarray:
-    if names is not None and tuple(names) != model_names:
-        raise SchemaMismatch(
-            f"prediction columns {tuple(names)} != model columns {model_names}"
-        )
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
-    if X_new.shape[1] != len(model_names):
-        raise SchemaMismatch(
-            f"{X_new.shape[1]} prediction columns, model has {len(model_names)}"
-        )
-    return X_new
 
 
 @dataclass(frozen=True)

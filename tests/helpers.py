@@ -3,7 +3,9 @@
 The MIDI and WAV builders construct files directly from the container
 specifications so parser tests never depend on the code under test.  The
 quadrature oracle integrates the t density numerically as an independent
-check on the closed-form tail probabilities.
+check on the closed-form tail probabilities.  The NIPALS oracle fits PLS1 by
+explicit deflation of the data, independently of the kernel form in
+``perfeat.regress``.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def note(
     )
 
 
-# ------------------------------------------------------------ numeric oracle
+# ----------------------------------------------------------- numeric oracles
 
 
 def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float:
@@ -145,3 +147,71 @@ def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float
     integrand = np.cos(theta) ** (df - 1.0)
     tail = constant * math.sqrt(df) * np.trapezoid(integrand, theta)
     return float(2.0 * tail)
+
+
+class NipalsPls:
+    """PLS1 fitted by the one-response iterative algorithm (NIPALS).
+
+    Fits ``m`` factors on autoscaled data, deflating X and y after each.
+    Each factor takes its weight vector from the covariance of the current
+    X residual with the current y residual.  The model is truncated where
+    that covariance's norm falls below 1e-12 or the scores' energy below
+    1e-24.  No rank check: callers pass ``m`` within the predictor rank.
+    """
+
+    def __init__(self, X, y, m: int):
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        k = X.shape[1]
+        self.x_mean = X.mean(axis=0)
+        self.x_scale = X.std(axis=0, ddof=1)
+        self.y_mean = float(y.mean())
+        self.y_scale = float(y.std(ddof=1))
+        x_resid = (X - self.x_mean) / self.x_scale
+        y_resid = (y - self.y_mean) / self.y_scale
+        weights = np.zeros((k, m))
+        loadings = np.zeros((k, m))
+        q = np.zeros(m)
+        kept = 0
+        self.truncated = False
+        for a in range(m):
+            w = x_resid.T @ y_resid
+            w_norm = float(np.linalg.norm(w))
+            if w_norm < 1e-12:
+                self.truncated = True
+                break
+            w /= w_norm
+            scores = x_resid @ w
+            score_energy = float(scores @ scores)
+            if score_energy < 1e-24:
+                self.truncated = True
+                break
+            loading = x_resid.T @ scores / score_energy
+            q[a] = float(y_resid @ scores) / score_energy
+            x_resid = x_resid - np.outer(scores, loading)
+            y_resid = y_resid - q[a] * scores
+            weights[:, a] = w
+            loadings[:, a] = loading
+            kept += 1
+        self.m = kept
+        self.weights = weights[:, :kept]  # k x m
+        self.loadings = loadings[:, :kept]  # k x m
+        self.q = q[:kept]
+
+    def _replay(self, residual: np.ndarray) -> np.ndarray:
+        """Push autoscaled rows through the per-factor deflation."""
+        accumulated = np.zeros(residual.shape[0])
+        for a in range(self.m):
+            scores = residual @ self.weights[:, a]
+            accumulated += self.q[a] * scores
+            residual = residual - np.outer(scores, self.loadings[:, a])
+        return accumulated
+
+    def predict(self, X) -> np.ndarray:
+        residual = (np.asarray(X, dtype=float) - self.x_mean) / self.x_scale
+        return self._replay(residual) * self.y_scale + self.y_mean
+
+    @property
+    def beta_std(self) -> np.ndarray:
+        """Regression vector on autoscaled data: the identity pushed through."""
+        return self._replay(np.eye(len(self.x_mean)))

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from helpers import control, note_off, note_on, smf, track
+from helpers import NipalsPls, control, note_off, note_on, smf, track
 from perfeat.audio_features import (
     AudioClip,
     brightness,
@@ -149,18 +149,19 @@ def test_regression_oracles():
                 f"trial {trial}: residual correlates with column {j}",
             )
 
-        # Successive factor scores are mutually orthogonal.
-        Z = (X - pls.x_mean) / pls.x_scale
+        # Successive factor scores of the NIPALS oracle are mutually orthogonal.
+        factors = NipalsPls(X, y, k)
+        Z = (X - factors.x_mean) / factors.x_scale
         scores = []
-        for a in range(pls.m):
-            t_scores = Z @ pls.weights[:, a]
+        for a in range(factors.m):
+            t_scores = Z @ factors.weights[:, a]
             scores.append(t_scores)
-            Z = Z - np.outer(t_scores, pls.loadings[:, a])
+            Z = Z - np.outer(t_scores, factors.loadings[:, a])
         T = np.column_stack(scores)
         gram = T.T @ T
         lengths = np.sqrt(np.diag(gram))
         cosines = gram / np.outer(lengths, lengths)
-        off = np.abs(cosines - np.eye(pls.m)).max()
+        off = np.abs(cosines - np.eye(factors.m)).max()
         _expect(failures, off < 1e-8, f"trial {trial}: score cosine {off:.2e}")
         if failures:
             break
@@ -365,32 +366,33 @@ def test_cv_determinism(tmp_path):
     table = tmp_path / "features.csv"
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    outputs = []
-    for label, threads in (("first", "1"), ("second", "1"), ("threaded", "4")):
-        out_dir = tmp_path / label
-        env = os.environ.copy()
-        for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[variable] = threads
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "perfeat", "cv",
-                "--table", str(table), "--target", "y",
-                "--folds", "6", "--repeats", "10", "--seed", "13",
-                "--out-dir", str(out_dir),
-            ],
-            capture_output=True, text=True, env=env,
-        )
-        _expect(
-            failures, result.returncode == 0,
-            f"{label} run failed: {result.stderr.strip()}",
-        )
-        if result.returncode == 0:
-            outputs.append((label, (out_dir / "cv_y_ols.csv").read_bytes()))
-    for label, data in outputs[1:]:
-        _expect(
-            failures, data == outputs[0][1],
-            f"{label} run differs from the first",
-        )
+    for method, extra in (("ols", []), ("pls", ["--method", "pls", "--components", "2"])):
+        outputs = []
+        for label, threads in (("first", "1"), ("second", "1"), ("threaded", "4")):
+            out_dir = tmp_path / f"{method}-{label}"
+            env = os.environ.copy()
+            for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[variable] = threads
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "perfeat", "cv",
+                    "--table", str(table), "--target", "y", *extra,
+                    "--folds", "6", "--repeats", "10", "--seed", "13",
+                    "--out-dir", str(out_dir),
+                ],
+                capture_output=True, text=True, env=env,
+            )
+            _expect(
+                failures, result.returncode == 0,
+                f"{method} {label} run failed: {result.stderr.strip()}",
+            )
+            if result.returncode == 0:
+                outputs.append((label, (out_dir / f"cv_y_{method}.csv").read_bytes()))
+        for label, data in outputs[1:]:
+            _expect(
+                failures, data == outputs[0][1],
+                f"{method} {label} run differs from the first",
+            )
     _finish("cv-determinism", failures, started, 60.0)
 
 

@@ -265,6 +265,20 @@ class TestAgreement:
         for row, value in zip(means, expected):
             assert float(row["speed"]) == pytest.approx(value, rel=1e-12)
 
+    @pytest.mark.parametrize("second", ["copy/speed.csv", "speed.csv"])
+    def test_duplicate_feature_names_are_usage_error(self, ratings_dir, tmp_path,
+                                                     capsys, second):
+        (ratings_dir / "copy").mkdir()
+        (ratings_dir / "copy" / "speed.csv").write_bytes(
+            (ratings_dir / "speed.csv").read_bytes()
+        )
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", ratings_dir / "speed.csv",
+                   ratings_dir / second, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert str(ratings_dir / "speed.csv") in err and str(ratings_dir / second) in err
+        assert not out.exists()
+
     def test_flagged_rater_reported(self, ratings_dir, tmp_path, capsys):
         # Append a rater who scores against the panel.
         path = ratings_dir / "speed.csv"

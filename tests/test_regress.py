@@ -5,9 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import NipalsPls
 from perfeat.regress import (
     ConstantResponse,
     CvReport,
@@ -237,9 +238,10 @@ class TestPls:
     def test_hand_example_first_factor(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         y = np.array([1.0, 0.0, -1.0, 0.0])
+        oracle = NipalsPls(X, y, 1)
+        np.testing.assert_allclose(oracle.weights[:, 0], [1.0, 0.0], atol=1e-12)
+        assert oracle.q[0] == pytest.approx(1.0, abs=1e-12)
         model = pls_fit(Design(X, y, ("a", "b")), 1)
-        np.testing.assert_allclose(model.weights[:, 0], [1.0, 0.0], atol=1e-12)
-        assert model.q[0] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(model.beta_std, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(model.predict(X), y, atol=1e-12)
 
@@ -257,7 +259,7 @@ class TestPls:
         X, y = design.X, design.y
         x_resid = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         y_resid = (y - y.mean()) / y.std(ddof=1)
-        model = pls_fit(design, 4)
+        model = NipalsPls(X, y, 4)
         scores = []
         for a in range(model.m):
             t = x_resid @ model.weights[:, a]
@@ -316,6 +318,83 @@ class TestPls:
                     .ravel()
                 )
                 np.testing.assert_allclose(ours, reference, atol=1e-8)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_nipals_oracle(self, seed):
+        """The kernel fit is the NIPALS fit, up to the rounding the design allows.
+
+        Each draw takes k, n, m in 0..k, an autoscaled condition number up
+        to 1e8, column scales 1e-3..1e3, offsets up to 1e3 and a noise
+        level uniformly from its seed, so that hypothesis's preference for
+        small values does not pile the draws onto m = 0 and cond = 1.
+        """
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        n = k + 2 + int(rng.integers(0, 31))
+        u = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        v = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        Z = (u * np.logspace(0.0, -rng.uniform(0.0, 8.0), k)) @ v.T
+        X = Z * 10.0 ** rng.uniform(-3, 3, size=k) + rng.uniform(-1e3, 1e3, size=k)
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+        cond = float(np.linalg.cond(Xs))
+        assume(cond <= 1e8)
+        y = Xs @ rng.normal(size=k) + rng.choice([0.0, 1e-6, 0.1, 1.0]) * rng.normal(size=n)
+        y = y * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-1e3, 1e3)
+        m = int(rng.integers(0, k + 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = pls_fit(Design(X, y, NAMES6[:k]), m)
+        warned = any(issubclass(w.category, DegenerateDeflationWarning) for w in caught)
+        oracle = NipalsPls(X, y, m)
+        assert (model.m, model.truncated, warned) == (
+            oracle.m, oracle.truncated, oracle.truncated
+        )
+        # Two backward-stable fits of the same data differ by up to the
+        # first-order perturbation bound of least squares,
+        # eps * (cond * |y| + cond**2 * |residual|); NIPALS run on the rows
+        # in another order moves that far too.  The 1e-10 term dominates up
+        # to cond ~ 4e3 for an exact fit, ~ 70 for a residual as large as y.
+        ys = (y - oracle.y_mean) / oracle.y_scale
+        size = float(np.linalg.norm(ys))
+        residual = float(np.linalg.norm(ys - Xs @ oracle.beta_std))
+        eps = np.finfo(float).eps
+        tolerance = 1e-10 * size + 100 * eps * (cond * size + cond**2 * residual)
+        assert np.linalg.norm(Xs @ (model.beta_std - oracle.beta_std)) <= tolerance
+        # intercept + X @ coef rounds on the scale of its terms.
+        terms = abs(oracle.y_mean) + oracle.y_scale * (
+            (np.abs(X) + np.abs(oracle.x_mean)) / oracle.x_scale
+        ) @ np.abs(oracle.beta_std)
+        gap = np.abs(model.predict(X) - oracle.predict(X))
+        assert np.all(gap <= 1e-10 * terms + oracle.y_scale * tolerance)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_truncation_equals_nipals_oracle(self, m):
+        """Exact early breakdowns truncate where NIPALS does, with the warning."""
+        hand_X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        hand_y = np.array([1.0, 0.0, -1.0, 0.0])
+        random_X = np.random.default_rng(69).normal(size=(12, 3))
+        Xs = (random_X - random_X.mean(axis=0)) / random_X.std(axis=0, ddof=1)
+        # A left singular vector of the autoscaled design: y is its own first factor.
+        first_factor_y = 3.0 + 2.0 * np.linalg.svd(Xs)[0][:, 0]
+        for X, y in ((hand_X, hand_y), (random_X, first_factor_y)):
+            if m > X.shape[1]:
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                model = pls_fit(Design(X, y, NAMES6[: X.shape[1]]), m)
+            oracle = NipalsPls(X, y, m)
+            warned = any(issubclass(w.category, DegenerateDeflationWarning) for w in caught)
+            assert (model.m, model.truncated, warned) == (oracle.m, oracle.truncated, m > 1)
+            assert oracle.m == 1
+
+    def test_rank_from_the_design_not_its_cross_products(self):
+        rng = np.random.default_rng(70)
+        X = rng.normal(size=(30, 2))
+        design = Design(np.column_stack([X, X[:, 0] + X[:, 1]]), rng.normal(size=30), NAMES6[:3])
+        assert pls_fit(design, 2).m == 2
+        with pytest.raises(RankExceeded, match="predictor rank is 2"):
+            pls_fit(design, 3)
 
     def test_predict_missing_rows(self):
         rng = np.random.default_rng(68)
