@@ -33,7 +33,7 @@ from .regress import (
     repeated_kfold_cv,
 )
 from .smf import (
-    MidiNote,
+    NOTE_DTYPE,
     Song,
     TrackCategory,
     annotate_tracks,
@@ -60,7 +60,7 @@ __all__ = [
     "CvReport",
     "Design",
     "MidiFeatureVector",
-    "MidiNote",
+    "NOTE_DTYPE",
     "OlsFit",
     "PlsModel",
     "RatingMatrix",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -101,7 +102,12 @@ def _config_defaults(path: str, commands: Dict[str, argparse.ArgumentParser]):
 
 
 def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_").lower() or "out"
+    """A file-name part for a target.  A name that had to be changed to fit
+    gets the CRC-32 of its exact text, so distinct targets get distinct files."""
+    safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_").lower() or "out"
+    if safe == name:
+        return safe
+    return f"{safe}_{zlib.crc32(name.encode('utf-8')):08x}"
 
 
 def _sorted_files(directory: Path, patterns: Sequence[str]) -> List[Path]:

@@ -8,20 +8,14 @@ song; roles with no qualifying notes leave the corresponding field absent.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass, fields
-from itertools import pairwise
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, Optional, Sequence, Tuple
 
-from .smf import (
-    PERCUSSION_CHANNEL,
-    MidiNote,
-    PercussionClass,
-    Song,
-    TrackCategory,
-    classify_percussion_key,
-)
+import numpy as np
+
+from .smf import DEFAULT_TOM_KEYS, PERCUSSION_CHANNEL, Song, TrackCategory
 
 MERGE_WINDOW = 0.050
 """Seconds.  Onsets this close to a cluster anchor count as one event."""
@@ -121,27 +115,33 @@ class TableCalibration:
         return top * (1 - fv) + bottom * fv
 
 
-def note_sound_level(note: MidiNote, calibration: CalibrationCurve = default_calibration) -> float:
-    """Sound level of one note in dB under a calibration curve."""
-    return calibration(note.velocity, note.volume_cc)
+def sound_levels(
+    notes: np.ndarray, calibration: CalibrationCurve = default_calibration
+) -> np.ndarray:
+    """Sound level of each note in dB, one curve call per distinct (velocity, volume)."""
+    # Both fields are uint8, so the code is one-to-one and indexes a lookup table.
+    codes = notes["velocity"].astype(np.intp) * 256 + notes["volume_cc"]
+    counts = np.bincount(codes)
+    table = np.zeros(len(counts))
+    for code in np.flatnonzero(counts).tolist():
+        table[code] = calibration(*divmod(code, 256))
+    return table[codes]
 
 
 def filter_soft_notes(
-    notes: Iterable[MidiNote],
+    notes: np.ndarray,
     calibration: CalibrationCurve = default_calibration,
     cutoff_db: float = SOFT_NOTE_CUTOFF_DB,
-) -> List[MidiNote]:
+) -> np.ndarray:
     """Keep notes strictly louder than the song maximum minus the cutoff.
 
     The threshold is relative to the loudest note of the whole song, so the
     filter is applied once, before any per-role split.
     """
-    notes = list(notes)
-    if not notes:
-        return []
-    levels = [note_sound_level(n, calibration) for n in notes]
-    floor = max(levels) - cutoff_db
-    return [n for n, level in zip(notes, levels) if level > floor]
+    if not len(notes):
+        return notes
+    levels = sound_levels(notes, calibration)
+    return notes[levels > levels.max() - cutoff_db]
 
 
 def cluster_onsets(onsets: Iterable[float], merge_window: float = MERGE_WINDOW) -> int:
@@ -154,7 +154,7 @@ def cluster_onsets(onsets: Iterable[float], merge_window: float = MERGE_WINDOW) 
     """
     count = 0
     anchor = -math.inf
-    for t in sorted(onsets):
+    for t in np.sort(np.asarray(onsets, dtype=float)).tolist():
         if t - anchor > merge_window:
             count += 1
             anchor = t
@@ -162,36 +162,37 @@ def cluster_onsets(onsets: Iterable[float], merge_window: float = MERGE_WINDOW) 
 
 
 def note_density(
-    notes: Iterable[MidiNote],
+    notes: np.ndarray,
     song_duration: float,
     merge_window: float = MERGE_WINDOW,
 ) -> float:
     """Onset clusters per second over the full song duration."""
     if song_duration <= 0:
         raise NonPositiveDuration("song duration must be positive")
-    return cluster_onsets((n.onset for n in notes), merge_window) / song_duration
+    return cluster_onsets(notes["onset"], merge_window) / song_duration
+
+
+def _mean(values: np.ndarray, empty: str = "no notes to average") -> float:
+    """Correctly rounded mean; EmptyCategory with the given message when empty."""
+    if not len(values):
+        raise EmptyCategory(empty)
+    return math.fsum(values.tolist()) / len(values)
 
 
 def mean_sound_level(
-    notes: Iterable[MidiNote],
+    notes: np.ndarray,
     calibration: CalibrationCurve = default_calibration,
 ) -> float:
     """Mean per-note sound level in dB."""
-    levels = [note_sound_level(n, calibration) for n in notes]
-    if not levels:
-        raise EmptyCategory("no notes to average")
-    return math.fsum(levels) / len(levels)
+    return _mean(sound_levels(notes, calibration))
 
 
-def mean_pitch(notes: Iterable[MidiNote]) -> float:
+def mean_pitch(notes: np.ndarray) -> float:
     """Mean note number."""
-    keys = [n.key for n in notes]
-    if not keys:
-        raise EmptyCategory("no notes to average")
-    return math.fsum(keys) / len(keys)
+    return _mean(notes["key"])
 
 
-def mean_articulation(notes: Iterable[MidiNote], ioi_limit: float = IOI_LIMIT) -> float:
+def mean_articulation(notes: np.ndarray, ioi_limit: float = IOI_LIMIT) -> float:
     """Mean duration-to-inter-onset-interval ratio.
 
     For each note the interval runs from its onset to the next distinct
@@ -199,24 +200,17 @@ def mean_articulation(notes: Iterable[MidiNote], ioi_limit: float = IOI_LIMIT) -
     Notes at the last onset of their track have no interval and notes whose
     interval exceeds ``ioi_limit`` sit before a gap; both are excluded.
     """
-    by_track: Dict[int, List[MidiNote]] = defaultdict(list)
-    for note in notes:
-        by_track[note.track_id].append(note)
-    ratios = []
-    for track_notes in by_track.values():
-        onsets = sorted({n.onset for n in track_notes})
-        next_onset = {a: b for a, b in pairwise(onsets)}
-        for note in track_notes:
-            following = next_onset.get(note.onset)
-            if following is None:
-                continue
-            ioi = following - note.onset
-            if ioi > ioi_limit:
-                continue
-            ratios.append(note.duration / ioi)
-    if not ratios:
-        raise EmptyCategory("no note has a usable inter-onset interval")
-    return math.fsum(ratios) / len(ratios)
+    ratios = [np.empty(0)]
+    for track_id in set(notes["track_id"].tolist()):
+        track = notes[notes["track_id"] == track_id]
+        # The first sorted onset strictly after a note's own is the next distinct one.
+        onsets = np.sort(track["onset"])
+        following = np.searchsorted(onsets, track["onset"], side="right")
+        usable = following < len(onsets)
+        ioi = onsets[following[usable]] - track["onset"][usable]
+        short = ioi <= ioi_limit
+        ratios.append(track["duration"][usable][short] / ioi[short])
+    return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
 
 
 @dataclass
@@ -278,7 +272,7 @@ def extract_midi_features(
     """Compute the full symbolic feature vector for one song.
 
     The soft-note filter runs first, once, against the loudest note of the
-    song; every feature then sees the same filtered note list.  A note's
+    song; every feature then sees the same filtered note array.  A note's
     role is its track's entry in ``song.annotations``.  Without one, a note
     on the percussion channel is drums and any other note counts toward
     the whole-song aggregates only.  A negative or non-finite
@@ -286,34 +280,34 @@ def extract_midi_features(
     """
     if not (math.isfinite(merge_window) and merge_window >= 0):
         raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
+    # The gate and the sl_ means share one curve call per distinct pair.
+    calibration = functools.lru_cache(maxsize=None)(calibration)
     kept = filter_soft_notes(song.notes, calibration)
-    groups: Dict[str, List[MidiNote]] = defaultdict(list, all=kept)
-    for note in kept:
-        role = song.annotations.get(note.track_id)
-        if role is None and note.channel == PERCUSSION_CHANNEL:
-            role = TrackCategory.DRUMS
-        suffix = _ROLE_SUFFIX.get(role)
-        if suffix is None:
-            continue
-        groups[suffix].append(note)
-        if suffix == "dru":
-            tom = classify_percussion_key(note.key, tom_keys) is PercussionClass.TOM
-            groups["dru_tom" if tom else "dru_rest"].append(note)
+    levels = sound_levels(kept, calibration)
+    tracks = kept["track_id"]
+    groups = {"all": np.ones(len(kept), dtype=bool)}
+    for role, suffix in _ROLE_SUFFIX.items():
+        groups[suffix] = np.isin(tracks, [t for t, r in song.annotations.items() if r is role])
+    unannotated = ~np.isin(tracks, list(song.annotations))
+    groups["dru"] |= unannotated & (kept["channel"] == PERCUSSION_CHANNEL)
+    tom = np.isin(kept["key"], list(DEFAULT_TOM_KEYS if tom_keys is None else tom_keys))
+    groups["dru_tom"] = groups["dru"] & tom
+    groups["dru_rest"] = groups["dru"] & ~tom
 
     # Field f"{prefix}_{suffix}" is the statistic over that group's notes.
     table = (
-        ("nps", lambda notes: note_density(notes, song.duration, merge_window),
+        ("nps", lambda group: note_density(kept[group], song.duration, merge_window),
          ("all", "mel", "acc", "bas", "dru", "dru_tom", "dru_rest")),
-        ("sl", lambda notes: mean_sound_level(notes, calibration),
+        ("sl", lambda group: _mean(levels[group]),
          ("all", "mel", "acc", "bas", "dru")),
-        ("f0", mean_pitch, ("all", "mel", "acc", "bas")),
-        ("art", mean_articulation, ("all", "mel", "acc", "bas")),
+        ("f0", lambda group: mean_pitch(kept[group]), ("all", "mel", "acc", "bas")),
+        ("art", lambda group: mean_articulation(kept[group]), ("all", "mel", "acc", "bas")),
     )
     out = MidiFeatureVector()
     out.ann_tempo = tempo if tempo is not None else song.annotated_tempo
     for prefix, statistic, suffixes in table:
         for suffix in suffixes:
-            if groups[suffix]:
+            if groups[suffix].any():
                 try:
                     setattr(out, f"{prefix}_{suffix}", statistic(groups[suffix]))
                 except EmptyCategory:

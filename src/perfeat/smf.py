@@ -1,7 +1,7 @@
 """Standard MIDI File parsing into seconds-domain note events.
 
 Reads format 0/1 files with tick-per-quarter division, resolves the merged
-tempo map and emits one flat, time-sorted note list per file.  Notes carry
+tempo map and emits one time-sorted note array per file.  Notes carry
 the channel-7 volume in force at their onset so later sound-level estimates
 can combine velocity and mixer volume.
 """
@@ -9,10 +9,11 @@ can combine velocity and mixer volume.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
+
+import numpy as np
 
 DEFAULT_TEMPO = 500_000  # microseconds per quarter note until the first set-tempo
 DEFAULT_VOLUME_CC = 100  # General MIDI power-on value for controller 7
@@ -61,60 +62,26 @@ class TrackCategory(Enum):
     UNANNOTATED = "unannotated"
 
 
-class PercussionClass(Enum):
-    TOM = "tom"
-    REST = "rest"
+NOTE_DTYPE = np.dtype(
+    [
+        ("track_id", np.int32),  # zero-based index of the originating track chunk
+        ("channel", np.uint8),  # MIDI channel 0..15
+        ("key", np.uint8),  # note number 0..127
+        ("onset", np.float64),  # seconds from the start of the file
+        ("duration", np.float64),  # sounding length in seconds, always > 0
+        ("velocity", np.uint8),  # note-on velocity 1..127
+        ("volume_cc", np.uint8),  # channel volume (controller 7) in force at the onset
+    ]
+)
+"""One row per sounded note."""
 
 
-def classify_percussion_key(key: int, tom_keys: Optional[frozenset] = None) -> PercussionClass:
-    """Split a percussion key number into the tom-like class and the rest."""
-    if not 0 <= key <= 127:
-        raise ValueError(f"percussion key out of range: {key}")
-    table = DEFAULT_TOM_KEYS if tom_keys is None else tom_keys
-    return PercussionClass.TOM if key in table else PercussionClass.REST
-
-
-@dataclass(frozen=True)
-class MidiNote:
-    """One sounded note, in seconds.
-
-    Attributes
-    ----------
-    track_id : int
-        Zero-based index of the originating track chunk.
-    channel : int
-        MIDI channel 0..15.
-    key : int
-        Note number 0..127.
-    onset : float
-        Onset time in seconds from the start of the file.
-    duration : float
-        Sounding length in seconds, always > 0.
-    velocity : int
-        Note-on velocity 1..127.
-    volume_cc : int
-        Channel volume (controller 7) in force at the onset.
-    """
-
-    track_id: int
-    channel: int
-    key: int
-    onset: float
-    duration: float
-    velocity: int
-    volume_cc: int = DEFAULT_VOLUME_CC
-
-    @property
-    def offset(self) -> float:
-        return self.onset + self.duration
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Song:
-    """A parsed file: flat note list plus file-level metadata."""
+    """A parsed file: one read-only :data:`NOTE_DTYPE` array plus file-level metadata."""
 
     id: str
-    notes: Tuple[MidiNote, ...]
+    notes: np.ndarray
     duration: float
     n_tracks: int
     annotations: Mapping[int, TrackCategory] = field(default_factory=dict)
@@ -151,50 +118,31 @@ class TempoMap:
                 seconds.append(seconds[-1] + (tick - ticks[-1]) * rates[-1])
                 ticks.append(tick)
                 rates.append(rate)
-        self._ticks = ticks
-        self._seconds = seconds
-        self._rates = rates
+        self._ticks = np.array(ticks, dtype=np.int64)
+        self._seconds = np.array(seconds)
+        self._rates = np.array(rates)
 
-    def seconds(self, tick: int) -> float:
-        """Seconds elapsed at an absolute tick."""
-        if tick < 0:
+    def seconds(self, ticks):
+        """Seconds elapsed at absolute ticks: an int or an array of them."""
+        ticks = np.asarray(ticks, dtype=np.int64)
+        if (ticks < 0).any():
             raise ValueError("tick must be non-negative")
-        i = bisect_right(self._ticks, tick) - 1
-        return self._seconds[i] + (tick - self._ticks[i]) * self._rates[i]
+        i = np.searchsorted(self._ticks, ticks, side="right") - 1
+        return self._seconds[i] + (ticks - self._ticks[i]) * self._rates[i]
 
 
-class _Reader:
-    """Byte cursor with the integer codings used by SMF."""
+_PAST_END = "event data ran past the end of its track chunk"
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.data)
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedChunk("event data ran past the end of its track chunk")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def varint(self) -> int:
-        # Big-endian base-128 with a continuation bit, at most four bytes.
-        value = 0
-        for _ in range(4):
-            byte = self.u8()
-            value = (value << 7) | (byte & 0x7F)
-            if not byte & 0x80:
-                return value
-        raise TruncatedChunk("variable-length quantity longer than four bytes")
+def _varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Big-endian base-128 with a continuation bit, at most four bytes: (value, next pos)."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        byte = data[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos + 1
+    raise TruncatedChunk("variable-length quantity longer than four bytes")
 
 
 def _split_chunks(data: bytes) -> Tuple[int, int, list]:
@@ -227,9 +175,21 @@ def _split_chunks(data: bytes) -> Tuple[int, int, list]:
     return fmt, division, bodies
 
 
+def _payload(body: bytes, pos: int) -> Tuple[int, int]:
+    """Bounds of the length-prefixed payload of a meta or sysex event."""
+    length, start = _varint(body, pos)
+    if start + length > len(body):
+        raise TruncatedChunk(_PAST_END)
+    return start, start + length
+
+
 def _parse_track(body: bytes, track_id: int):
-    """One track chunk -> (closed notes in ticks, end tick, tempo events)."""
-    r = _Reader(body)
+    """One track chunk -> (closed notes in ticks, end tick, tempo events).
+
+    A closed note is (onset tick, off tick, track, channel, key, velocity,
+    volume).
+    """
+    pos = 0
     tick = 0
     running: Optional[int] = None
     volume = {}  # channel -> controller 7 value
@@ -237,97 +197,99 @@ def _parse_track(body: bytes, track_id: int):
     closed = []
     tempos = []
     end_tick: Optional[int] = None
-    while not r.exhausted:
-        tick += r.varint()
-        status = r.u8()
-        if status < 0x80:
-            if running is None:
+    try:
+        while pos < len(body):
+            delta, pos = _varint(body, pos)
+            tick += delta
+            status = body[pos]
+            if status < 0x80:
+                if running is None:
+                    raise TruncatedChunk(
+                        f"data byte with no running status in track {track_id}"
+                    )
+                status = running
+            else:
+                pos += 1
+            if status == 0xFF:
+                running = None
+                meta_type = body[pos]
+                start, pos = _payload(body, pos + 1)
+                if meta_type == 0x51 and pos - start == 3:
+                    tempos.append((tick, int.from_bytes(body[start:pos], "big")))
+                elif meta_type == 0x2F:
+                    end_tick = tick
+                    break
+            elif status in (0xF0, 0xF7):
+                running = None
+                _, pos = _payload(body, pos)
+            elif status >= 0xF0:
                 raise TruncatedChunk(
-                    f"data byte with no running status in track {track_id}"
+                    f"system message {status:#x} is not valid in a track chunk"
                 )
-            r.pos -= 1
-            status = running
-        if status == 0xFF:
-            running = None
-            meta_type = r.u8()
-            payload = r.take(r.varint())
-            if meta_type == 0x51 and len(payload) == 3:
-                tempos.append((tick, int.from_bytes(payload, "big")))
-            elif meta_type == 0x2F:
-                end_tick = tick
-                break
-        elif status in (0xF0, 0xF7):
-            running = None
-            r.take(r.varint())
-        elif status >= 0xF0:
-            raise TruncatedChunk(
-                f"system message {status:#x} is not valid in a track chunk"
-            )
-        else:
-            running = status
-            kind = status & 0xF0
-            channel = status & 0x0F
-            d1 = r.u8()
-            d2 = r.u8() if kind not in (0xC0, 0xD0) else 0
-            if kind == 0x90 and d2 > 0:
-                stack = open_notes.setdefault((channel, d1), [])
-                stack.append((tick, d2, volume.get(channel, DEFAULT_VOLUME_CC)))
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                stack = open_notes.get((channel, d1))
-                if stack:  # off with no matching on is ignored
-                    onset, vel, vol = stack.pop()
-                    closed.append((onset, tick, channel, d1, vel, vol))
-            elif kind == 0xB0 and d1 == 7:
-                volume[channel] = d2
+            else:
+                running = status
+                kind = status & 0xF0
+                channel = status & 0x0F
+                d1 = body[pos]
+                if kind in (0xC0, 0xD0):
+                    d2 = 0
+                    pos += 1
+                else:
+                    d2 = body[pos + 1]
+                    pos += 2
+                if (d1 | d2) & 0x80:
+                    raise SmfError(f"data byte above 0x7f in track {track_id}")
+                if kind == 0x90 and d2 > 0:
+                    stack = open_notes.setdefault((channel, d1), [])
+                    stack.append((tick, d2, volume.get(channel, DEFAULT_VOLUME_CC)))
+                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+                    stack = open_notes.get((channel, d1))
+                    if stack:  # off with no matching on is ignored
+                        onset, vel, vol = stack.pop()
+                        closed.append((onset, tick, track_id, channel, d1, vel, vol))
+                elif kind == 0xB0 and d1 == 7:
+                    volume[channel] = d2
+    except IndexError:
+        raise TruncatedChunk(_PAST_END) from None
     if end_tick is None:
         end_tick = tick
     # Notes still sounding at end-of-track are closed there.
     for (channel, key), stack in open_notes.items():
         for onset, vel, vol in stack:
-            closed.append((onset, end_tick, channel, key, vel, vol))
+            closed.append((onset, end_tick, track_id, channel, key, vel, vol))
     return closed, end_tick, tempos
 
 
 def parse_smf(data: bytes, song_id: str = "") -> Song:
     """Parse one file's bytes into a :class:`Song`.
 
-    Notes are sorted by (onset, track, key).  Overlapping same-key notes are
-    matched last-on/first-off.  Note-ons with velocity zero are offs.  Notes
-    whose on and off fall on the same tick carry no information and are
-    dropped.  The song duration is the latest end-of-track time.
+    Notes are sorted by (onset, track, key), stably.  Overlapping same-key
+    notes are matched last-on/first-off.  Note-ons with velocity zero are
+    offs.  Notes whose on and off fall on the same tick carry no information
+    and are dropped.  The song duration is the latest end-of-track time.
     """
     _, division, bodies = _split_chunks(data)
-    per_track = []
+    closed = []
     tempo_events = []
     end_ticks = []
     for track_id, body in enumerate(bodies):
-        closed, end_tick, tempos = _parse_track(body, track_id)
-        per_track.append((track_id, closed))
+        track_closed, end_tick, tempos = _parse_track(body, track_id)
+        closed.extend(track_closed)
         end_ticks.append(end_tick)
         tempo_events.extend(tempos)
     tempo_events.sort(key=lambda event: event[0])
     tempo_map = TempoMap(tempo_events, division)
-    notes = []
-    for track_id, closed in per_track:
-        for on_tick, off_tick, channel, key, velocity, vol in closed:
-            onset = tempo_map.seconds(on_tick)
-            offset = tempo_map.seconds(off_tick)
-            if offset <= onset:
-                continue
-            notes.append(
-                MidiNote(
-                    track_id=track_id,
-                    channel=channel,
-                    key=key,
-                    onset=onset,
-                    duration=offset - onset,
-                    velocity=velocity,
-                    volume_cc=vol,
-                )
-            )
-    notes.sort(key=lambda n: (n.onset, n.track_id, n.key))
-    duration = max((tempo_map.seconds(t) for t in end_ticks), default=0.0)
-    return Song(id=song_id, notes=tuple(notes), duration=duration, n_tracks=len(bodies))
+    closed = np.array(closed, dtype=np.int64).reshape(-1, 7)
+    notes = np.empty(len(closed), dtype=NOTE_DTYPE)
+    notes["onset"] = tempo_map.seconds(closed[:, 0])
+    notes["duration"] = tempo_map.seconds(closed[:, 1]) - notes["onset"]
+    for column, name in enumerate(("track_id", "channel", "key", "velocity", "volume_cc"), 2):
+        notes[name] = closed[:, column]
+    notes = notes[notes["duration"] > 0]
+    notes = notes[np.lexsort((notes["key"], notes["track_id"], notes["onset"]))]
+    notes.flags.writeable = False
+    duration = float(tempo_map.seconds(end_ticks).max()) if end_ticks else 0.0
+    return Song(id=song_id, notes=notes, duration=duration, n_tracks=len(bodies))
 
 
 def annotate_tracks(song: Song, annotations: Mapping[int, TrackCategory]) -> Song:

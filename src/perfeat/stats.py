@@ -139,9 +139,6 @@ class RatingMatrix:
     def n_raters(self) -> int:
         return self.values.shape[1]
 
-    def column(self, rater_id: str) -> np.ndarray:
-        return self.values[:, self.rater_ids.index(rater_id)]
-
     def drop_raters(self, rater_ids: Sequence[str]) -> "RatingMatrix":
         """A copy without the named raters."""
         drop = set(rater_ids)

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from perfeat.smf import MidiNote
+from perfeat.smf import NOTE_DTYPE
 
 # ----------------------------------------------------------------- SMF bytes
 
@@ -116,16 +116,16 @@ def note(
     volume_cc: int = 127,
     track_id: int = 0,
     channel: int = 0,
-) -> MidiNote:
-    return MidiNote(
-        track_id=track_id,
-        channel=channel,
-        key=key,
-        onset=onset,
-        duration=duration,
-        velocity=velocity,
-        volume_cc=volume_cc,
-    )
+) -> np.void:
+    """One NOTE_DTYPE row."""
+    return np.array(
+        (track_id, channel, key, onset, duration, velocity, volume_cc), dtype=NOTE_DTYPE
+    )[()]
+
+
+def notes(rows=()) -> np.ndarray:
+    """A NOTE_DTYPE array of the given rows, in their order."""
+    return np.array(list(rows), dtype=NOTE_DTYPE)
 
 
 # ----------------------------------------------------------- numeric oracles
@@ -145,7 +145,10 @@ def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float
     theta_start = math.atan(t / math.sqrt(df))
     theta = np.linspace(theta_start, math.pi / 2.0, points)
     integrand = np.cos(theta) ** (df - 1.0)
-    tail = constant * math.sqrt(df) * np.trapezoid(integrand, theta)
+    # The trapezoid rule written out: np.trapezoid needs numpy 2, and numpy 2.4
+    # dropped np.trapz.
+    area = float(np.sum((integrand[1:] + integrand[:-1]) * np.diff(theta))) / 2.0
+    tail = constant * math.sqrt(df) * area
     return float(2.0 * tail)
 
 

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from helpers import NipalsPls, control, note_off, note_on, smf, track
+from helpers import NipalsPls, control, note, note_off, note_on, notes, smf, track
 from perfeat.audio_features import (
     AudioClip,
     brightness,
@@ -24,7 +24,7 @@ from perfeat.audio_features import (
 )
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, adjusted_r2, ols_fit, pls_fit, repeated_kfold_cv
-from perfeat.smf import MidiNote, parse_smf
+from perfeat.smf import parse_smf
 from perfeat.stats import (
     RatingMatrix,
     cronbach_alpha,
@@ -193,7 +193,7 @@ def test_midi_known_answers():
         song_id="clustering",
     )
     _expect(failures, clustering.duration == 10.0, f"duration {clustering.duration}")
-    onsets = [n.onset for n in clustering.notes]
+    onsets = clustering.notes["onset"].tolist()
     _expect(failures, onsets == [0.0, 0.03125, 2.0, 5.0], f"onsets {onsets}")
     vector = extract_midi_features(clustering)
     _expect(failures, vector.nps_all == 0.3, f"nps_all {vector.nps_all!r} != 0.3")
@@ -211,14 +211,14 @@ def test_midi_known_answers():
         ),
         song_id="articulation",
     )
-    expected_notes = (
-        MidiNote(track_id=0, channel=0, key=60, onset=0.0, duration=0.375,
-                 velocity=100, volume_cc=100),
-        MidiNote(track_id=0, channel=0, key=72, onset=0.5, duration=0.25,
-                 velocity=100, volume_cc=100),
-    )
+    expected_notes = notes([
+        note(track_id=0, channel=0, key=60, onset=0.0, duration=0.375,
+             velocity=100, volume_cc=100),
+        note(track_id=0, channel=0, key=72, onset=0.5, duration=0.25,
+             velocity=100, volume_cc=100),
+    ])
     _expect(
-        failures, articulation.notes == expected_notes,
+        failures, np.array_equal(articulation.notes, expected_notes),
         f"note mismatch: {articulation.notes}",
     )
     vector = extract_midi_features(articulation)

@@ -461,6 +461,32 @@ class TestFit:
         assert stats["truncated"] == "false"
         assert 0.0 < float(stats["r2"]) <= 1.0
 
+    def test_distinct_targets_get_distinct_files(self, tmp_path):
+        targets = ["a b", "a_b", "Speed", "speed"]
+        values = np.random.default_rng(22).normal(size=(12, len(targets) + 1))
+        path = tmp_path / "table.csv"
+        lines = ["song_id," + ",".join(targets) + ",x1"]
+        lines += [f"s{i:02d}," + ",".join(map(repr, row.tolist()))
+                  for i, row in enumerate(values)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        for command, extra in (("fit", ()), ("cv", ("--folds", "3", "--repeats", "2"))):
+            for target in targets:
+                assert run(
+                    command, "--table", path, "--target", target,
+                    "--predictors", "x1", "--out-dir", out, *extra,
+                ) == 0
+            written = sorted(p.name for p in out.glob(f"{command}_*.csv"))
+            assert len(written) == len(targets)
+            # A name that is already a safe file name keeps it.
+            assert f"{command}_speed_ols.csv" in written
+            assert f"{command}_a_b_ols.csv" in written
+        # Each file holds its own target's fit: a_b is column 1.
+        records = read_records(out / "fit_a_b_ols.csv")
+        r2 = {r["name"]: r["value"] for r in records if r["record"] == "stat"}["r2"]
+        fit = ols_fit(Design(X=values[:, 4:], y=values[:, 1], names=("x1",)))
+        assert float(r2) == pytest.approx(fit.r2, rel=1e-12)
+
     def test_unknown_target_fails(self, feature_table, capsys):
         path, _, _ = feature_table
         assert run("fit", "--table", path, "--target", "loudness") == 1

@@ -1,13 +1,14 @@
 """Symbolic feature computations on hand-built note lists."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import note
+from helpers import note, notes as note_array
 from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
@@ -24,17 +25,18 @@ from perfeat.midi_features import (
     mean_pitch,
     mean_sound_level,
     note_density,
-    note_sound_level,
+    sound_levels,
 )
 from perfeat.smf import Song, TrackCategory
 
 
 def song_of(notes, duration, tempo=None, annotations=None):
+    notes = note_array(notes)
     return Song(
         id="test",
-        notes=tuple(notes),
+        notes=notes,
         duration=duration,
-        n_tracks=1 + max((n.track_id for n in notes), default=0),
+        n_tracks=1 + int(notes["track_id"].max(initial=0)),
         annotations=dict(annotations or {}),
         annotated_tempo=tempo,
     )
@@ -91,8 +93,42 @@ class TestCalibration:
             )
 
     def test_note_sound_level_uses_curve(self):
-        n = note(0.0, 1.0, velocity=64, volume_cc=127)
-        assert note_sound_level(n) == pytest.approx(-5.95, abs=0.01)
+        levels = sound_levels(note_array([note(0.0, 1.0, velocity=64, volume_cc=127)]))
+        assert levels.tolist() == [pytest.approx(-5.95, abs=0.01)]
+
+
+class CountingCalibration(TableCalibration):
+    """A calibration table that counts its lookups per (velocity, volume) pair."""
+
+    def __init__(self):
+        super().__init__([1, 127], [0, 127], [[-80.0, -40.0], [-40.0, 0.0]])
+        self.calls = Counter()
+
+    def __call__(self, velocity, volume_cc):
+        self.calls[(velocity, volume_cc)] += 1
+        return super().__call__(velocity, volume_cc)
+
+
+class TestCalibrationCalls:
+    def test_sound_levels_calls_once_per_distinct_pair(self):
+        curve = CountingCalibration()
+        pairs = [(100, 90), (100, 90), (90, 100), (100, 90)]
+        rows = note_array(
+            [note(float(i), 0.5, velocity=v, volume_cc=c) for i, (v, c) in enumerate(pairs)]
+        )
+        levels = sound_levels(rows, curve)
+        assert curve.calls == {(100, 90): 1, (90, 100): 1}
+        assert levels.tolist() == [curve(v, c) for v, c in pairs]
+
+    def test_extraction_calls_once_per_distinct_pair(self):
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            song = _random_song(rng)
+            curve = CountingCalibration()
+            extract_midi_features(song, calibration=curve)
+            pairs = set(zip(song.notes["velocity"].tolist(), song.notes["volume_cc"].tolist()))
+            assert set(curve.calls) == pairs
+            assert set(curve.calls.values()) == {1}
 
 
 class TestSoftNoteFilter:
@@ -103,8 +139,8 @@ class TestSoftNoteFilter:
             note(1.0, 1.0, velocity=14),
             note(2.0, 1.0, velocity=11),
         ]
-        kept = filter_soft_notes(notes)
-        assert [n.velocity for n in kept] == [127, 14]
+        kept = filter_soft_notes(note_array(notes))
+        assert kept["velocity"].tolist() == [127, 14]
 
     def test_boundary_is_strict(self):
         levels = {100: 0.0, 50: -20.0, 60: -19.999999}
@@ -114,15 +150,15 @@ class TestSoftNoteFilter:
             note(1.0, 1.0, velocity=50),
             note(2.0, 1.0, velocity=60),
         ]
-        kept = filter_soft_notes(notes, calibration=curve)
-        assert [n.velocity for n in kept] == [100, 60]
+        kept = filter_soft_notes(note_array(notes), calibration=curve)
+        assert kept["velocity"].tolist() == [100, 60]
 
     def test_equal_levels_all_kept(self):
         notes = [note(float(i), 0.5, velocity=64) for i in range(5)]
-        assert len(filter_soft_notes(notes)) == 5
+        assert len(filter_soft_notes(note_array(notes))) == 5
 
     def test_empty_input(self):
-        assert filter_soft_notes([]) == []
+        assert len(filter_soft_notes(note_array())) == 0
 
     def test_volume_participates(self):
         # Same velocity, but a channel volume 20+ dB down drops the note.
@@ -130,19 +166,19 @@ class TestSoftNoteFilter:
             note(0.0, 1.0, velocity=100, volume_cc=127),
             note(1.0, 1.0, velocity=100, volume_cc=10),
         ]
-        kept = filter_soft_notes(notes)
+        kept = filter_soft_notes(note_array(notes))
         assert len(kept) == 1
-        assert kept[0].volume_cc == 127
+        assert kept[0]["volume_cc"] == 127
 
 
 class TestOnsetDensity:
     def test_merge_window_example(self):
-        notes = [note(t, 0.1) for t in (0.0, 0.03, 1.0, 2.0)]
+        notes = note_array([note(t, 0.1) for t in (0.0, 0.03, 1.0, 2.0)])
         assert note_density(notes, 10.0) == pytest.approx(0.3, abs=1e-12)
 
     def test_greedy_anchor_not_chain(self):
         # 0.04 joins the cluster at 0; 0.08 is beyond the anchor window.
-        notes = [note(t, 0.1) for t in (0.0, 0.04, 0.08)]
+        notes = note_array([note(t, 0.1) for t in (0.0, 0.04, 0.08)])
         assert note_density(notes, 1.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_boundary_is_strict(self):
@@ -151,85 +187,85 @@ class TestOnsetDensity:
         assert cluster_onsets([0.0, MERGE_WINDOW + 1e-9]) == 2
 
     def test_empty_is_zero(self):
-        assert note_density([], 10.0) == 0.0
+        assert note_density(note_array(), 10.0) == 0.0
 
     def test_zero_window_counts_distinct_onsets(self):
-        notes = [note(t, 0.1) for t in (0.0, 0.01, 0.02, 1.0)]
+        notes = note_array([note(t, 0.1) for t in (0.0, 0.01, 0.02, 1.0)])
         assert note_density(notes, 1.0, merge_window=0.0) == pytest.approx(4.0)
 
     def test_non_positive_duration(self):
         with pytest.raises(NonPositiveDuration):
-            note_density([note(0.0, 1.0)], 0.0)
+            note_density(note_array([note(0.0, 1.0)]), 0.0)
 
     def test_unsorted_input_handled(self):
-        notes = [note(t, 0.1) for t in (2.0, 0.0, 1.0, 0.03)]
+        notes = note_array([note(t, 0.1) for t in (2.0, 0.0, 1.0, 0.03)])
         assert note_density(notes, 10.0) == pytest.approx(0.3, abs=1e-12)
 
 
 class TestPitchAndLevel:
     def test_mean_pitch(self):
-        notes = [note(0.0, 1.0, key=k) for k in (60, 64, 67)]
+        notes = note_array([note(0.0, 1.0, key=k) for k in (60, 64, 67)])
         assert mean_pitch(notes) == pytest.approx(63.666666666667, abs=1e-9)
 
     def test_mean_pitch_empty(self):
         with pytest.raises(EmptyCategory):
-            mean_pitch([])
+            mean_pitch(note_array())
 
     def test_mean_sound_level(self):
-        notes = [
+        notes = note_array([
             note(0.0, 1.0, velocity=127, volume_cc=127),
             note(1.0, 1.0, velocity=64, volume_cc=127),
-        ]
+        ])
         expected = (0.0 + 20 * math.log10(64 / 127)) / 2
         assert mean_sound_level(notes) == pytest.approx(expected, abs=1e-12)
 
 
 class TestArticulation:
     def test_three_note_example(self):
-        notes = [
+        notes = note_array([
             note(0.0, 0.25),
             note(0.5, 0.5),
             note(1.0, 0.2),  # last onset: no interval, excluded
-        ]
+        ])
         assert mean_articulation(notes) == pytest.approx(0.75, abs=1e-12)
 
     def test_chord_tones_share_interval(self):
-        notes = [
+        notes = note_array([
             note(0.0, 0.25, key=60),
             note(0.0, 0.5, key=64),
             note(0.5, 0.25, key=67),
-        ]
+        ])
         # Both chord tones run to the next distinct onset at 0.5.
         assert mean_articulation(notes) == pytest.approx((0.5 + 1.0) / 2, abs=1e-12)
 
     def test_long_gap_excluded(self):
-        notes = [note(0.0, 0.5), note(0.0 + IOI_LIMIT + 0.1, 0.5)]
+        notes = note_array([note(0.0, 0.5), note(0.0 + IOI_LIMIT + 0.1, 0.5)])
         with pytest.raises(EmptyCategory):
             mean_articulation(notes)
 
     def test_gap_at_limit_included(self):
-        notes = [note(0.0, 0.4), note(IOI_LIMIT, 0.4)]
+        notes = note_array([note(0.0, 0.4), note(IOI_LIMIT, 0.4)])
         assert mean_articulation(notes) == pytest.approx(0.4 / IOI_LIMIT, abs=1e-12)
 
     def test_intervals_do_not_cross_tracks(self):
-        notes = [
+        notes = note_array([
             note(0.0, 0.5, track_id=0),
             note(0.2, 0.5, track_id=1),  # not a successor of the track 0 note
-        ]
+        ])
         with pytest.raises(EmptyCategory):
             mean_articulation(notes)
 
     def test_legato_is_one(self):
-        notes = [note(0.5 * i, 0.5) for i in range(4)]
+        notes = note_array([note(0.5 * i, 0.5) for i in range(4)])
         assert mean_articulation(notes) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_can_exceed_one(self):
-        notes = [note(0.0, 1.0), note(0.5, 0.5)]
+        notes = note_array([note(0.0, 1.0), note(0.5, 0.5)])
         assert mean_articulation(notes) == pytest.approx(2.0, abs=1e-12)
 
     def test_single_note_has_no_interval(self):
         with pytest.raises(EmptyCategory):
-            mean_articulation([note(0.0, 1.0)])
+            mean_articulation(note_array([note(0.0, 1.0)]))
 
 
 class TestExtract:
@@ -375,9 +411,9 @@ class TestExtractProperties:
             halved = song_of(
                 [
                     note(
-                        n.onset, n.duration, key=n.key,
-                        velocity=n.velocity * 2, volume_cc=n.volume_cc,
-                        track_id=n.track_id,
+                        n["onset"], n["duration"], key=n["key"],
+                        velocity=2 * int(n["velocity"]), volume_cc=n["volume_cc"],
+                        track_id=n["track_id"],
                     )
                     for n in song.notes
                 ],
@@ -405,9 +441,9 @@ class TestExtractProperties:
             shifted = song_of(
                 [
                     note(
-                        n.onset + 0.5, n.duration, key=n.key,
-                        velocity=n.velocity, volume_cc=n.volume_cc,
-                        track_id=n.track_id,
+                        n["onset"] + 0.5, n["duration"], key=n["key"],
+                        velocity=n["velocity"], volume_cc=n["volume_cc"],
+                        track_id=n["track_id"],
                     )
                     for n in song.notes
                 ],
@@ -457,9 +493,8 @@ class TestExtractProperties:
             v = extract_midi_features(song)
             if v.sl_all is None:
                 continue
-            kept = filter_soft_notes(song.notes)
-            levels = [note_sound_level(n) for n in kept]
-            assert min(levels) - 1e-12 <= v.sl_all <= max(levels) + 1e-12
+            levels = sound_levels(filter_soft_notes(song.notes))
+            assert levels.min() - 1e-12 <= v.sl_all <= levels.max() + 1e-12
             assert v.sl_all <= 0.0 + 1e-12
 
 
@@ -495,7 +530,7 @@ def annotated_songs(draw):
                     channel=draw(st.sampled_from(channels)),
                 )
             )
-    notes.sort(key=lambda n: (n.onset, n.track_id, n.key))
+    notes.sort(key=lambda n: (n["onset"], n["track_id"], n["key"]))
     roles = st.sampled_from(list(TrackCategory))
     annotations = draw(
         st.dictionaries(st.integers(0, n_tracks - 1), roles, max_size=n_tracks)
@@ -504,10 +539,10 @@ def annotated_songs(draw):
 
 
 def _absent_or(statistic, notes):
-    if not notes:
+    if not len(notes):
         return None
     try:
-        return statistic(notes)
+        return statistic(note_array(notes))
     except EmptyCategory:
         return None
 
@@ -522,9 +557,9 @@ class TestRoleResolution:
         # The role of a note: its track's annotation if there is one, else
         # drums on channel 9 (MIDI channel 10), else none.
         def role(n):
-            if n.track_id in song.annotations:
-                return song.annotations[n.track_id]
-            return TrackCategory.DRUMS if n.channel == 9 else None
+            if n["track_id"] in song.annotations:
+                return song.annotations[n["track_id"]]
+            return TrackCategory.DRUMS if n["channel"] == 9 else None
 
         kept = filter_soft_notes(song.notes)
         drums = [n for n in kept if role(n) is TrackCategory.DRUMS]
@@ -543,13 +578,42 @@ class TestRoleResolution:
         expected["nps_dru"] = _absent_or(lambda g: note_density(g, song.duration), drums)
         expected["sl_dru"] = _absent_or(mean_sound_level, drums)
         expected["nps_dru_tom"] = _absent_or(
-            lambda g: note_density(g, song.duration), [n for n in drums if n.key in toms]
+            lambda g: note_density(g, song.duration),
+            [n for n in drums if int(n["key"]) in toms],
         )
         expected["nps_dru_rest"] = _absent_or(
             lambda g: note_density(g, song.duration),
-            [n for n in drums if n.key not in toms],
+            [n for n in drums if int(n["key"]) not in toms],
         )
         assert set(expected) == set(MidiFeatureVector.FIELDS)
 
         v = extract_midi_features(song, tom_keys=tom_keys)
         assert v.as_dict() == expected
+
+
+def articulation_by_loop(rows, ioi_limit=IOI_LIMIT):
+    """The per-note reference for mean_articulation: next distinct onset by dict."""
+    ratios = []
+    for track_id in {int(n["track_id"]) for n in rows}:
+        track = [n for n in rows if n["track_id"] == track_id]
+        onsets = sorted({float(n["onset"]) for n in track})
+        next_onset = dict(zip(onsets, onsets[1:]))
+        for n in track:
+            following = next_onset.get(float(n["onset"]))
+            if following is not None and following - n["onset"] <= ioi_limit:
+                ratios.append(float(n["duration"]) / (following - float(n["onset"])))
+    return math.fsum(ratios) / len(ratios) if ratios else None
+
+
+class TestArrayFormsMatchPerNoteLoops:
+    @PROPERTY
+    @given(song=annotated_songs())
+    def test_articulation(self, song):
+        assert _absent_or(mean_articulation, song.notes) == articulation_by_loop(song.notes)
+
+    @PROPERTY
+    @given(song=annotated_songs())
+    def test_sound_levels(self, song):
+        expected = [default_calibration(int(n["velocity"]), int(n["volume_cc"]))
+                    for n in song.notes]
+        assert sound_levels(song.notes).tolist() == expected

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     control,
@@ -16,9 +18,10 @@ from helpers import (
 from perfeat.midi_features import extract_midi_features
 from perfeat.smf import (
     DEFAULT_TOM_KEYS,
+    NOTE_DTYPE,
     MalformedHeader,
     NonMonotoneTempoEvents,
-    PercussionClass,
+    SmfError,
     TempoMap,
     TrackCategory,
     TruncatedChunk,
@@ -26,7 +29,6 @@ from perfeat.smf import (
     UnsupportedDivision,
     UnsupportedFormat,
     annotate_tracks,
-    classify_percussion_key,
     parse_smf,
 )
 
@@ -73,6 +75,15 @@ class TestTempoMap:
                 if t1 > t0:
                     assert s1 > s0
 
+    def test_array_of_ticks_matches_scalars(self):
+        tm = TempoMap([(0, 500_000), (480, 1_000_000), (1000, 250_000)], 480)
+        ticks = np.array([0, 1, 479, 480, 481, 999, 1000, 5000])
+        assert tm.seconds(ticks).tolist() == [float(tm.seconds(int(t))) for t in ticks]
+
+    def test_negative_tick_raises(self):
+        with pytest.raises(ValueError):
+            TempoMap([], 480).seconds(np.array([0, -1]))
+
 
 class TestParse:
     def test_single_note(self):
@@ -81,16 +92,16 @@ class TestParse:
         assert song.id == "one"
         assert len(song.notes) == 1
         n = song.notes[0]
-        assert (n.key, n.velocity, n.channel, n.track_id) == (60, 100, 0, 0)
-        assert n.onset == pytest.approx(0.0, abs=1e-12)
-        assert n.duration == pytest.approx(0.5, abs=1e-12)
+        assert (n["key"], n["velocity"], n["channel"], n["track_id"]) == (60, 100, 0, 0)
+        assert n["onset"] == pytest.approx(0.0, abs=1e-12)
+        assert n["duration"] == pytest.approx(0.5, abs=1e-12)
         assert song.duration == pytest.approx(0.5, abs=1e-12)
 
     def test_velocity_zero_is_note_off(self):
         data = smf(track(note_on(0, 60, 100), note_on(480, 60, 0)))
         song = parse_smf(data)
         assert len(song.notes) == 1
-        assert song.notes[0].duration == pytest.approx(0.5, abs=1e-12)
+        assert song.notes[0]["duration"] == pytest.approx(0.5, abs=1e-12)
 
     def test_tempo_change_mid_file(self):
         # One quarter at 120 bpm then one at 60 bpm: onset 0.5 s, duration 1.0 s.
@@ -100,8 +111,8 @@ class TestParse:
         )
         song = parse_smf(data)
         assert len(song.notes) == 1
-        assert song.notes[0].onset == pytest.approx(0.5, abs=1e-12)
-        assert song.notes[0].duration == pytest.approx(1.0, abs=1e-12)
+        assert song.notes[0]["onset"] == pytest.approx(0.5, abs=1e-12)
+        assert song.notes[0]["duration"] == pytest.approx(1.0, abs=1e-12)
 
     def test_tempo_map_merged_across_tracks(self):
         # The tempo lives in track 0; notes in track 1 must still honor it.
@@ -109,7 +120,7 @@ class TestParse:
             track(set_tempo(0, 1_000_000)),
             track(note_on(0, 60, 90), note_off(480, 60)),
         )
-        assert parse_smf(data).notes[0].duration == pytest.approx(1.0, abs=1e-12)
+        assert parse_smf(data).notes[0]["duration"] == pytest.approx(1.0, abs=1e-12)
 
     def test_running_status(self):
         body = (
@@ -121,8 +132,8 @@ class TestParse:
         data = smf(track(body))
         song = parse_smf(data)
         assert len(song.notes) == 2
-        assert {n.key for n in song.notes} == {60, 62}
-        assert all(n.duration == pytest.approx(0.25, abs=1e-12) for n in song.notes)
+        assert set(song.notes["key"].tolist()) == {60, 62}
+        np.testing.assert_allclose(song.notes["duration"], 0.25, rtol=0, atol=1e-12)
 
     def test_meta_event_cancels_running_status(self):
         body = (
@@ -143,13 +154,13 @@ class TestParse:
             )
         )
         song = parse_smf(data)
-        durations = sorted(n.duration for n in song.notes)
+        durations = sorted(song.notes["duration"].tolist())
         assert durations == pytest.approx([0.25, 0.75], abs=1e-12)
-        by_velocity = {n.velocity: n for n in song.notes}
-        assert by_velocity[50].onset == pytest.approx(0.25, abs=1e-12)
-        assert by_velocity[50].duration == pytest.approx(0.25, abs=1e-12)
-        assert by_velocity[100].onset == pytest.approx(0.0, abs=1e-12)
-        assert by_velocity[100].duration == pytest.approx(0.75, abs=1e-12)
+        by_velocity = {int(n["velocity"]): n for n in song.notes}
+        assert by_velocity[50]["onset"] == pytest.approx(0.25, abs=1e-12)
+        assert by_velocity[50]["duration"] == pytest.approx(0.25, abs=1e-12)
+        assert by_velocity[100]["onset"] == pytest.approx(0.0, abs=1e-12)
+        assert by_velocity[100]["duration"] == pytest.approx(0.75, abs=1e-12)
 
     def test_volume_sampled_at_onset(self):
         data = smf(
@@ -163,28 +174,28 @@ class TestParse:
             )
         )
         song = parse_smf(data)
-        by_key = {n.key: n for n in song.notes}
-        assert by_key[60].volume_cc == 40
-        assert by_key[62].volume_cc == 120
+        by_key = {int(n["key"]): n for n in song.notes}
+        assert by_key[60]["volume_cc"] == 40
+        assert by_key[62]["volume_cc"] == 120
 
     def test_default_volume_before_any_controller(self):
         song = parse_smf(smf(track(note_on(0, 60, 100), note_off(120, 60))))
-        assert song.notes[0].volume_cc == 100
+        assert song.notes[0]["volume_cc"] == 100
 
     def test_unterminated_note_closed_at_end_of_track(self):
         data = smf(track(note_on(0, 60, 100), eot_delta=960))
         song = parse_smf(data)
         assert len(song.notes) == 1
-        assert song.notes[0].duration == pytest.approx(1.0, abs=1e-12)
+        assert song.notes[0]["duration"] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_length_note_dropped(self):
         data = smf(track(note_on(0, 60, 100), note_off(0, 60)))
-        assert parse_smf(data).notes == ()
+        assert len(parse_smf(data).notes) == 0
 
     def test_orphan_note_off_ignored(self):
         data = smf(track(note_off(0, 60), note_on(0, 62, 90), note_off(240, 62)))
         song = parse_smf(data)
-        assert [n.key for n in song.notes] == [62]
+        assert song.notes["key"].tolist() == [62]
 
     def test_notes_sorted_and_inside_duration(self):
         data = smf(
@@ -192,12 +203,21 @@ class TestParse:
             track(note_on(0, 50, 90), note_off(1440, 50)),
         )
         song = parse_smf(data)
-        onsets = [n.onset for n in song.notes]
+        onsets = song.notes["onset"].tolist()
         assert onsets == sorted(onsets)
         for n in song.notes:
-            assert 0.0 <= n.onset
-            assert n.onset + n.duration <= song.duration + 1e-9
-            assert n.duration > 0
+            assert 0.0 <= n["onset"]
+            assert n["onset"] + n["duration"] <= song.duration + 1e-9
+            assert n["duration"] > 0
+
+    def test_ties_ordered_by_track_then_key(self):
+        # Same onset everywhere: track 1 sorts after track 0, keys ascend within.
+        data = smf(
+            track(note_on(0, 72, 90), note_on(0, 48, 90), note_off(480, 72), note_off(0, 48)),
+            track(note_on(0, 30, 90), note_off(480, 30)),
+        )
+        notes = parse_smf(data).notes
+        assert notes[["track_id", "key"]].tolist() == [(0, 48), (0, 72), (1, 30)]
 
     def test_duration_is_latest_track_end(self):
         data = smf(
@@ -211,7 +231,9 @@ class TestParse:
             track(note_on(0, 60, 100), note_off(480, 60)),
             track(note_on(240, 45, 70, channel=9), note_off(240, 45, channel=9)),
         )
-        assert parse_smf(data, "x") == parse_smf(data, "x")
+        a, b = parse_smf(data, "x"), parse_smf(data, "x")
+        assert np.array_equal(a.notes, b.notes)
+        assert (a.id, a.duration, a.n_tracks) == (b.id, b.duration, b.n_tracks)
 
     def test_format_zero_accepted(self):
         data = smf(track(note_on(0, 60, 100), note_off(480, 60)), fmt=0)
@@ -265,8 +287,29 @@ class TestHeaderErrors:
 
         body = b"\x00\x90\x3c"  # note-on missing its velocity byte
         chunk = b"MTrk" + _struct.pack(">I", len(body)) + body
-        with pytest.raises(TruncatedChunk):
+        with pytest.raises(TruncatedChunk, match="ran past the end of its track chunk"):
             parse_smf(b"MThd" + _struct.pack(">IHHH", 6, 1, 1, 480) + chunk)
+
+    def test_meta_payload_past_chunk_end(self):
+        body = b"\x00\xff\x01\x05abc"  # text event declaring five bytes, holding three
+        with pytest.raises(TruncatedChunk, match="ran past the end of its track chunk"):
+            parse_smf(smf(track(body, append_eot=False)))
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            note_on(0, 200, 100),  # key
+            note_on(0, 60, 150),  # velocity
+            note_on(0, 200, 150, channel=9),
+            control(0, 7, 0x80),
+            ev(0, 0xC0, 0x90),  # program change
+        ],
+        ids=["key", "velocity", "drum-key-and-velocity", "controller-value", "program"],
+    )
+    def test_data_byte_above_0x7f_rejected(self, event):
+        data = smf(track(end_of_track()), track(event, note_off(480, 60)))
+        with pytest.raises(SmfError, match="data byte above 0x7f in track 1"):
+            parse_smf(data)
 
 
 class TestAnnotations:
@@ -317,33 +360,95 @@ class TestAnnotations:
         song = self._song()
         assert annotate_tracks(song, {0: TrackCategory.MELODY}).notes is song.notes
 
+    def test_notes_are_read_only_and_shared(self):
+        song = self._song()
+        annotated = annotate_tracks(song, {1: TrackCategory.BASS})
+        assert song.notes.dtype == NOTE_DTYPE
+        assert not song.notes.flags.writeable
+        assert np.shares_memory(annotated.notes, song.notes)
+        with pytest.raises(ValueError):
+            annotated.notes["key"][0] = 1
+
     def test_unknown_track_id(self):
         with pytest.raises(UnknownTrackId):
             annotate_tracks(self._song(), {7: TrackCategory.MELODY})
 
 
+def _one_drum_hit(key, tom_keys=None):
+    """The drum-split fields of a half-second song with one channel-10 hit."""
+    data = smf(track(note_on(0, key, 100, channel=9), note_off(480, key, channel=9)))
+    v = extract_midi_features(parse_smf(data), tom_keys=tom_keys)
+    return v.nps_dru_tom, v.nps_dru_rest
+
+
 class TestPercussionClasses:
     def test_kick_snare_toms_are_tom(self):
         for key in (35, 36, 38, 40, 41, 43, 45, 47, 48, 50):
-            assert classify_percussion_key(key) is PercussionClass.TOM
+            assert _one_drum_hit(key) == (2.0, None)
 
     def test_cymbals_are_rest(self):
         for key in (42, 46, 49, 51, 39, 54, 70):
-            assert classify_percussion_key(key) is PercussionClass.REST
+            assert _one_drum_hit(key) == (None, 2.0)
 
     def test_partition_is_total(self):
         for key in range(128):
-            assert classify_percussion_key(key) in (
-                PercussionClass.TOM,
-                PercussionClass.REST,
-            )
+            tom, rest = _one_drum_hit(key)
+            assert (tom, rest) == ((2.0, None) if key in DEFAULT_TOM_KEYS else (None, 2.0))
         assert all(0 <= key <= 127 for key in DEFAULT_TOM_KEYS)
 
     def test_custom_table(self):
-        assert (
-            classify_percussion_key(42, frozenset({42})) is PercussionClass.TOM
-        )
+        assert _one_drum_hit(42, frozenset({42})) == (2.0, None)
+        assert _one_drum_hit(36, frozenset({42})) == (None, 2.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            classify_percussion_key(128)
+        # Keys above 127 never reach the split: the parser rejects them.
+        with pytest.raises(SmfError, match="data byte above 0x7f"):
+            _one_drum_hit(128)
+
+
+def _valid_files():
+    """Byte-built files that parse, covering every event kind the parser reads."""
+    return [
+        smf(track(note_on(0, 60, 100), note_off(480, 60))),
+        smf(
+            track(set_tempo(0, 500_000), set_tempo(480, 1_000_000)),
+            track(control(0, 7, 40), note_on(480, 64, 80), note_on(0, 67, 80),
+                  note_off(480, 64), note_on(0, 67, 0)),
+            track(note_on(0, 36, 110, channel=9), note_off(240, 36, channel=9),
+                  ev(0, 0xF0, 0x02, 0x7E, 0xF7), ev(0, 0xC3, 0x05), eot_delta=960),
+        ),
+        smf(track(b"\x00\x90\x3c\x64\x00\x3e\x64\x81\x70\x3c\x00\x00\x3e\x00"), fmt=0),
+    ]
+
+
+@st.composite
+def damaged_files(draw):
+    """A valid file after a few byte replacements, truncations and splices."""
+    files = _valid_files()
+    data = bytearray(draw(st.sampled_from(files)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["replace", "truncate", "splice"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if op == "replace" and data:
+            data[at] = draw(st.integers(0, 255))
+        elif op == "truncate":
+            del data[at:]
+        else:
+            donor = draw(st.sampled_from(files))
+            start = draw(st.integers(0, len(donor) - 1))
+            data[at:at] = donor[start : start + draw(st.integers(1, 12))]
+    return bytes(data)
+
+
+class TestDamagedFiles:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=damaged_files())
+    def test_only_smf_errors_and_seven_bit_notes(self, data):
+        try:
+            song = parse_smf(data)
+            assert song.notes["key"].max(initial=0) <= 127
+            assert 1 <= song.notes["velocity"].min(initial=1)
+            assert song.notes["velocity"].max(initial=1) <= 127
+            extract_midi_features(song)
+        except SmfError:
+            pass
