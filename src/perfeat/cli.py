@@ -534,7 +534,6 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
         sub.add_argument("--config", help="JSON file of option values")
         sub.add_argument("--out-dir", dest="out_dir", default="out",
                          help="output directory (default: out)")
-        sub.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
         return sub
 
     p = add("extract-midi", "symbolic features from a MIDI corpus", _cmd_extract_midi)
@@ -583,6 +582,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
             p.add_argument("--folds", type=int, default=10, help="fold count (default: 10)")
             p.add_argument("--repeats", type=int, default=50,
                            help="repeat count (default: 50)")
+            p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
     return parser, subparsers.choices
 

@@ -50,18 +50,62 @@ def _data_rows(path: PathLike):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         for row in reader:
-            if not row or (row[0].startswith("#") and len(row) == 1):
-                continue
-            if row[0].lstrip().startswith("#"):
+            if not row or row[0].lstrip().startswith("#"):
                 continue
             yield reader.line_num, [cell.strip() for cell in row]
 
 
 def _parse_float(cell: str, path: PathLike, line: int) -> float:
+    """A finite number; an empty cell, not ``nan`` text, is how a value goes missing."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise SchemaError(f"{path}:{line}: {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{path}:{line}: {cell!r} is not a finite number")
+    return value
+
+
+def _read_grid(path: PathLike):
+    """An id column plus named numeric columns, empty cells -> NaN.
+
+    Returns (item ids, column names, values, line number of each row).
+    """
+    rows = list(_data_rows(path))
+    if not rows:
+        raise SchemaError(f"{path}: empty file")
+    header_line, header = rows[0]
+    if len(header) < 2:
+        raise SchemaError(f"{path}:{header_line}: need an id column and one value column")
+    lines: List[int] = []
+    item_ids: List[str] = []
+    values: List[List[float]] = []
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}:{line}: {len(row)} cells, header has {len(header)}"
+            )
+        lines.append(line)
+        item_ids.append(row[0])
+        values.append(
+            [math.nan if cell == "" else _parse_float(cell, path, line) for cell in row[1:]]
+        )
+    if not values:
+        raise SchemaError(f"{path}: file has a header but no rows")
+    return tuple(item_ids), tuple(header[1:]), np.array(values, dtype=float), lines
+
+
+def _records(path: PathLike, header: Tuple[str, ...]):
+    """Yield (line_number, row) of a sidecar, skipping its header rows.
+
+    Every other row must have one cell per header field.
+    """
+    for line, row in _data_rows(path):
+        if row[0] == header[0]:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{line}: expected {','.join(header)}")
+        yield line, row
 
 
 def load_ratings(
@@ -71,56 +115,30 @@ def load_ratings(
 
     The header row is the rater ids (its first cell labels the item column
     and is ignored).  Empty cells are missing values.  With ``scale`` set,
-    any value outside the closed interval raises :class:`OutOfScale`;
-    pass ``scale=None`` for unbounded responses.
+    any value outside the closed interval raises :class:`OutOfScale`
+    naming the first such cell, row by row; pass ``scale=None`` for
+    unbounded responses.
     """
-    rows = list(_data_rows(path))
-    if not rows:
-        raise SchemaError(f"{path}: empty ratings file")
-    header_line, header = rows[0]
-    if len(header) < 3:
-        raise SchemaError(f"{path}:{header_line}: need an id column and two raters")
-    rater_ids = tuple(header[1:])
-    item_ids: List[str] = []
-    values: List[List[float]] = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{line}: {len(row)} cells, header has {len(header)}"
+    item_ids, rater_ids, values, lines = _read_grid(path)
+    if len(rater_ids) < 2:
+        raise SchemaError(f"{path}: need an id column and two raters")
+    if scale is not None:
+        outside = np.argwhere((values < scale[0]) | (values > scale[1]))
+        if len(outside):
+            i, j = outside[0]
+            raise OutOfScale(
+                f"{path}:{lines[i]}: rating {float(values[i, j])} for item "
+                f"{item_ids[i]!r} by {rater_ids[j]!r} is outside [{scale[0]}, {scale[1]}]"
             )
-        item_ids.append(row[0])
-        parsed = []
-        for rater_id, cell in zip(rater_ids, row[1:]):
-            if cell == "":
-                parsed.append(math.nan)
-                continue
-            value = _parse_float(cell, path, line)
-            if scale is not None and not scale[0] <= value <= scale[1]:
-                raise OutOfScale(
-                    f"{path}:{line}: rating {value} for item {row[0]!r} by "
-                    f"{rater_id!r} is outside [{scale[0]}, {scale[1]}]"
-                )
-            parsed.append(value)
-        values.append(parsed)
-    if not values:
-        raise SchemaError(f"{path}: ratings file has a header but no items")
-    return RatingMatrix(
-        values=np.array(values, dtype=float),
-        item_ids=tuple(item_ids),
-        rater_ids=rater_ids,
-    )
+    return RatingMatrix(values=values, item_ids=item_ids, rater_ids=rater_ids)
 
 
 def load_annotations(path: PathLike) -> Dict[str, Dict[int, TrackCategory]]:
     """Read per-song track role annotations: song_id, track_id, category."""
     out: Dict[str, Dict[int, TrackCategory]] = {}
-    rows = list(_data_rows(path))
-    for line, row in rows:
-        if row[0] == "song_id":  # header
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{path}:{line}: expected song_id,track_id,category")
-        song_id, track_cell, category_cell = row
+    for line, (song_id, track_cell, category_cell) in _records(
+        path, ("song_id", "track_id", "category")
+    ):
         try:
             track_id = int(track_cell)
         except ValueError:
@@ -140,26 +158,18 @@ def load_annotations(path: PathLike) -> Dict[str, Dict[int, TrackCategory]]:
 def load_tempos(path: PathLike) -> Dict[str, float]:
     """Read manually counted tempi: song_id, beats_per_second."""
     out: Dict[str, float] = {}
-    for line, row in _data_rows(path):
-        if row[0] == "song_id":
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"{path}:{line}: expected song_id,beats_per_second")
-        value = _parse_float(row[1], path, line)
+    for line, (song_id, cell) in _records(path, ("song_id", "beats_per_second")):
+        value = _parse_float(cell, path, line)
         if value <= 0:
             raise SchemaError(f"{path}:{line}: tempo must be positive")
-        out[row[0]] = value
+        out[song_id] = value
     return out
 
 
 def load_calibration(path: PathLike) -> TableCalibration:
     """Read a measured loudness grid: velocity, volume, dB."""
     triples = []
-    for line, row in _data_rows(path):
-        if row[0] == "velocity":
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{path}:{line}: expected velocity,volume,dB")
+    for line, row in _records(path, ("velocity", "volume", "dB")):
         try:
             velocity = int(row[0])
             volume = int(row[1])
@@ -182,27 +192,7 @@ def load_table(path: PathLike) -> Tuple[Tuple[str, ...], Tuple[str, ...], np.nda
     Returns (item ids, column names, values).  ``# key=value`` preamble
     lines written by this package's own outputs are skipped.
     """
-    rows = list(_data_rows(path))
-    if not rows:
-        raise SchemaError(f"{path}: empty table")
-    header_line, header = rows[0]
-    if len(header) < 2:
-        raise SchemaError(f"{path}:{header_line}: need an id column and one variable")
-    names = tuple(header[1:])
-    item_ids: List[str] = []
-    values: List[List[float]] = []
-    for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{line}: {len(row)} cells, header has {len(header)}"
-            )
-        item_ids.append(row[0])
-        values.append(
-            [math.nan if cell == "" else _parse_float(cell, path, line) for cell in row[1:]]
-        )
-    if not values:
-        raise SchemaError(f"{path}: table has a header but no rows")
-    return tuple(item_ids), names, np.array(values, dtype=float)
+    return _read_grid(path)[:3]
 
 
 def format_number(value) -> str:

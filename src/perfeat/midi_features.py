@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .smf import DEFAULT_TOM_KEYS, PERCUSSION_CHANNEL, Song, TrackCategory
+from .smf import Song, TrackCategory
 
 MERGE_WINDOW = 0.050
 """Seconds.  Onsets this close to a cluster anchor count as one event."""
@@ -25,6 +25,13 @@ SOFT_NOTE_CUTOFF_DB = 20.0
 
 IOI_LIMIT = 0.800
 """Seconds.  Longer inter-onset gaps are phrase breaks, not articulation."""
+
+PERCUSSION_CHANNEL = 9
+"""Channel index 9 (channel 10): notes of unannotated tracks on it are drums."""
+
+TOM_KEYS = frozenset({35, 36, 38, 40, 41, 43, 45, 47, 48, 50})
+"""General MIDI percussion keys heard as drum-skin hits: kicks, snares, toms.
+Every other drum note (hi-hats, cymbals, shakers, ...) is ``dru_rest``."""
 
 CalibrationCurve = Callable[[int, int], float]
 
@@ -129,19 +136,18 @@ def sound_levels(
 
 
 def filter_soft_notes(
-    notes: np.ndarray,
-    calibration: CalibrationCurve = default_calibration,
-    cutoff_db: float = SOFT_NOTE_CUTOFF_DB,
+    notes: np.ndarray, calibration: CalibrationCurve = default_calibration
 ) -> np.ndarray:
     """Keep notes strictly louder than the song maximum minus the cutoff.
 
-    The threshold is relative to the loudest note of the whole song, so the
-    filter is applied once, before any per-role split.
+    The cutoff is :data:`SOFT_NOTE_CUTOFF_DB`.  The threshold is relative to
+    the loudest note of the whole song, so the filter is applied once,
+    before any per-role split.
     """
     if not len(notes):
         return notes
     levels = sound_levels(notes, calibration)
-    return notes[levels > levels.max() - cutoff_db]
+    return notes[levels > levels.max() - SOFT_NOTE_CUTOFF_DB]
 
 
 def cluster_onsets(onsets: Iterable[float], merge_window: float = MERGE_WINDOW) -> int:
@@ -192,13 +198,13 @@ def mean_pitch(notes: np.ndarray) -> float:
     return _mean(notes["key"])
 
 
-def mean_articulation(notes: np.ndarray, ioi_limit: float = IOI_LIMIT) -> float:
+def mean_articulation(notes: np.ndarray) -> float:
     """Mean duration-to-inter-onset-interval ratio.
 
     For each note the interval runs from its onset to the next distinct
     onset time within the same track, so chord tones share one interval.
     Notes at the last onset of their track have no interval and notes whose
-    interval exceeds ``ioi_limit`` sit before a gap; both are excluded.
+    interval exceeds :data:`IOI_LIMIT` sit before a gap; both are excluded.
     """
     ratios = [np.empty(0)]
     for track_id in set(notes["track_id"].tolist()):
@@ -208,7 +214,7 @@ def mean_articulation(notes: np.ndarray, ioi_limit: float = IOI_LIMIT) -> float:
         following = np.searchsorted(onsets, track["onset"], side="right")
         usable = following < len(onsets)
         ioi = onsets[following[usable]] - track["onset"][usable]
-        short = ioi <= ioi_limit
+        short = ioi <= IOI_LIMIT
         ratios.append(track["duration"][usable][short] / ioi[short])
     return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
 
@@ -267,7 +273,6 @@ def extract_midi_features(
     calibration: CalibrationCurve = default_calibration,
     tempo: Optional[float] = None,
     merge_window: float = MERGE_WINDOW,
-    tom_keys: Optional[frozenset] = None,
 ) -> MidiFeatureVector:
     """Compute the full symbolic feature vector for one song.
 
@@ -275,8 +280,10 @@ def extract_midi_features(
     song; every feature then sees the same filtered note array.  A note's
     role is its track's entry in ``song.annotations``.  Without one, a note
     on the percussion channel is drums and any other note counts toward
-    the whole-song aggregates only.  A negative or non-finite
-    ``merge_window`` raises ValueError.
+    the whole-song aggregates only.  Drum notes split into ``dru_tom``
+    (:data:`TOM_KEYS`) and ``dru_rest``.  ``tempo`` is the song's counted
+    tempo in beats per second, reported as ``ann_tempo``.  A negative or
+    non-finite ``merge_window`` raises ValueError.
     """
     if not (math.isfinite(merge_window) and merge_window >= 0):
         raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
@@ -290,7 +297,7 @@ def extract_midi_features(
         groups[suffix] = np.isin(tracks, [t for t, r in song.annotations.items() if r is role])
     unannotated = ~np.isin(tracks, list(song.annotations))
     groups["dru"] |= unannotated & (kept["channel"] == PERCUSSION_CHANNEL)
-    tom = np.isin(kept["key"], list(DEFAULT_TOM_KEYS if tom_keys is None else tom_keys))
+    tom = np.isin(kept["key"], list(TOM_KEYS))
     groups["dru_tom"] = groups["dru"] & tom
     groups["dru_rest"] = groups["dru"] & ~tom
 
@@ -304,7 +311,7 @@ def extract_midi_features(
         ("art", lambda group: mean_articulation(kept[group]), ("all", "mel", "acc", "bas")),
     )
     out = MidiFeatureVector()
-    out.ann_tempo = tempo if tempo is not None else song.annotated_tempo
+    out.ann_tempo = tempo
     for prefix, statistic, suffixes in table:
         for suffix in suffixes:
             if groups[suffix].any():

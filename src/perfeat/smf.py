@@ -18,13 +18,6 @@ import numpy as np
 DEFAULT_TEMPO = 500_000  # microseconds per quarter note until the first set-tempo
 DEFAULT_VOLUME_CC = 100  # General MIDI power-on value for controller 7
 
-# General MIDI percussion keys heard as drum-skin hits: kicks, snares, toms.
-# Everything else on the percussion channel (hi-hats, cymbals, shakers, ...)
-# falls into the complementary class.
-DEFAULT_TOM_KEYS = frozenset({35, 36, 38, 40, 41, 43, 45, 47, 48, 50})
-
-PERCUSSION_CHANNEL = 9
-
 
 class SmfError(ValueError):
     """Base class for unreadable or unsupported MIDI content."""
@@ -59,7 +52,6 @@ class TrackCategory(Enum):
     ACCOMPANIMENT = "accompaniment"
     BASS = "bass"
     DRUMS = "drums"
-    UNANNOTATED = "unannotated"
 
 
 NOTE_DTYPE = np.dtype(
@@ -85,7 +77,6 @@ class Song:
     duration: float
     n_tracks: int
     annotations: Mapping[int, TrackCategory] = field(default_factory=dict)
-    annotated_tempo: Optional[float] = None  # beats per second, from a sidecar
 
 
 class TempoMap:

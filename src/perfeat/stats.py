@@ -53,13 +53,12 @@ def stars_for_p(p: float) -> str:
     return ""
 
 
-def pearson(x: Sequence[float], y: Sequence[float], min_pairs: int = MIN_PAIRS) -> float:
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation with pairwise deletion of missing values.
 
     Parameters
     ----------
     x, y : sequences of equal length; NaN marks a missing value.
-    min_pairs : minimum number of jointly present pairs.
 
     Returns
     -------
@@ -68,7 +67,7 @@ def pearson(x: Sequence[float], y: Sequence[float], min_pairs: int = MIN_PAIRS) 
     Raises
     ------
     TooFewPairs
-        Fewer than ``min_pairs`` complete pairs.
+        Fewer than :data:`MIN_PAIRS` complete pairs.
     ConstantInput
         Either series is constant over the complete pairs.
     """
@@ -78,8 +77,8 @@ def pearson(x: Sequence[float], y: Sequence[float], min_pairs: int = MIN_PAIRS) 
         raise ValueError("inputs must be one-dimensional and equally long")
     mask = np.isfinite(x) & np.isfinite(y)
     n = int(mask.sum())
-    if n < min_pairs:
-        raise TooFewPairs(f"{n} complete pairs, need {min_pairs}")
+    if n < MIN_PAIRS:
+        raise TooFewPairs(f"{n} complete pairs, need {MIN_PAIRS}")
     xs = x[mask]
     ys = y[mask]
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
@@ -155,18 +154,19 @@ class RatingMatrix:
         )
 
 
-def cronbach_alpha(matrix: RatingMatrix, min_items: int = MIN_COMPLETE_ITEMS) -> float:
+def cronbach_alpha(matrix: RatingMatrix) -> float:
     """Internal consistency of the rater panel over complete cases.
 
     alpha = k / (k - 1) * (1 - sum of per-rater variances / variance of row
     sums), with sample variances (ddof = 1) over rows where every rater is
-    present.  Not clamped: strongly disagreeing panels go negative.
+    present.  Not clamped: strongly disagreeing panels go negative.  Fewer
+    than :data:`MIN_COMPLETE_ITEMS` such rows raise :class:`TooFewItems`.
     """
     values = matrix.values
     complete = values[np.isfinite(values).all(axis=1)]
-    if complete.shape[0] < min_items:
+    if complete.shape[0] < MIN_COMPLETE_ITEMS:
         raise TooFewItems(
-            f"{complete.shape[0]} complete items, need {min_items}"
+            f"{complete.shape[0]} complete items, need {MIN_COMPLETE_ITEMS}"
         )
     k = matrix.n_raters
     if k < 2:
@@ -289,15 +289,13 @@ def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     )
 
 
-def flag_outlier_raters(
-    matrix: RatingMatrix, sd_factor: float = OUTLIER_SD_FACTOR
-) -> List[Tuple[str, float]]:
+def flag_outlier_raters(matrix: RatingMatrix) -> List[Tuple[str, float]]:
     """Raters whose mean correlation with the others marks them as deviant.
 
     A rater is flagged when their mean pairwise correlation is negative,
-    undefined (no valid pair at all), or more than ``sd_factor`` sample
-    standard deviations below the across-rater mean.  Returns (rater id,
-    mean r) pairs; callers decide whether to trim.
+    undefined (no valid pair at all), or more than :data:`OUTLIER_SD_FACTOR`
+    sample standard deviations below the across-rater mean.  Returns (rater
+    id, mean r) pairs; callers decide whether to trim.
     """
     if matrix.n_raters < 3:
         raise ValueError("outlier flagging needs at least three raters")
@@ -312,7 +310,7 @@ def flag_outlier_raters(
     flagged = []
     for rid in matrix.rater_ids:
         m = means[rid]
-        if math.isnan(m) or m < 0 or (sd > 0 and m < grand_mean - sd_factor * sd):
+        if math.isnan(m) or m < 0 or (sd > 0 and m < grand_mean - OUTLIER_SD_FACTOR * sd):
             flagged.append((rid, m))
     return flagged
 

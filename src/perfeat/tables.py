@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 
-def fmt(value: Optional[float], decimals: int = 2) -> str:
-    """Fixed-point text for a table cell; absent values print empty."""
+def fmt(value: Optional[float]) -> str:
+    """Two-decimal text for a table cell; absent values print empty."""
     if value is None:
         return ""
     value = float(value)
@@ -21,7 +21,7 @@ def fmt(value: Optional[float], decimals: int = 2) -> str:
         return ""
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return f"{value:.{decimals}f}"
+    return f"{value:.2f}"
 
 
 def fmt_p(p: Optional[float]) -> str:

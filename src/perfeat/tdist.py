@@ -89,8 +89,3 @@ def student_t_two_tailed(t: float, df: float) -> float:
     x = df / (df + t * t)
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 
-
-def student_t_sf(t: float, df: float) -> float:
-    """One-sided upper tail P(T > t)."""
-    half = 0.5 * student_t_two_tailed(abs(t), df)
-    return half if t >= 0 else 1.0 - half

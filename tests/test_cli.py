@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -617,10 +618,40 @@ class TestConfig:
         assert f"configuration key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_is_a_cv_option_and_a_config_key_of_every_command(self, midi_corpus,
+                                                                    tmp_path):
+        corpus, _, _ = midi_corpus
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            run("extract-midi", "--midi-dir", corpus, "--seed", "1", "--out-dir", out)
+        assert err.value.code == 2
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"midi_dir": str(corpus), "seed": 1,
+                                      "out_dir": str(out)}), encoding="utf-8")
+        assert run("extract-midi", "--config", config) == 0
+        assert (out / "midi_features.csv").is_file()
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["transmogrify"])
         assert err.value.code == 2
+
+
+def test_readme_synopses_name_exactly_each_commands_options():
+    """README's "Command line" block documents every option and no other."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    documented = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["perfeat"]:
+            documented[words[1]] = set(re.findall(r"--[a-z][a-z-]*", line))
+    _, commands = cli._build_parser()
+    assert set(documented) == set(commands)
+    common = {"--help", "--config", "--out-dir"}
+    for name, parser in commands.items():
+        options = {o for o in parser._option_string_actions if o.startswith("--")}
+        assert documented[name] - common == options - common, name
 
 
 # Literal inputs, so the golden transcript does not depend on a random stream.

@@ -54,6 +54,17 @@ class TestLoadRatings:
         assert ":2:" in str(err.value)
         assert "10.0" in str(err.value)
 
+    def test_out_of_scale_names_first_cell_row_by_row(self, tmp_path):
+        path = write(tmp_path / "r.csv", "item,r1,r2\ns1,5,0\ns2,10,5\n")
+        with pytest.raises(OutOfScale, match=r":2: rating 0.0 for item 's1' by 'r2'"):
+            load_ratings(path)
+
+    def test_non_finite_text_rejected(self, tmp_path):
+        path = write(tmp_path / "r.csv", "item,r1,r2\ns1,3,4\ns2,nan,4\n")
+        for scale in ((1.0, 9.0), None):
+            with pytest.raises(SchemaError, match=r":3: 'nan' is not a finite number"):
+                load_ratings(path, scale=scale)
+
     def test_scale_bounds_inclusive(self, tmp_path):
         path = write(tmp_path / "r.csv", "item,r1,r2\ns1,1,9\n")
         matrix = load_ratings(path)
@@ -133,6 +144,20 @@ class TestSidecarLoaders:
         with pytest.raises(SchemaError):
             load_tempos(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_tempos_non_finite_text_rejected(self, tmp_path, text):
+        path = write(tmp_path / "t.csv", f"song_id,beats_per_second\ns1,{text}\n")
+        with pytest.raises(SchemaError, match=f":2: '{text}' is not a finite number"):
+            load_tempos(path)
+
+    def test_calibration_non_finite_text_rejected(self, tmp_path):
+        path = write(
+            tmp_path / "c.csv",
+            "velocity,volume,dB\n1,1,-60\n1,127,nan\n127,1,-30\n127,127,0\n",
+        )
+        with pytest.raises(SchemaError, match=r":3: 'nan' is not a finite number"):
+            load_calibration(path)
+
     def test_calibration(self, tmp_path):
         lines = ["velocity,volume,dB"]
         for velocity in (1, 64, 127):
@@ -183,6 +208,12 @@ class TestLoadTable:
         assert values[0][1] == original[0][1]
         assert values[1][0] == original[1][0]
         assert math.isnan(values[1][1])
+
+    @pytest.mark.parametrize("text", ["inf", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_text_rejected(self, tmp_path, text):
+        path = write(tmp_path / "f.csv", f"song_id,y,x\ns1,1,2\ns2,{text},3\n")
+        with pytest.raises(SchemaError, match=f":3: '{text}' is not a finite number"):
+            load_table(path)
 
     def test_needs_variable_column(self, tmp_path):
         path = write(tmp_path / "f.csv", "song_id\ns1\n")

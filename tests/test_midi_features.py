@@ -30,7 +30,7 @@ from perfeat.midi_features import (
 from perfeat.smf import Song, TrackCategory
 
 
-def song_of(notes, duration, tempo=None, annotations=None):
+def song_of(notes, duration, annotations=None):
     notes = note_array(notes)
     return Song(
         id="test",
@@ -38,7 +38,6 @@ def song_of(notes, duration, tempo=None, annotations=None):
         duration=duration,
         n_tracks=1 + int(notes["track_id"].max(initial=0)),
         annotations=dict(annotations or {}),
-        annotated_tempo=tempo,
     )
 
 
@@ -358,9 +357,6 @@ class TestExtract:
         notes = [note(0.0, 0.5)]
         roles = {0: TrackCategory.MELODY}
         assert extract_midi_features(
-            song_of(notes, 1.0, tempo=2.5, annotations=roles)
-        ).ann_tempo == 2.5
-        assert extract_midi_features(
             song_of(notes, 1.0, annotations=roles), tempo=3.0
         ).ann_tempo == 3.0
         assert extract_midi_features(
@@ -549,11 +545,8 @@ def _absent_or(statistic, notes):
 
 class TestRoleResolution:
     @PROPERTY
-    @given(
-        song=annotated_songs(),
-        tom_keys=st.none() | st.frozensets(st.integers(30, 90), max_size=30),
-    )
-    def test_fields_equal_statistics_over_track_channel_roles(self, song, tom_keys):
+    @given(song=annotated_songs())
+    def test_fields_equal_statistics_over_track_channel_roles(self, song):
         # The role of a note: its track's annotation if there is one, else
         # drums on channel 9 (MIDI channel 10), else none.
         def role(n):
@@ -563,7 +556,6 @@ class TestRoleResolution:
 
         kept = filter_soft_notes(song.notes)
         drums = [n for n in kept if role(n) is TrackCategory.DRUMS]
-        toms = GM_TOM_KEYS if tom_keys is None else tom_keys
         groups = {"all": kept}
         for category, name in ROLE_FIELDS.items():
             groups[name] = [n for n in kept if role(n) is category]
@@ -579,15 +571,15 @@ class TestRoleResolution:
         expected["sl_dru"] = _absent_or(mean_sound_level, drums)
         expected["nps_dru_tom"] = _absent_or(
             lambda g: note_density(g, song.duration),
-            [n for n in drums if int(n["key"]) in toms],
+            [n for n in drums if int(n["key"]) in GM_TOM_KEYS],
         )
         expected["nps_dru_rest"] = _absent_or(
             lambda g: note_density(g, song.duration),
-            [n for n in drums if int(n["key"]) not in toms],
+            [n for n in drums if int(n["key"]) not in GM_TOM_KEYS],
         )
         assert set(expected) == set(MidiFeatureVector.FIELDS)
 
-        v = extract_midi_features(song, tom_keys=tom_keys)
+        v = extract_midi_features(song)
         assert v.as_dict() == expected
 
 

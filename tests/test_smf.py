@@ -15,9 +15,8 @@ from helpers import (
     smf,
     track,
 )
-from perfeat.midi_features import extract_midi_features
+from perfeat.midi_features import TOM_KEYS, extract_midi_features
 from perfeat.smf import (
-    DEFAULT_TOM_KEYS,
     NOTE_DTYPE,
     MalformedHeader,
     NonMonotoneTempoEvents,
@@ -374,10 +373,10 @@ class TestAnnotations:
             annotate_tracks(self._song(), {7: TrackCategory.MELODY})
 
 
-def _one_drum_hit(key, tom_keys=None):
+def _one_drum_hit(key):
     """The drum-split fields of a half-second song with one channel-10 hit."""
     data = smf(track(note_on(0, key, 100, channel=9), note_off(480, key, channel=9)))
-    v = extract_midi_features(parse_smf(data), tom_keys=tom_keys)
+    v = extract_midi_features(parse_smf(data))
     return v.nps_dru_tom, v.nps_dru_rest
 
 
@@ -393,12 +392,8 @@ class TestPercussionClasses:
     def test_partition_is_total(self):
         for key in range(128):
             tom, rest = _one_drum_hit(key)
-            assert (tom, rest) == ((2.0, None) if key in DEFAULT_TOM_KEYS else (None, 2.0))
-        assert all(0 <= key <= 127 for key in DEFAULT_TOM_KEYS)
-
-    def test_custom_table(self):
-        assert _one_drum_hit(42, frozenset({42})) == (2.0, None)
-        assert _one_drum_hit(36, frozenset({42})) == (None, 2.0)
+            assert (tom, rest) == ((2.0, None) if key in TOM_KEYS else (None, 2.0))
+        assert all(0 <= key <= 127 for key in TOM_KEYS)
 
     def test_out_of_range(self):
         # Keys above 127 never reach the split: the parser rejects them.

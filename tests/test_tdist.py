@@ -8,7 +8,6 @@ from helpers import t_two_tailed_quadrature
 from perfeat.tdist import (
     log_beta,
     regularized_incomplete_beta,
-    student_t_sf,
     student_t_two_tailed,
 )
 
@@ -104,15 +103,6 @@ class TestStudentT:
             value = student_t_two_tailed(t, 6)
             assert value < previous
             previous = value
-
-    def test_one_sided(self):
-        assert student_t_sf(0.0, 5) == pytest.approx(0.5, abs=1e-15)
-        assert student_t_sf(2.0, 5) == pytest.approx(
-            float(scipy_stats.t.sf(2.0, 5)), abs=1e-13
-        )
-        assert student_t_sf(-2.0, 5) == pytest.approx(
-            float(scipy_stats.t.cdf(2.0, 5)), abs=1e-13
-        )
 
     def test_invalid_df(self):
         with pytest.raises(ValueError):
