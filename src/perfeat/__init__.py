@@ -10,13 +10,11 @@ cross-validation.  Everything is deterministic given its inputs and seed.
 
 from .audio_features import (
     AudioClip,
-    AudioFeatureVector,
     extract_audio_features,
     read_wav,
     stft_magnitudes,
 )
 from .midi_features import (
-    MidiFeatureVector,
     TableCalibration,
     default_calibration,
     extract_midi_features,
@@ -56,10 +54,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementReport",
     "AudioClip",
-    "AudioFeatureVector",
     "CvReport",
     "Design",
-    "MidiFeatureVector",
     "NOTE_DTYPE",
     "OlsFit",
     "PlsModel",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -287,56 +287,11 @@ def time_domain_features(clip: AudioClip) -> Tuple[float, float]:
     return zcr, rms
 
 
-@dataclass
-class AudioFeatureVector:
-    """Clip-level audio descriptors.
-
-    ``rolloff`` maps energy fraction to frequency; ``brightness`` maps
-    cutoff frequency to high-band energy share.  :meth:`names` and
-    :meth:`values` give the canonical flat column layout.
-    """
-
-    zcr: float
-    rms: float
-    centroid: float
-    spread: float
-    skewness: float
-    kurtosis: float
-    flatness: float
-    rolloff: Dict[float, float]
-    flux: float
-    brightness: Dict[float, float]
-
-    def names(self) -> Tuple[str, ...]:
-        return (
-            "zcr",
-            "rms",
-            "centroid",
-            "spread",
-            "skewness",
-            "kurtosis",
-            "flatness",
-            *(f"rolloff{fraction * 100:g}" for fraction in self.rolloff),
-            "flux",
-            *(f"bright{cutoff:g}" for cutoff in self.brightness),
-        )
-
-    def values(self) -> Tuple[float, ...]:
-        return (
-            self.zcr,
-            self.rms,
-            self.centroid,
-            self.spread,
-            self.skewness,
-            self.kurtosis,
-            self.flatness,
-            *self.rolloff.values(),
-            self.flux,
-            *self.brightness.values(),
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(zip(self.names(), self.values()))
+def _add_column(columns: Dict[str, float], column: str, value: float, kind: str) -> None:
+    """File ``value`` under ``column``; ValueError when another value has that name."""
+    if column in columns:
+        raise ValueError(f"{kind} {columns[column]} and {value} both name column {column!r}")
+    columns[column] = value
 
 
 def extract_audio_features(
@@ -346,8 +301,11 @@ def extract_audio_features(
     window: str = "hann",
     rolloff_fractions: Sequence[float] = ROLLOFF_FRACTIONS,
     brightness_cutoffs: Sequence[float] = BRIGHTNESS_CUTOFFS,
-) -> AudioFeatureVector:
+) -> Dict[str, float]:
     """Frame the clip and average per-frame descriptors over non-silent frames.
+
+    Keys are column names in order: ``zcr`` ... ``flatness``, ``rolloff85``
+    per fraction, ``flux``, ``bright1000`` per cutoff.
 
     A frame is silent when its magnitude spectrum is all zero.  Flux is
     computed over the subsequence of non-silent frames in order.  Zero
@@ -357,14 +315,19 @@ def extract_audio_features(
     matrix and equal the mean over live frames of :func:`spectral_moments`,
     :func:`spectral_flatness`, :func:`spectral_rolloff` and
     :func:`brightness` up to rounding (rolloff exactly).  Rolloff fractions
-    and brightness cutoffs are checked before the STFT runs.
+    and brightness cutoffs are checked before the STFT runs: two that name
+    one column raise ValueError.
     """
+    rolloff_columns: Dict[str, float] = {}
     for fraction in rolloff_fractions:
         if not 0.0 < fraction < 1.0:
             raise ValueError(f"rolloff fraction {fraction:g} is not strictly between 0 and 1")
+        _add_column(rolloff_columns, f"rolloff{fraction * 100:g}", fraction, "rolloff fractions")
+    bright_columns: Dict[str, float] = {}
     for cutoff in brightness_cutoffs:
         if not math.isfinite(cutoff):
             raise ValueError(f"brightness cutoff {cutoff:g} is not finite")
+        _add_column(bright_columns, f"bright{cutoff:g}", cutoff, "brightness cutoffs")
     series = stft_magnitudes(clip, frame_length, hop_length, window)
     frequencies = series.bin_frequencies
     live = series.magnitudes.any(axis=1)
@@ -409,29 +372,20 @@ def extract_audio_features(
     energy_total = energy.sum(axis=1)
     if not energy_total.all():
         raise SilentFrame("a non-silent frame's energy underflows to zero")
-    # Bin frequencies ascend, so the bins at or above a cutoff are a suffix.
-    brightnesses = {}
-    for cutoff in brightness_cutoffs:
-        above = energy[:, np.searchsorted(frequencies, cutoff) :].sum(axis=1)
-        brightnesses[float(cutoff)] = float(np.mean(above / energy_total))
+    zcr, rms = time_domain_features(clip)
+    row = {"zcr": zcr, "rms": rms, "centroid": float(centroid.mean()),
+           "spread": float(spread.mean()), "skewness": float(skewness.mean()),
+           "kurtosis": float(kurtosis.mean()), "flatness": float(flatness.mean())}
     # The count of cumulative energies below the target is the oracle's
     # left-sided searchsorted against the same row total.
     cumulative = np.cumsum(energy, axis=1, out=work)
     last = len(frequencies) - 1
-    rolloffs = {}
-    for fraction in rolloff_fractions:
+    for column, fraction in rolloff_columns.items():
         below = np.count_nonzero(cumulative < (fraction * energy_total)[:, None], axis=1)
-        rolloffs[fraction] = float(np.mean(frequencies[np.minimum(below, last)]))
-    zcr, rms = time_domain_features(clip)
-    return AudioFeatureVector(
-        zcr=zcr,
-        rms=rms,
-        centroid=float(centroid.mean()),
-        spread=float(spread.mean()),
-        skewness=float(skewness.mean()),
-        kurtosis=float(kurtosis.mean()),
-        flatness=float(flatness.mean()),
-        rolloff=rolloffs,
-        flux=flux,
-        brightness=brightnesses,
-    )
+        row[column] = float(np.mean(frequencies[np.minimum(below, last)]))
+    row["flux"] = flux
+    # Bin frequencies ascend, so the bins at or above a cutoff are a suffix.
+    for column, cutoff in bright_columns.items():
+        above = energy[:, np.searchsorted(frequencies, cutoff) :].sum(axis=1)
+        row[column] = float(np.mean(above / energy_total))
+    return row

@@ -149,9 +149,10 @@ def _emit(out_dir: Path, stem: str, columns: Sequence[str], rows, preamble: Dict
 # ------------------------------------------------------------ feature tables
 
 
-def _feature_table(args, command: str, names: Sequence[str], vectors, preamble: Dict,
+def _feature_table(args, command: str, vectors, preamble: Dict,
                    title: str, noun: str, detail: str) -> int:
-    """One row of features per input file, named by the file's stem."""
+    """One row per input file, named by its stem; the first row's keys name the columns."""
+    names = list(vectors[0][1])
     rows = [[path.stem, *vector.values()] for path, vector in vectors]
     table = ReportTable(title=title, headers=["song", *names],
                         footnotes=[f"{len(rows)} {noun}; {detail}"])
@@ -172,7 +173,7 @@ def _cmd_extract_midi(args) -> int:
         load_calibration(args.calibration) if args.calibration else mf.default_calibration
     )
 
-    def features(path: Path) -> mf.MidiFeatureVector:
+    def features(path: Path) -> Dict[str, Optional[float]]:
         song = parse_smf(path.read_bytes(), song_id=path.stem)
         song = annotate_tracks(song, annotations.get(song.id, {}))
         return mf.extract_midi_features(
@@ -182,7 +183,7 @@ def _cmd_extract_midi(args) -> int:
 
     vectors = list(_per_file(_sorted_files(midi_dir, ("*.mid", "*.midi")), features))
     return _feature_table(
-        args, "extract-midi", mf.MidiFeatureVector.FIELDS, vectors,
+        args, "extract-midi", vectors,
         {"merge_window": args.merge_window, "annotations": args.annotations or "",
          "tempos": args.tempos or "", "calibration": args.calibration or "default"},
         "Symbolic features per song", "songs",
@@ -200,7 +201,7 @@ def _cmd_extract_audio(args) -> int:
     # in again: three times the minor page faults and 13-17% more CPU.
     clip = None
 
-    def features(path: Path) -> af.AudioFeatureVector:
+    def features(path: Path) -> Dict[str, float]:
         nonlocal clip
         clip = af.read_wav(path.read_bytes())
         return af.extract_audio_features(
@@ -211,7 +212,7 @@ def _cmd_extract_audio(args) -> int:
 
     vectors = list(_per_file(_sorted_files(wav_dir, ("*.wav",)), features))
     return _feature_table(
-        args, "extract-audio", vectors[-1][1].names(), vectors,
+        args, "extract-audio", vectors,
         {"frame_length": args.frame_length, "hop_length": args.hop_length,
          "window": args.window,
          "rolloff_fractions": ",".join(f"{f:g}" for f in fractions),

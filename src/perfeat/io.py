@@ -108,20 +108,30 @@ def _records(path: PathLike, header: Tuple[str, ...]):
         yield line, row
 
 
+def _once(path: PathLike, seen: Dict[object, int], key, line: int, what: str) -> None:
+    """Record ``key`` as read on ``line``; SchemaError when an earlier line had it."""
+    if key in seen:
+        raise SchemaError(f"{path}:{line}: {what} repeats line {seen[key]}")
+    seen[key] = line
+
+
 def load_ratings(
     path: PathLike, scale: Optional[Tuple[float, float]] = (1.0, 9.0)
 ) -> RatingMatrix:
     """Read an items-by-raters rating matrix.
 
     The header row is the rater ids (its first cell labels the item column
-    and is ignored).  Empty cells are missing values.  With ``scale`` set,
-    any value outside the closed interval raises :class:`OutOfScale`
-    naming the first such cell, row by row; pass ``scale=None`` for
-    unbounded responses.
+    and is ignored).  An item id on a second row raises SchemaError.  Empty
+    cells are missing values.  With ``scale`` set, any value outside the
+    closed interval raises :class:`OutOfScale` naming the first such cell,
+    row by row; pass ``scale=None`` for unbounded responses.
     """
     item_ids, rater_ids, values, lines = _read_grid(path)
     if len(rater_ids) < 2:
         raise SchemaError(f"{path}: need an id column and two raters")
+    seen: Dict[object, int] = {}
+    for item_id, line in zip(item_ids, lines):
+        _once(path, seen, item_id, line, f"item {item_id!r}")
     if scale is not None:
         outside = np.argwhere((values < scale[0]) | (values > scale[1]))
         if len(outside):
@@ -134,8 +144,9 @@ def load_ratings(
 
 
 def load_annotations(path: PathLike) -> Dict[str, Dict[int, TrackCategory]]:
-    """Read per-song track role annotations: song_id, track_id, category."""
+    """Read per-song track role annotations: song_id, track_id, category, one row per track."""
     out: Dict[str, Dict[int, TrackCategory]] = {}
+    seen: Dict[object, int] = {}
     for line, (song_id, track_cell, category_cell) in _records(
         path, ("song_id", "track_id", "category")
     ):
@@ -151,14 +162,17 @@ def load_annotations(path: PathLike) -> Dict[str, Dict[int, TrackCategory]]:
                 f"{path}:{line}: unknown category {category_cell!r}; expected one "
                 f"of {sorted(set(_CATEGORY_ALIASES))}"
             )
+        _once(path, seen, (song_id, track_id), line, f"song {song_id!r} track {track_id}")
         out.setdefault(song_id, {})[track_id] = category
     return out
 
 
 def load_tempos(path: PathLike) -> Dict[str, float]:
-    """Read manually counted tempi: song_id, beats_per_second."""
+    """Read manually counted tempi: song_id, beats_per_second, one row per song."""
     out: Dict[str, float] = {}
+    seen: Dict[object, int] = {}
     for line, (song_id, cell) in _records(path, ("song_id", "beats_per_second")):
+        _once(path, seen, song_id, line, f"song {song_id!r}")
         value = _parse_float(cell, path, line)
         if value <= 0:
             raise SchemaError(f"{path}:{line}: tempo must be positive")

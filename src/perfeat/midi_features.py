@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,23 +82,20 @@ class TableCalibration:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple[int, int, float]]) -> "TableCalibration":
-        """Build from (velocity, volume, dB) triples covering a full grid."""
+        """Build from (velocity, volume, dB) triples covering a full grid once."""
         cells: Dict[Tuple[int, int], float] = {}
         for velocity, volume, db in rows:
-            cells[(int(velocity), int(volume))] = float(db)
+            cell = (int(velocity), int(volume))
+            if cell in cells:
+                raise ValueError(f"calibration repeats velocity={cell[0]} volume={cell[1]}")
+            cells[cell] = float(db)
         velocities = sorted({v for v, _ in cells})
         volumes = sorted({v for _, v in cells})
-        grid = []
-        for velocity in velocities:
-            row = []
-            for volume in volumes:
-                if (velocity, volume) not in cells:
-                    raise ValueError(
-                        f"calibration grid is missing velocity={velocity} volume={volume}"
-                    )
-                row.append(cells[(velocity, volume)])
-            grid.append(row)
-        return cls(velocities, volumes, grid)
+        missing = [(v, w) for v in velocities for w in volumes if (v, w) not in cells]
+        if missing:
+            velocity, volume = missing[0]
+            raise ValueError(f"calibration grid is missing velocity={velocity} volume={volume}")
+        return cls(velocities, volumes, [[cells[v, w] for w in volumes] for v in velocities])
 
     @staticmethod
     def _bracket(axis: Sequence[int], value: float) -> Tuple[int, int, float]:
@@ -219,53 +215,16 @@ def mean_articulation(notes: np.ndarray) -> float:
     return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
 
 
-@dataclass
-class MidiFeatureVector:
-    """The per-song symbolic feature set.
-
-    Field order is the canonical column order for tables.  ``None`` marks an
-    absent value (no annotated tempo, or no qualifying notes for the role).
-    """
-
-    ann_tempo: Optional[float] = None
-    nps_all: Optional[float] = None
-    nps_mel: Optional[float] = None
-    nps_acc: Optional[float] = None
-    nps_bas: Optional[float] = None
-    nps_dru: Optional[float] = None
-    nps_dru_tom: Optional[float] = None
-    nps_dru_rest: Optional[float] = None
-    sl_all: Optional[float] = None
-    sl_mel: Optional[float] = None
-    sl_acc: Optional[float] = None
-    sl_bas: Optional[float] = None
-    sl_dru: Optional[float] = None
-    f0_all: Optional[float] = None
-    f0_mel: Optional[float] = None
-    f0_acc: Optional[float] = None
-    f0_bas: Optional[float] = None
-    art_all: Optional[float] = None
-    art_mel: Optional[float] = None
-    art_acc: Optional[float] = None
-    art_bas: Optional[float] = None
-
-    FIELDS: ClassVar[Tuple[str, ...]] = ()
-
-    def as_dict(self) -> Dict[str, Optional[float]]:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    def values(self) -> Tuple[Optional[float], ...]:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-
-MidiFeatureVector.FIELDS = tuple(f.name for f in fields(MidiFeatureVector))
-
-_ROLE_SUFFIX = {
-    TrackCategory.MELODY: "mel",
-    TrackCategory.ACCOMPANIMENT: "acc",
-    TrackCategory.BASS: "bas",
-    TrackCategory.DRUMS: "dru",
-}
+FIELDS = (
+    "ann_tempo",
+    *(f"nps_{suffix}" for suffix in ("all", "mel", "acc", "bas", "dru", "dru_tom", "dru_rest")),
+    *(f"sl_{suffix}" for suffix in ("all", "mel", "acc", "bas", "dru")),
+    *(f"f0_{suffix}" for suffix in ("all", "mel", "acc", "bas")),
+    *(f"art_{suffix}" for suffix in ("all", "mel", "acc", "bas")),
+)
+"""The 21 symbolic features, in table column order.  Field ``f"{prefix}_{suffix}"``
+is the prefix's statistic over one group of notes: all of them, a role by the
+first three letters of its name (``mel`` ... ``dru``), or the drums' tom/rest split."""
 
 
 def extract_midi_features(
@@ -273,8 +232,9 @@ def extract_midi_features(
     calibration: CalibrationCurve = default_calibration,
     tempo: Optional[float] = None,
     merge_window: float = MERGE_WINDOW,
-) -> MidiFeatureVector:
-    """Compute the full symbolic feature vector for one song.
+) -> Dict[str, Optional[float]]:
+    """The symbolic features of one song: each name of :data:`FIELDS`, in order,
+    with ``None`` for an absent value.
 
     The soft-note filter runs first, once, against the loudest note of the
     song; every feature then sees the same filtered note array.  A note's
@@ -293,30 +253,28 @@ def extract_midi_features(
     levels = sound_levels(kept, calibration)
     tracks = kept["track_id"]
     groups = {"all": np.ones(len(kept), dtype=bool)}
-    for role, suffix in _ROLE_SUFFIX.items():
-        groups[suffix] = np.isin(tracks, [t for t, r in song.annotations.items() if r is role])
+    for role in TrackCategory:
+        role_tracks = [t for t, r in song.annotations.items() if r is role]
+        groups[role.value[:3]] = np.isin(tracks, role_tracks)
     unannotated = ~np.isin(tracks, list(song.annotations))
     groups["dru"] |= unannotated & (kept["channel"] == PERCUSSION_CHANNEL)
     tom = np.isin(kept["key"], list(TOM_KEYS))
     groups["dru_tom"] = groups["dru"] & tom
     groups["dru_rest"] = groups["dru"] & ~tom
 
-    # Field f"{prefix}_{suffix}" is the statistic over that group's notes.
-    table = (
-        ("nps", lambda group: note_density(kept[group], song.duration, merge_window),
-         ("all", "mel", "acc", "bas", "dru", "dru_tom", "dru_rest")),
-        ("sl", lambda group: _mean(levels[group]),
-         ("all", "mel", "acc", "bas", "dru")),
-        ("f0", lambda group: mean_pitch(kept[group]), ("all", "mel", "acc", "bas")),
-        ("art", lambda group: mean_articulation(kept[group]), ("all", "mel", "acc", "bas")),
-    )
-    out = MidiFeatureVector()
-    out.ann_tempo = tempo
-    for prefix, statistic, suffixes in table:
-        for suffix in suffixes:
-            if groups[suffix].any():
-                try:
-                    setattr(out, f"{prefix}_{suffix}", statistic(groups[suffix]))
-                except EmptyCategory:
-                    pass  # no qualifying notes: the field stays absent
+    statistics = {
+        "nps": lambda group: note_density(kept[group], song.duration, merge_window),
+        "sl": lambda group: _mean(levels[group]),
+        "f0": lambda group: mean_pitch(kept[group]),
+        "art": lambda group: mean_articulation(kept[group]),
+    }
+    out: Dict[str, Optional[float]] = dict.fromkeys(FIELDS)
+    out["ann_tempo"] = tempo
+    for name in FIELDS[1:]:
+        prefix, suffix = name.split("_", 1)
+        if groups[suffix].any():
+            try:
+                out[name] = statistics[prefix](groups[suffix])
+            except EmptyCategory:
+                pass  # no qualifying notes: the field stays absent
     return out

@@ -196,7 +196,7 @@ def test_midi_known_answers():
     onsets = clustering.notes["onset"].tolist()
     _expect(failures, onsets == [0.0, 0.03125, 2.0, 5.0], f"onsets {onsets}")
     vector = extract_midi_features(clustering)
-    _expect(failures, vector.nps_all == 0.3, f"nps_all {vector.nps_all!r} != 0.3")
+    _expect(failures, vector["nps_all"] == 0.3, f"nps_all {vector['nps_all']!r} != 0.3")
 
     # Duration 0.375 s against a 0.5 s inter-onset gap; the trailing note
     # has no successor and contributes nothing.
@@ -222,7 +222,7 @@ def test_midi_known_answers():
         f"note mismatch: {articulation.notes}",
     )
     vector = extract_midi_features(articulation)
-    _expect(failures, vector.art_all == 0.75, f"art_all {vector.art_all!r} != 0.75")
+    _expect(failures, vector["art_all"] == 0.75, f"art_all {vector['art_all']!r} != 0.75")
 
     # A chord at full, -10 dB and -30 dB: the quietest note falls 20 dB
     # below the loudest and is gated out of every feature.
@@ -243,11 +243,11 @@ def test_midi_known_answers():
     level_mid = 20 * math.log10(40 / 127) + 20 * math.log10(127 / 127)
     expected_level = math.fsum([0.0, level_mid]) / 2.0
     _expect(
-        failures, vector.sl_all == expected_level,
-        f"sl_all {vector.sl_all!r} != {expected_level!r}",
+        failures, vector["sl_all"] == expected_level,
+        f"sl_all {vector['sl_all']!r} != {expected_level!r}",
     )
-    _expect(failures, vector.nps_all == 0.5, f"gated nps_all {vector.nps_all!r}")
-    _expect(failures, vector.f0_all == 62.0, f"gated f0_all {vector.f0_all!r}")
+    _expect(failures, vector["nps_all"] == 0.5, f"gated nps_all {vector['nps_all']!r}")
+    _expect(failures, vector["f0_all"] == 62.0, f"gated f0_all {vector['f0_all']!r}")
     _finish("midi-known-answers", failures, started, 1.0)
 
 
@@ -258,12 +258,12 @@ def test_audio_known_answers():
     rate = 44100
     t = np.arange(rate) / rate
     vector = extract_audio_features(AudioClip(np.sin(2 * np.pi * 1000.0 * t), rate))
-    _expect(failures, abs(vector.rms - 0.7071) <= 0.001, f"rms {vector.rms}")
-    _expect(failures, abs(vector.zcr - 2000.0) <= 2.0, f"zcr {vector.zcr}")
+    _expect(failures, abs(vector["rms"] - 0.7071) <= 0.001, f"rms {vector['rms']}")
+    _expect(failures, abs(vector["zcr"] - 2000.0) <= 2.0, f"zcr {vector['zcr']}")
     bin_width = rate / 2048
     _expect(
-        failures, abs(vector.centroid - 1000.0) <= bin_width,
-        f"centroid {vector.centroid} off by more than one bin",
+        failures, abs(vector["centroid"] - 1000.0) <= bin_width,
+        f"centroid {vector['centroid']} off by more than one bin",
     )
 
     rng = np.random.default_rng(50)

@@ -389,7 +389,7 @@ class TestExtract:
         sample_rate = 8000
         clip = AudioClip(sine(440.0, 1.0, sample_rate), sample_rate)
         vector = extract_audio_features(clip)
-        assert vector.names() == (
+        assert tuple(vector) == (
             "zcr", "rms", "centroid", "spread", "skewness", "kurtosis",
             "flatness", "rolloff85", "rolloff95", "flux",
             "bright1000", "bright1500", "bright3000",
@@ -402,14 +402,14 @@ class TestExtract:
         clip = AudioClip(sine(frequency, 2.0, sample_rate), sample_rate)
         vector = extract_audio_features(clip)
         bin_width = sample_rate / 2048
-        assert abs(vector.centroid - frequency) < 2 * bin_width
+        assert abs(vector["centroid"] - frequency) < 2 * bin_width
 
     def test_high_sine_is_bright_low_sine_is_not(self):
         sample_rate = 8000
         high = extract_audio_features(AudioClip(sine(2000.0, 1.0, sample_rate), sample_rate))
         low = extract_audio_features(AudioClip(sine(300.0, 1.0, sample_rate), sample_rate))
-        assert high.brightness[1500.0] > 0.98
-        assert low.brightness[1500.0] < 0.02
+        assert high["bright1500"] > 0.98
+        assert low["bright1500"] < 0.02
 
     def test_silence_padding_invariance(self):
         # Content that already ends in a frame of zeros: appending whole
@@ -421,9 +421,10 @@ class TestExtract:
         b = extract_audio_features(AudioClip(padded, sample_rate))
         for name in ("centroid", "spread", "skewness", "kurtosis", "flatness",
                      "flux"):
-            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-12)
-        assert b.rolloff == a.rolloff
-        assert b.brightness == pytest.approx(a.brightness)
+            assert b[name] == pytest.approx(a[name], rel=1e-12)
+        assert [b["rolloff85"], b["rolloff95"]] == [a["rolloff85"], a["rolloff95"]]
+        bright = ("bright1000", "bright1500", "bright3000")
+        assert [b[name] for name in bright] == pytest.approx([a[name] for name in bright])
 
     def test_amplitude_scale_invariance_of_spectral_shape(self):
         sample_rate = 8000
@@ -432,10 +433,10 @@ class TestExtract:
         a = extract_audio_features(AudioClip(x, sample_rate))
         b = extract_audio_features(AudioClip(0.05 * x, sample_rate))
         for name in ("centroid", "spread", "skewness", "kurtosis", "flatness"):
-            assert getattr(b, name) == pytest.approx(getattr(a, name), rel=1e-9)
-        assert b.rolloff == a.rolloff
-        assert b.rms == pytest.approx(0.05 * a.rms, rel=1e-12)
-        assert b.flux == pytest.approx(0.05 * a.flux, rel=1e-9)
+            assert b[name] == pytest.approx(a[name], rel=1e-9)
+        assert [b["rolloff85"], b["rolloff95"]] == [a["rolloff85"], a["rolloff95"]]
+        assert b["rms"] == pytest.approx(0.05 * a["rms"], rel=1e-12)
+        assert b["flux"] == pytest.approx(0.05 * a["flux"], rel=1e-9)
 
     def test_all_silent_raises(self):
         with pytest.raises(AllFramesSilent):
@@ -447,7 +448,7 @@ class TestExtract:
         clip = read_wav(wav(pcm16(x), sample_rate))
         vector = extract_audio_features(clip)
         direct = extract_audio_features(AudioClip(pcm16(x) / 32768.0, sample_rate))
-        assert vector.centroid == pytest.approx(direct.centroid, rel=1e-12)
+        assert vector["centroid"] == pytest.approx(direct["centroid"], rel=1e-12)
 
     def test_energy_underflow_is_a_silent_frame(self):
         # Magnitudes this small are non-zero but square to zero.
@@ -473,6 +474,20 @@ class TestDescriptorArguments:
         with pytest.raises(ValueError, match="brightness cutoff") as raised:
             extract_audio_features(self.SHORT, brightness_cutoffs=(1000.0, cutoff))
         assert not isinstance(raised.value, ClipTooShort)
+
+    @pytest.mark.parametrize("option, values, message", [
+        ("rolloff_fractions", (0.85, 0.85),
+         "rolloff fractions 0.85 and 0.85 both name column 'rolloff85'"),
+        ("rolloff_fractions", (0.85, 0.95, 0.8500000001),
+         "rolloff fractions 0.85 and 0.8500000001 both name column 'rolloff85'"),
+        ("brightness_cutoffs", (1000.0, 1000.0000001),
+         "brightness cutoffs 1000.0 and 1000.0000001 both name column 'bright1000'"),
+    ])
+    def test_values_that_share_a_column_name(self, option, values, message):
+        # A row keyed by column name would otherwise keep one of the two.
+        with pytest.raises(ValueError) as raised:
+            extract_audio_features(self.SHORT, **{option: values})
+        assert str(raised.value) == message
 
 
 # Derandomized so that every run of the suite draws the same examples.
@@ -548,25 +563,36 @@ class TestBatchedDescriptors:
     def test_equals_mean_of_single_frame_oracles(self, magnitudes, fractions,
                                                  cutoffs):
         frequencies = np.linspace(0.0, 4000.0, magnitudes.shape[1])
-        vector = _extract_from(magnitudes, frequencies, rolloff_fractions=fractions,
-                               brightness_cutoffs=cutoffs)
+        # Values that share a column name are rejected; the oracles then
+        # check the first value of each name.
+        rolloffs, brights = {}, {}
+        for fraction in fractions:
+            rolloffs.setdefault(f"rolloff{fraction * 100:g}", fraction)
+        for cutoff in cutoffs:
+            brights.setdefault(f"bright{cutoff:g}", cutoff)
+        if len(rolloffs) < len(fractions) or len(brights) < len(cutoffs):
+            with pytest.raises(ValueError, match="both name column"):
+                _extract_from(magnitudes, frequencies, rolloff_fractions=fractions,
+                              brightness_cutoffs=cutoffs)
+        vector = _extract_from(magnitudes, frequencies, rolloff_fractions=list(rolloffs.values()),
+                               brightness_cutoffs=list(brights.values()))
         live = magnitudes[magnitudes.any(axis=1)]
         moments = [spectral_moments(frame, frequencies) for frame in live]
         nyquist = frequencies[-1]
         for name, scale in (("centroid", nyquist), ("spread", nyquist),
                             ("skewness", 1.0), ("kurtosis", 1.0)):
             oracle = np.mean([getattr(m, name) for m in moments])
-            assert _close(getattr(vector, name), oracle, scale), name
+            assert _close(vector[name], oracle, scale), name
         oracle = np.mean([spectral_flatness(frame) for frame in live])
-        assert _close(vector.flatness, oracle, 1.0)
-        for cutoff in cutoffs:
+        assert _close(vector["flatness"], oracle, 1.0)
+        for name, cutoff in brights.items():
             oracle = np.mean([brightness(frame, frequencies, cutoff) for frame in live])
-            assert _close(vector.brightness[cutoff], oracle, 1.0), cutoff
-        for fraction in fractions:
+            assert _close(vector[name], oracle, 1.0), cutoff
+        for name, fraction in rolloffs.items():
             oracle = np.mean([spectral_rolloff(frame, frequencies, fraction)
                               for frame in live])
-            assert vector.rolloff[fraction] == oracle, fraction
-        assert vector.flux == spectral_flux(live)
+            assert vector[name] == oracle, fraction
+        assert vector["flux"] == spectral_flux(live)
 
     def test_zero_bins_and_single_lines_raise_no_warning(self):
         # Two-sample rectangular frames have the exact spectrum
@@ -581,8 +607,8 @@ class TestBatchedDescriptors:
                                             window="rect")
             batched = _extract_from(magnitudes, np.array([0.0, 2000.0, 4000.0]))
         # Three of the four live frames are lines; the flat one has kurtosis 1.
-        assert vector.skewness == 0.0
-        assert vector.kurtosis == pytest.approx(0.25, rel=1e-12)
-        assert vector.flatness == pytest.approx(0.5, rel=1e-12)
-        assert batched.flatness == 0.0
-        assert batched.centroid == pytest.approx((4000.0 + 8000.0 / 3) / 3, rel=1e-12)
+        assert vector["skewness"] == 0.0
+        assert vector["kurtosis"] == pytest.approx(0.25, rel=1e-12)
+        assert vector["flatness"] == pytest.approx(0.5, rel=1e-12)
+        assert batched["flatness"] == 0.0
+        assert batched["centroid"] == pytest.approx((4000.0 + 8000.0 / 3) / 3, rel=1e-12)

@@ -1,5 +1,6 @@
 """End-to-end command tests on small generated corpora."""
 
+import ast
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import note_on, note_off, pcm16, set_tempo, smf, track, wav
+import perfeat
 from perfeat import cli
 from perfeat.io import load_table
 from perfeat.midi_features import extract_midi_features
@@ -201,7 +203,7 @@ class TestExtractAudio:
         assert item_ids == ("clip_high", "clip_low")  # sorted by file name
         for song_id, row in zip(item_ids, values):
             clip = read_wav((wav_corpus / f"{song_id}.wav").read_bytes())
-            expected = extract_audio_features(clip).values()
+            expected = list(extract_audio_features(clip).values())
             np.testing.assert_allclose(row, expected, rtol=1e-12)
 
     def test_custom_cutoffs_change_columns(self, wav_corpus, tmp_path):
@@ -213,6 +215,18 @@ class TestExtractAudio:
         _, names, _ = load_table(out / "audio_features.csv")
         assert "rolloff50" in names and "bright2000" in names
         assert "rolloff85" not in names
+
+    @pytest.mark.parametrize("option, values, column", [
+        ("--rolloff-fractions", "0.85,0.8500000001", "rolloff85"),
+        ("--brightness-cutoffs", "1000,1000.0000001", "bright1000"),
+    ])
+    def test_colliding_column_names_fail(self, wav_corpus, tmp_path, capsys,
+                                         option, values, column):
+        out = tmp_path / "out"
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", out,
+                   option, values) == 1
+        assert f"both name column '{column}'" in capsys.readouterr().err
+        assert not (out / "audio_features.csv").exists()
 
     @pytest.mark.parametrize("frame_length", ["0", "-8", "1"])
     def test_frame_length_below_two_names_the_file(self, wav_corpus, tmp_path,
@@ -652,6 +666,18 @@ def test_readme_synopses_name_exactly_each_commands_options():
     for name, parser in commands.items():
         options = {o for o in parser._option_string_actions if o.startswith("--")}
         assert documented[name] - common == options - common, name
+
+
+def test_readme_library_imports_only_exported_names():
+    """README's "Library" block imports from perfeat only names in __all__,
+    and every name in __all__ resolves on the package."""
+    readme = Path(__file__).parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imported = {alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "perfeat"
+                for alias in node.names}
+    assert imported and imported <= set(perfeat.__all__), imported - set(perfeat.__all__)
+    assert [name for name in perfeat.__all__ if not hasattr(perfeat, name)] == []
 
 
 # Literal inputs, so the golden transcript does not depend on a random stream.

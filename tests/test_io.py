@@ -107,6 +107,12 @@ class TestLoadRatings:
         with pytest.raises(SchemaError):
             load_ratings(path)
 
+    def test_repeated_item_rejected(self, tmp_path):
+        # One item on two rows would count twice in n_items but once in the means.
+        path = write(tmp_path / "r.csv", "item,r1,r2,r3\ns1,3,4,3\ns2,5,5,5\ns1,7,8,7\n")
+        with pytest.raises(SchemaError, match=r"r\.csv:4: item 's1' repeats line 2$"):
+            load_ratings(path)
+
 
 class TestSidecarLoaders:
     def test_annotations(self, tmp_path):
@@ -129,6 +135,14 @@ class TestSidecarLoaders:
             load_annotations(path)
         assert "lead" in str(err.value)
 
+    def test_annotations_repeated_track_rejected(self, tmp_path):
+        path = write(
+            tmp_path / "a.csv",
+            "song_id,track_id,category\ns1,1,melody\ns2,1,bass\ns1,01,bass\n",
+        )
+        with pytest.raises(SchemaError, match=r":4: song 's1' track 1 repeats line 2$"):
+            load_annotations(path)
+
     def test_annotations_bad_track_id(self, tmp_path):
         path = write(tmp_path / "a.csv", "song_id,track_id,category\ns1,first,melody\n")
         with pytest.raises(SchemaError) as err:
@@ -138,6 +152,11 @@ class TestSidecarLoaders:
     def test_tempos(self, tmp_path):
         path = write(tmp_path / "t.csv", "song_id,beats_per_second\ns1,2.4\ns2,1.95\n")
         assert load_tempos(path) == {"s1": 2.4, "s2": 1.95}
+
+    def test_tempos_repeated_song_rejected(self, tmp_path):
+        path = write(tmp_path / "t.csv", "song_id,beats_per_second\ns1,2.0\ns1,3.0\n")
+        with pytest.raises(SchemaError, match=r":3: song 's1' repeats line 2$"):
+            load_tempos(path)
 
     def test_tempos_must_be_positive(self, tmp_path):
         path = write(tmp_path / "t.csv", "song_id,beats_per_second\ns1,0\n")
@@ -170,6 +189,15 @@ class TestSidecarLoaders:
         assert calibration(64, 127) == pytest.approx(
             20 * math.log10(64 / 127), abs=1e-12
         )
+
+    def test_calibration_repeated_cell_rejected(self, tmp_path):
+        path = write(
+            tmp_path / "c.csv",
+            "velocity,volume,dB\n1,1,-60\n1,127,-30\n127,1,-30\n127,127,0\n127,127,-50\n",
+        )
+        with pytest.raises(SchemaError,
+                           match=r"c\.csv: calibration repeats velocity=127 volume=127"):
+            load_calibration(path)
 
     def test_calibration_incomplete_grid(self, tmp_path):
         path = write(

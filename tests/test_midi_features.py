@@ -12,9 +12,9 @@ from helpers import note, notes as note_array
 from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
+    FIELDS,
     SOFT_NOTE_CUTOFF_DB,
     EmptyCategory,
-    MidiFeatureVector,
     NonPositiveDuration,
     TableCalibration,
     cluster_onsets,
@@ -269,7 +269,7 @@ class TestArticulation:
 
 class TestExtract:
     def test_field_catalog(self):
-        assert MidiFeatureVector.FIELDS == (
+        assert FIELDS == (
             "ann_tempo",
             "nps_all", "nps_mel", "nps_acc", "nps_bas", "nps_dru",
             "nps_dru_tom", "nps_dru_rest",
@@ -277,7 +277,7 @@ class TestExtract:
             "f0_all", "f0_mel", "f0_acc", "f0_bas",
             "art_all", "art_mel", "art_acc", "art_bas",
         )
-        assert len(MidiFeatureVector.FIELDS) == 21
+        assert len(FIELDS) == 21
 
     @pytest.mark.parametrize("window", [-1.0, math.nan, math.inf, -math.inf])
     def test_merge_window_must_be_finite_and_non_negative(self, window):
@@ -287,7 +287,7 @@ class TestExtract:
 
     def test_zero_merge_window_is_accepted(self):
         song = song_of([note(0.0, 0.4), note(0.01, 0.4, key=64)], 1.0)
-        assert extract_midi_features(song, merge_window=0.0).nps_all == 2.0
+        assert extract_midi_features(song, merge_window=0.0)["nps_all"] == 2.0
 
     def test_single_melody_track_degenerates(self):
         notes = [
@@ -298,14 +298,14 @@ class TestExtract:
         v = extract_midi_features(
             song_of(notes, 2.0, annotations={0: TrackCategory.MELODY})
         )
-        assert v.nps_all == v.nps_mel == pytest.approx(1.5, abs=1e-12)
-        assert v.sl_all == v.sl_mel
-        assert v.f0_all == v.f0_mel == pytest.approx(63.6667, abs=1e-3)
-        assert v.art_all == v.art_mel == pytest.approx(0.8, abs=1e-12)
+        assert v["nps_all"] == v["nps_mel"] == pytest.approx(1.5, abs=1e-12)
+        assert v["sl_all"] == v["sl_mel"]
+        assert v["f0_all"] == v["f0_mel"] == pytest.approx(63.6667, abs=1e-3)
+        assert v["art_all"] == v["art_mel"] == pytest.approx(0.8, abs=1e-12)
         for name in ("nps_acc", "nps_bas", "nps_dru", "nps_dru_tom",
                      "nps_dru_rest", "sl_acc", "sl_bas", "sl_dru",
                      "f0_acc", "f0_bas", "art_acc", "art_bas"):
-            assert getattr(v, name) is None
+            assert v[name] is None
 
     def test_percussion_split(self):
         notes = [
@@ -316,11 +316,11 @@ class TestExtract:
         v = extract_midi_features(
             song_of(notes, 2.0, annotations={0: TrackCategory.DRUMS})
         )
-        assert v.nps_dru == pytest.approx(1.5, abs=1e-12)
-        assert v.nps_dru_tom == pytest.approx(1.0, abs=1e-12)
-        assert v.nps_dru_rest == pytest.approx(0.5, abs=1e-12)
-        assert v.f0_all is not None  # drums still count toward the pooled pitch
-        assert v.f0_mel is None
+        assert v["nps_dru"] == pytest.approx(1.5, abs=1e-12)
+        assert v["nps_dru_tom"] == pytest.approx(1.0, abs=1e-12)
+        assert v["nps_dru_rest"] == pytest.approx(0.5, abs=1e-12)
+        assert v["f0_all"] is not None  # drums still count toward the pooled pitch
+        assert v["f0_mel"] is None
 
     def test_soft_filter_runs_once_globally(self):
         # The drum note is within 20 dB of the loudest drum but not of the
@@ -336,9 +336,9 @@ class TestExtract:
                 annotations={0: TrackCategory.MELODY, 1: TrackCategory.DRUMS},
             )
         )
-        assert v.nps_dru is None
-        assert v.sl_dru is None
-        assert v.nps_all == pytest.approx(1.0, abs=1e-12)
+        assert v["nps_dru"] is None
+        assert v["sl_dru"] is None
+        assert v["nps_all"] == pytest.approx(1.0, abs=1e-12)
 
     def test_unannotated_notes_count_in_pooled_only(self):
         notes = [
@@ -348,24 +348,25 @@ class TestExtract:
         v = extract_midi_features(
             song_of(notes, 2.0, annotations={0: TrackCategory.MELODY})
         )
-        assert v.nps_all == pytest.approx(1.0, abs=1e-12)
-        assert v.nps_mel == pytest.approx(0.5, abs=1e-12)
-        assert v.f0_all == pytest.approx(66.0, abs=1e-12)
-        assert v.f0_mel == pytest.approx(60.0, abs=1e-12)
+        assert v["nps_all"] == pytest.approx(1.0, abs=1e-12)
+        assert v["nps_mel"] == pytest.approx(0.5, abs=1e-12)
+        assert v["f0_all"] == pytest.approx(66.0, abs=1e-12)
+        assert v["f0_mel"] == pytest.approx(60.0, abs=1e-12)
 
     def test_annotated_tempo_passthrough(self):
         notes = [note(0.0, 0.5)]
         roles = {0: TrackCategory.MELODY}
         assert extract_midi_features(
             song_of(notes, 1.0, annotations=roles), tempo=3.0
-        ).ann_tempo == 3.0
+        )["ann_tempo"] == 3.0
         assert extract_midi_features(
             song_of(notes, 1.0, annotations=roles)
-        ).ann_tempo is None
+        )["ann_tempo"] is None
 
     def test_empty_song_all_absent(self):
         v = extract_midi_features(song_of([], 0.0))
         assert all(value is None for value in v.values())
+        assert tuple(v) == FIELDS  # every key, in column order, even when all are absent
 
 
 def _random_song(rng, n_tracks=3):
@@ -419,8 +420,8 @@ class TestExtractProperties:
             base = extract_midi_features(song)
             scaled = extract_midi_features(halved)
             shift = 20 * math.log10(2.0)
-            for name in MidiFeatureVector.FIELDS:
-                a, b = getattr(base, name), getattr(scaled, name)
+            for name in FIELDS:
+                a, b = base[name], scaled[name]
                 if name.startswith("sl_"):
                     if a is not None:
                         assert b == pytest.approx(a + shift, abs=1e-9)
@@ -448,8 +449,8 @@ class TestExtractProperties:
             )
             base = extract_midi_features(song)
             moved = extract_midi_features(shifted)
-            for name in MidiFeatureVector.FIELDS:
-                a, b = getattr(base, name), getattr(moved, name)
+            for name in FIELDS:
+                a, b = base[name], moved[name]
                 if a is None:
                     assert b is None
                 else:
@@ -475,10 +476,10 @@ class TestExtractProperties:
             song = _random_song(rng)
             wide = extract_midi_features(song)
             sharp = extract_midi_features(song, merge_window=0.0)
-            for name in MidiFeatureVector.FIELDS:
+            for name in FIELDS:
                 if not name.startswith("nps_"):
                     continue
-                a, b = getattr(wide, name), getattr(sharp, name)
+                a, b = wide[name], sharp[name]
                 if a is not None:
                     assert b is not None and b >= a - 1e-12
 
@@ -487,11 +488,11 @@ class TestExtractProperties:
         for _ in range(30):
             song = _random_song(rng)
             v = extract_midi_features(song)
-            if v.sl_all is None:
+            if v["sl_all"] is None:
                 continue
             levels = sound_levels(filter_soft_notes(song.notes))
-            assert levels.min() - 1e-12 <= v.sl_all <= levels.max() + 1e-12
-            assert v.sl_all <= 0.0 + 1e-12
+            assert levels.min() - 1e-12 <= v["sl_all"] <= levels.max() + 1e-12
+            assert v["sl_all"] <= 0.0 + 1e-12
 
 
 # Derandomized so that every run of the suite draws the same examples.
@@ -577,10 +578,10 @@ class TestRoleResolution:
             lambda g: note_density(g, song.duration),
             [n for n in drums if int(n["key"]) not in GM_TOM_KEYS],
         )
-        assert set(expected) == set(MidiFeatureVector.FIELDS)
+        assert set(expected) == set(FIELDS)
 
         v = extract_midi_features(song)
-        assert v.as_dict() == expected
+        assert v == expected
 
 
 def articulation_by_loop(rows, ioi_limit=IOI_LIMIT):

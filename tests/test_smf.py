@@ -327,33 +327,33 @@ class TestAnnotations:
         song = annotate_tracks(self._song(), roles)
         assert song.annotations == roles
         v = extract_midi_features(song)
-        assert v.nps_mel == v.nps_bas == v.nps_dru == pytest.approx(2.0, abs=1e-12)
-        assert v.f0_mel == 60.0 and v.f0_bas == 40.0
-        assert v.nps_acc is None
+        assert v["nps_mel"] == v["nps_bas"] == v["nps_dru"] == pytest.approx(2.0, abs=1e-12)
+        assert v["f0_mel"] == 60.0 and v["f0_bas"] == 40.0
+        assert v["nps_acc"] is None
 
     def test_percussion_channel_defaults_to_drums(self):
         song = annotate_tracks(self._song(), {0: TrackCategory.MELODY})
         assert song.annotations == {0: TrackCategory.MELODY}
         v = extract_midi_features(song)
-        assert v.nps_dru == pytest.approx(2.0, abs=1e-12)
-        assert v.nps_dru_tom == pytest.approx(2.0, abs=1e-12)  # key 45 is a tom
-        assert v.nps_bas is None and v.nps_acc is None  # track 1 stays unannotated
-        assert v.f0_all == pytest.approx((60 + 40 + 45) / 3, abs=1e-12)
+        assert v["nps_dru"] == pytest.approx(2.0, abs=1e-12)
+        assert v["nps_dru_tom"] == pytest.approx(2.0, abs=1e-12)  # key 45 is a tom
+        assert v["nps_bas"] is None and v["nps_acc"] is None  # track 1 stays unannotated
+        assert v["f0_all"] == pytest.approx((60 + 40 + 45) / 3, abs=1e-12)
 
     def test_percussion_default_needs_no_annotation_call(self):
         song = self._song()
         assert extract_midi_features(song) == extract_midi_features(
             annotate_tracks(song, {})
         )
-        assert extract_midi_features(song).nps_dru == pytest.approx(2.0, abs=1e-12)
+        assert extract_midi_features(song)["nps_dru"] == pytest.approx(2.0, abs=1e-12)
 
     def test_explicit_annotation_beats_channel_default(self):
         song = annotate_tracks(self._song(), {2: TrackCategory.ACCOMPANIMENT})
         assert song.annotations == {2: TrackCategory.ACCOMPANIMENT}
         v = extract_midi_features(song)
-        assert v.nps_acc == pytest.approx(2.0, abs=1e-12)
-        assert v.f0_acc == 45.0
-        assert v.nps_dru is None and v.nps_dru_tom is None and v.sl_dru is None
+        assert v["nps_acc"] == pytest.approx(2.0, abs=1e-12)
+        assert v["f0_acc"] == 45.0
+        assert v["nps_dru"] is None and v["nps_dru_tom"] is None and v["sl_dru"] is None
 
     def test_notes_are_not_rebuilt(self):
         song = self._song()
@@ -377,7 +377,7 @@ def _one_drum_hit(key):
     """The drum-split fields of a half-second song with one channel-10 hit."""
     data = smf(track(note_on(0, key, 100, channel=9), note_off(480, key, channel=9)))
     v = extract_midi_features(parse_smf(data))
-    return v.nps_dru_tom, v.nps_dru_rest
+    return v["nps_dru_tom"], v["nps_dru_rest"]
 
 
 class TestPercussionClasses:
