@@ -68,17 +68,21 @@ class TableCalibration:
         volumes: Sequence[int],
         level_db: Sequence[Sequence[float]],
     ):
-        self.velocities = sorted(set(int(v) for v in velocities))
-        self.volumes = sorted(set(int(v) for v in volumes))
-        if len(self.velocities) != len(velocities) or len(self.volumes) != len(volumes):
+        velocities = [int(v) for v in velocities]
+        volumes = [int(v) for v in volumes]
+        if len(set(velocities)) != len(velocities) or len(set(volumes)) != len(volumes):
             raise ValueError("calibration axes contain duplicates")
-        if len(self.velocities) < 2 or len(self.volumes) < 2:
+        if len(velocities) < 2 or len(volumes) < 2:
             raise ValueError("calibration needs at least a 2 x 2 grid")
-        self.level_db = [[float(x) for x in row] for row in level_db]
-        if len(self.level_db) != len(self.velocities) or any(
-            len(row) != len(self.volumes) for row in self.level_db
-        ):
+        level_db = [[float(x) for x in row] for row in level_db]
+        if len(level_db) != len(velocities) or any(len(row) != len(volumes) for row in level_db):
             raise ValueError("calibration grid shape does not match its axes")
+        # Sort both axes, carrying the grid's rows and columns along.
+        rows = sorted(range(len(velocities)), key=velocities.__getitem__)
+        columns = sorted(range(len(volumes)), key=volumes.__getitem__)
+        self.velocities = [velocities[i] for i in rows]
+        self.volumes = [volumes[j] for j in columns]
+        self.level_db = [[level_db[i][j] for j in columns] for i in rows]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Tuple[int, int, float]]) -> "TableCalibration":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,6 +103,12 @@ def _check_rows_and_predictors(X: np.ndarray, names: Sequence[str]) -> None:
         raise RankDeficient(f"predictor {names[j]!r} is constant")
 
 
+def _check_response(y: np.ndarray) -> None:
+    """Require a response that takes more than one value."""
+    if np.ptp(y) == 0:
+        raise ConstantResponse("response does not vary")
+
+
 class _LinearModel:
     """A fitted affine map, ``intercept + X @ coef`` over the columns ``names``."""
 
@@ -180,9 +186,8 @@ def ols_fit(design: Design) -> OlsFit:
     fitted = X1 @ coef
     resid = y - fitted
     sse = float(resid @ resid)
+    _check_response(y)
     sst = float(((y - y.mean()) ** 2).sum())
-    if sst == 0:
-        raise ConstantResponse("response does not vary")
     if sse <= 1e-24 * sst:  # exact fit up to rounding noise
         sse = 0.0
     r2 = 1.0 - sse / sst
@@ -238,77 +243,123 @@ class PlsModel(_LinearModel):
     truncated: bool
 
 
+class _Autoscaled(NamedTuple):
+    """A stack of B designs, autoscaled along their rows, with X'X held as R'R."""
+
+    x_mean: np.ndarray  # (B, k)
+    x_scale: np.ndarray  # (B, k)
+    y_mean: np.ndarray  # (B,)
+    y_scale: np.ndarray  # (B,)
+    gram_root: np.ndarray  # (B, k, k): R, the triangular QR factor of Xs
+    xy: np.ndarray  # (B, k): Xs'ys
+    rank: np.ndarray  # (B,): the rank of Xs
+
+
+def _autoscale(X: np.ndarray, y: np.ndarray) -> _Autoscaled:
+    """Centre and scale each design of the stack ``X`` (B, n, k), ``y`` (B, n).
+
+    Forming X'X would square the condition number; on an ill-conditioned
+    design its rounding swamps the later factors.  So X'X is held as R'R,
+    from one batched QR of the autoscaled designs.  The rank comes from the
+    singular values of R, which are those of Xs, with ``matrix_rank``'s
+    tolerance for the n x k shape: an eigenvalue count on X'X would count
+    rounding noise as rank.  A constant column or response keeps a scale of
+    1, so that a degenerate design still gives finite numbers for the
+    caller to reject.
+    """
+    x_mean = X.mean(axis=1)
+    x_scale = X.std(axis=1, ddof=1)
+    y_mean = y.mean(axis=1)
+    y_scale = y.std(axis=1, ddof=1)
+    Xs = (X - x_mean[:, None]) / np.where(x_scale > 0, x_scale, 1.0)[:, None]
+    ys = (y - y_mean[:, None]) / np.where(y_scale > 0, y_scale, 1.0)[:, None]
+    gram_root = np.linalg.qr(Xs, mode="r")
+    singular_values = np.linalg.svd(gram_root, compute_uv=False)
+    tolerance = singular_values.max(axis=1) * max(X.shape[1:]) * np.finfo(float).eps
+    rank = (singular_values > tolerance[:, None]).sum(axis=1)
+    xy = np.einsum("bnk,bn->bk", Xs, ys)
+    return _Autoscaled(x_mean, x_scale, y_mean, y_scale, gram_root, xy, rank)
+
+
+def _pls_kernel(scaled: _Autoscaled, m: int):
+    """Fit ``m`` kernel-PLS factors to each design of an autoscaled stack.
+
+    Each factor takes its weight from the current ``xy``, deflates ``xy``
+    by the factor's share, and adds its term to the regression vector.  A
+    design whose ``xy`` or factor score energy vanishes keeps the factors
+    it has and takes no more.  Returns the regression vectors on the
+    autoscaled scale (B, k), the same maps in original units as
+    coefficients (B, k) and intercepts (B,), and the factor counts kept.
+    Products are BLAS-free ``einsum``, so no thread count moves a bit.
+    """
+    gram_root, xy = scaled.gram_root, scaled.xy
+    count, k = xy.shape
+    rotations = np.zeros((count, k, m))  # r_a: the weights as applied to Xs itself
+    loadings = np.zeros((count, k, m))
+    beta_std = np.zeros((count, k))
+    kept = np.zeros(count, dtype=int)
+    active = np.ones(count, dtype=bool)
+    for a in range(m):
+        w_norm = np.sqrt(np.einsum("bk,bk->b", xy, xy))
+        active &= w_norm >= 1e-12
+        w = xy / np.where(active, w_norm, 1.0)[:, None]
+        r = w - np.einsum(
+            "bka,ba->bk", rotations[:, :, :a], np.einsum("bka,bk->ba", loadings[:, :, :a], w)
+        )
+        # The factor scores Xs r, rotated into k dimensions.
+        scores = np.einsum("bij,bj->bi", gram_root, r)
+        score_energy = np.einsum("bi,bi->b", scores, scores)
+        active &= score_energy >= 1e-24
+        energy = np.where(active, score_energy, 1.0)
+        gram_r = np.einsum("bji,bj->bi", gram_root, scores)
+        q = np.where(active, np.einsum("bk,bk->b", r, xy) / energy, 0.0)
+        xy = xy - gram_r * q[:, None]
+        beta_std += q[:, None] * r
+        rotations[:, :, a] = r
+        loadings[:, :, a] = gram_r / energy[:, None]
+        kept += active
+    coef = beta_std * scaled.y_scale[:, None] / scaled.x_scale
+    intercept = scaled.y_mean - np.einsum("bk,bk->b", coef, scaled.x_mean)
+    return beta_std, coef, intercept, kept
+
+
+def _check_factor_count(m: int, rank: int) -> None:
+    if m < 0 or m > rank:
+        raise RankExceeded(f"{m} factors requested, predictor rank is {rank}")
+
+
 def pls_fit(design: Design, m: int) -> PlsModel:
     """Extract ``m`` latent factors by the kernel algorithm on autoscaled data.
 
     The m-factor regression vector is the least-squares solution restricted
     to the Krylov space K_m(X'X, X'y) (Helland 1988).  The kernel algorithm
     (Dayal & MacGregor 1997) builds it from the k x k cross-products alone,
-    with X'X held as R'R, R the triangular QR factor of X: each factor takes
-    its weight from the current ``xy = X'y``, deflates ``xy`` by the factor's
-    share, and adds its term to the regression vector.  The factors are
-    those of the one-response iterative algorithm (NIPALS), which the tests
-    keep as the oracle.  ``m`` = 0 is the null model that predicts the
-    training mean.  With ``m`` equal to the predictor rank, fitted values
-    match OLS.  If ``xy`` or a factor's score energy vanishes early, the
-    model is truncated with a warning.
+    with X'X held as R'R, R the triangular QR factor of X.  This is the
+    one-design case of the stacked kernel that cross-validation runs on all
+    training folds of a repeat at once.  The factors are those of the
+    one-response iterative algorithm (NIPALS), which the tests keep as the
+    oracle.  ``m`` = 0 is the null model that predicts the training mean.
+    With ``m`` equal to the predictor rank, fitted values match OLS.  If
+    ``xy`` or a factor's score energy vanishes early, the model is
+    truncated with a warning.
     """
-    X, y = design.X, design.y
-    k = design.k
-    x_mean = X.mean(axis=0)
-    x_scale = X.std(axis=0, ddof=1)
-    y_mean = float(y.mean())
-    y_scale = float(y.std(ddof=1))
-    if y_scale == 0:
-        raise ConstantResponse("response does not vary")
-    Xs = (X - x_mean) / x_scale
-    ys = (y - y_mean) / y_scale
-    # Rank from the SVD of Xs: an eigenvalue count on X'X would square the
-    # condition number and count rounding noise as rank.
-    rank = int(np.linalg.matrix_rank(Xs))
-    if m < 0 or m > rank:
-        raise RankExceeded(f"{m} factors requested, predictor rank is {rank}")
-    # Forming X'X would square the condition number; on an ill-conditioned
-    # design its rounding swamps the later factors.
-    gram_root = np.linalg.qr(Xs, mode="r")
-    xy = Xs.T @ ys
-    rotations = np.zeros((k, m))  # r_a: the weights as applied to Xs itself
-    loadings = np.zeros((k, m))
-    beta_std = np.zeros(k)
-    kept = 0
-    truncated = False
-    for a in range(m):
-        w_norm = float(np.linalg.norm(xy))
-        if w_norm < 1e-12:
-            truncated = True
-            break
-        w = xy / w_norm
-        r = w - rotations[:, :a] @ (loadings[:, :a].T @ w)
-        scores = gram_root @ r  # the factor scores Xs r, rotated into k dimensions
-        score_energy = float(scores @ scores)
-        if score_energy < 1e-24:
-            truncated = True
-            break
-        gram_r = gram_root.T @ scores
-        q = float(r @ xy) / score_energy
-        xy = xy - gram_r * q
-        beta_std += q * r
-        rotations[:, a] = r
-        loadings[:, a] = gram_r / score_energy
-        kept += 1
+    _check_response(design.y)
+    scaled = _autoscale(design.X[None], design.y[None])
+    _check_factor_count(m, int(scaled.rank[0]))
+    beta_std, coef, intercept, kept = _pls_kernel(scaled, m)
+    truncated = bool(kept[0] < m)
     if truncated:
         warnings.warn(
-            f"deflation degenerate after {kept} of {m} factors; model truncated",
+            f"deflation degenerate after {kept[0]} of {m} factors; model truncated",
             DegenerateDeflationWarning,
             stacklevel=2,
         )
-    coef = beta_std * y_scale / x_scale
     return PlsModel(
         names=design.names,
-        m=kept,
-        beta_std=beta_std,
-        coef=coef,
-        intercept=float(y_mean - coef @ x_mean),
+        m=int(kept[0]),
+        beta_std=beta_std[0],
+        coef=coef[0],
+        intercept=float(intercept[0]),
         truncated=truncated,
     )
 
@@ -327,23 +378,41 @@ class CvReport:
     r2_cv: float
 
 
-def _press_errors(
-    design: Design, q: np.ndarray, resid: np.ndarray, held_out: np.ndarray, train: np.ndarray
-) -> np.ndarray:
-    """Held-out errors of the OLS refit on ``train``, from the full-data fit.
+def _fold_stacks(permutation: np.ndarray, folds: int):
+    """Split a permutation into ``folds`` parts as ``np.array_split`` does.
 
-    They are (I - Q_F Q_F')^-1 r_F, the block PRESS identity (Hastie,
-    Tibshirani & Friedman, ESL 7.10).  The block's determinant is
-    det(X_tr'X_tr) / det(X'X): singular exactly when the training design is.
+    The first n % folds parts hold one row more than the rest, so the
+    parts come in at most two sizes.  Yields, per size, the index of its
+    first fold, the held-out rows (B, size) and the training rows
+    (B, n - size), these in ascending order as a boolean mask gives them.
+    """
+    n = len(permutation)
+    size, extra = divmod(n, folds)
+    start = 0
+    for first, count, rows in ((0, extra, size + 1), (extra, folds - extra, size)):
+        if count == 0:
+            continue
+        held_out = permutation[start : start + count * rows].reshape(count, rows)
+        start += count * rows
+        keep = np.ones((count, n), dtype=bool)
+        keep[np.arange(count)[:, None], held_out] = False
+        yield first, held_out, np.nonzero(keep)[1].reshape(count, n - rows)
+
+
+def _check_training_fold(
+    design: Design, train: np.ndarray, method: str, m: Optional[int], screened: float
+) -> None:
+    """Raise a flagged training fold's domain error, in a per-fold refit's order.
+
+    ``screened`` is the fold's value from its stack: for OLS the least
+    eigenvalue of its PRESS block, for PLS the rank of its design.
     """
     _check_rows_and_predictors(design.X[train], design.names)
-    q_f = q[held_out]
-    eigenvalues, vectors = np.linalg.eigh(np.eye(len(held_out)) - q_f @ q_f.T)
-    if eigenvalues[0] < _RANK_RTOL:
+    if method == "ols" and screened < _RANK_RTOL:
         raise RankDeficient("training design is rank deficient")
-    if np.ptp(design.y[train]) == 0:
-        raise ConstantResponse("response does not vary")
-    return vectors @ (vectors.T @ resid[held_out] / eigenvalues)
+    _check_response(design.y[train])
+    if method == "pls":
+        _check_factor_count(m, int(screened))
 
 
 def repeated_kfold_cv(
@@ -360,10 +429,19 @@ def repeated_kfold_cv(
     nearly equal parts (sizes differ by at most one), and pools the held-out
     squared errors into one MSE.  The summary is the mean over repeats of
     1 - MSE / Var(y), with the population variance of the full response.
-    Identical inputs and seed give bit-identical results.  OLS errors equal
-    those of per-fold refits up to rounding; PLS refits each fold.  A
-    degenerate training fold raises its domain error with a message that
-    names the repeat and the fold.
+    Identical inputs and seed give bit-identical results.
+
+    A repeat stacks its training folds by size, so it makes at most two
+    batched solves per method, and its held-out errors equal those of
+    per-fold refits up to rounding.  OLS takes them from one full-data
+    fit: they are (I - Q_F Q_F')^-1 r_F, the block PRESS identity (Hastie,
+    Tibshirani & Friedman, ESL 7.10), from one batched ``eigh``.  The
+    block's determinant is det(X_tr'X_tr) / det(X'X), singular exactly when
+    the training design is.  PLS autoscales the stacked training rows and
+    runs the kernel of :func:`pls_fit` on the whole stack.  Each stack is
+    screened for degenerate training folds first; the first one in loop
+    order raises its domain error with a message that names the repeat and
+    the fold.  Folds whose PLS models truncate are counted in one warning.
     """
     if method not in ("ols", "pls"):
         raise ValueError(f"unknown method {method!r}")
@@ -376,32 +454,61 @@ def repeated_kfold_cv(
     n = design.n
     if n < 2 * folds:
         raise TooFewRows(f"{n} rows cannot fill {folds} folds")
-    y_variance = float(design.y.var())
-    if y_variance == 0:
-        raise ConstantResponse("response does not vary")
+    X, y = design.X, design.y
+    _check_response(y)
+    y_variance = float(y.var())
     rng = np.random.default_rng(seed)
     if method == "ols":
-        X1 = np.column_stack([np.ones(n), design.X])
-        coef, q, _ = _qr_solve(X1, design.y)
-        resid = design.y - X1 @ coef
+        X1 = np.column_stack([np.ones(n), X])
+        coef, q, _ = _qr_solve(X1, y)
+        resid = y - X1 @ coef
     mse_per_repeat = []
+    truncated = 0
     for repeat in range(repeats):
         squared_errors = np.empty(n)
-        for fold, held_out in enumerate(np.array_split(rng.permutation(n), folds)):
-            train = np.ones(n, dtype=bool)
-            train[held_out] = False
-            try:
-                if method == "ols":
-                    errors = _press_errors(design, q, resid, held_out, train)
-                else:
-                    sub = Design(design.X[train], design.y[train], design.names)
-                    errors = design.y[held_out] - pls_fit(sub, m).predict(design.X[held_out])
-            except (TooFewRows, RankDeficient, RankExceeded, ConstantResponse) as err:
-                raise type(err)(
-                    f"repeat {repeat + 1} of {repeats}, fold {fold + 1} of {folds}: {err}"
-                ) from err
+        for first, held_out, train in _fold_stacks(rng.permutation(n), folds):
+            X_train, y_train = X[train], y[train]
+            if method == "ols":
+                q_f = q[held_out]
+                block = np.eye(held_out.shape[1]) - np.einsum("bik,bjk->bij", q_f, q_f)
+                eigenvalues, vectors = np.linalg.eigh(block)
+                screened = eigenvalues[:, 0]
+                flagged = screened < _RANK_RTOL
+            else:
+                scaled = _autoscale(X_train, y_train)
+                screened = scaled.rank
+                flagged = (m < 0) | (scaled.rank < m)
+            flagged |= (
+                (train.shape[1] <= design.k + 1)
+                | (np.ptp(X_train, axis=1) == 0).any(axis=1)
+                | (np.ptp(y_train, axis=1) == 0)
+            )
+            if flagged.any():
+                fold = int(np.argmax(flagged))
+                try:
+                    _check_training_fold(design, train[fold], method, m, screened[fold])
+                except (TooFewRows, RankDeficient, RankExceeded, ConstantResponse) as err:
+                    raise type(err)(
+                        f"repeat {repeat + 1} of {repeats}, fold {first + fold + 1} of {folds}:"
+                        f" {err}"
+                    ) from err
+            if method == "ols":
+                rotated = np.einsum("bji,bj->bi", vectors, resid[held_out]) / eigenvalues
+                errors = np.einsum("bij,bj->bi", vectors, rotated)
+            else:
+                _, coef, intercept, kept = _pls_kernel(scaled, m)
+                truncated += int((kept < m).sum())
+                fitted = intercept[:, None] + np.einsum("bsk,bk->bs", X[held_out], coef)
+                errors = y[held_out] - fitted
             squared_errors[held_out] = errors ** 2
         mse_per_repeat.append(float(squared_errors.mean()))
+    if truncated:
+        warnings.warn(
+            f"deflation degenerate in {truncated} of {repeats * folds} training folds;"
+            " models truncated",
+            DegenerateDeflationWarning,
+            stacklevel=2,
+        )
     r2_cv = float(np.mean([1.0 - mse / y_variance for mse in mse_per_repeat]))
     return CvReport(
         method=method,

@@ -85,6 +85,15 @@ class TestCalibration:
         assert table(0, 0) == pytest.approx(-30.0, abs=1e-12)
         assert table(127, 127) == pytest.approx(0.0, abs=1e-12)
 
+    def test_table_with_descending_axes_reads_its_own_cells(self):
+        table = TableCalibration([127, 1], [1, 127], [[-30.0, 0.0], [-70.0, -40.0]])
+        assert table.velocities == [1, 127] and table.volumes == [1, 127]
+        assert table(127, 127) == 0.0
+        assert table(127, 1) == -30.0
+        assert table(1, 1) == -70.0
+        reversed_volumes = TableCalibration([1, 127], [127, 1], [[-40.0, -70.0], [0.0, -30.0]])
+        assert reversed_volumes.level_db == table.level_db
+
     def test_table_rejects_incomplete_grid(self):
         with pytest.raises(ValueError):
             TableCalibration.from_rows(

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import NipalsPls
@@ -196,10 +196,19 @@ class TestOls:
             ols_fit(Design(X, rng.normal(size=12), ("a", "b")))
 
     def test_constant_response(self):
+        # 12 copies of 0.1 average to a value other than 0.1, so their
+        # computed spread is about 1e-17 rather than 0.
         rng = np.random.default_rng(58)
-        X = rng.normal(size=(10, 2))
-        with pytest.raises(ConstantResponse):
-            ols_fit(Design(X, np.full(10, 4.0), ("a", "b")))
+        X = rng.normal(size=(12, 2))
+        for value in (4.0, 0.1):
+            design = Design(X, np.full(12, value), ("a", "b"))
+            with pytest.raises(ConstantResponse):
+                ols_fit(design)
+            with pytest.raises(ConstantResponse):
+                pls_fit(design, 1)
+            for method in ("ols", "pls"):
+                with pytest.raises(ConstantResponse, match="^response does not vary$"):
+                    repeated_kfold_cv(design, method, m=1, folds=3, repeats=1)
 
     def test_prediction_schema(self):
         rng = np.random.default_rng(59)
@@ -498,6 +507,100 @@ class TestCrossValidation:
             refit_mse.append(squared_errors.mean())
         np.testing.assert_allclose(report.mse_per_repeat, refit_mse, rtol=1e-10, atol=0)
 
+    @PROPERTY
+    @given(
+        k=st.integers(1, 5),
+        folds=st.integers(2, 10),
+        extra=st.integers(0, 30),
+        repeats=st.integers(1, 4),
+        factors=st.integers(0, 5),
+        cv_seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=4, folds=7, extra=3, repeats=2, factors=4, cv_seed=1, data_seed=2)
+    @example(k=3, folds=4, extra=1, repeats=1, factors=0, cv_seed=3, data_seed=4)
+    def test_pls_equals_per_fold_refit(
+        self, k, folds, extra, repeats, factors, cv_seed, data_seed
+    ):
+        # The @examples pin uneven fold sizes (17 rows in 7 folds, 11 in 4)
+        # with m at the rank and at 0.
+        n = max(2 * folds, 2 * k + 4) + extra
+        m = factors % (k + 1)
+        design = random_design(np.random.default_rng(data_seed), n=n, k=k)
+        report = repeated_kfold_cv(design, "pls", m, folds=folds, repeats=repeats, seed=cv_seed)
+        rng = np.random.default_rng(cv_seed)
+        refit_mse = []
+        for _ in range(repeats):
+            squared_errors = np.empty(n)
+            for held_out in np.array_split(rng.permutation(n), folds):
+                train = np.ones(n, dtype=bool)
+                train[held_out] = False
+                model = pls_fit(Design(design.X[train], design.y[train], design.names), m)
+                errors = model.predict(design.X[held_out]) - design.y[held_out]
+                squared_errors[held_out] = errors ** 2
+            refit_mse.append(squared_errors.mean())
+        np.testing.assert_allclose(report.mse_per_repeat, refit_mse, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("method", ["ols", "pls"])
+    @pytest.mark.parametrize("first_error", ["flag", "response"])
+    def test_first_degenerate_fold_across_fold_sizes(self, method, first_error):
+        """Of degenerate folds of both sizes, the first in loop order raises.
+
+        23 rows in 5 folds give sizes 5, 5, 5, 4, 4.  Holding out row ``i``
+        leaves the predictor 'flag' constant in training, row ``third``
+        leaves 'flag2' constant, and row ``j`` leaves the response constant.
+        Row ``third`` sits in fold 3.  Of ``i`` and ``j``, one sits in fold
+        2, the other in fold 4, the first fold of the 4-row size.
+        """
+        parts = np.array_split(np.random.default_rng(5).permutation(23), 5)
+        second, third, fourth = (int(parts[f][0]) for f in (1, 2, 3))
+        i, j = (second, fourth) if first_error == "flag" else (fourth, second)
+        rng = np.random.default_rng(80)
+        X = np.column_stack([rng.normal(size=(23, 2)), np.eye(23)[i], np.eye(23)[third]])
+        design = Design(X, np.eye(23)[j], ("x1", "x2", "flag", "flag2"))
+        error, text = (
+            (RankDeficient, "predictor 'flag' is constant")
+            if first_error == "flag"
+            else (ConstantResponse, "response does not vary")
+        )
+        with pytest.raises(error) as raised:
+            repeated_kfold_cv(design, method, m=1, folds=5, repeats=2, seed=5)
+        assert str(raised.value) == f"repeat 1 of 2, fold 2 of 5: {text}"
+
+    def test_truncated_folds_warn_once_with_their_count(self):
+        """A training fold whose response is one factor of its design truncates.
+
+        Ten copies of four rows, and y is the first column.  Where a fold
+        holds out as many (1, 0) as (-1, 0) rows, or as many (0, 1) as
+        (0, -1), the columns are uncorrelated in training and one factor
+        fits y exactly.  The warning counts the folds whose per-fold refit
+        truncates, and the errors are the refits'.
+        """
+        X = np.tile([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], (10, 1))
+        design = Design(X, X[:, 0].copy(), ("a", "b"))
+        rng = np.random.default_rng(6)
+        refit_mse, truncated = [], 0
+        for _ in range(3):
+            squared_errors = np.empty(40)
+            for held_out in np.array_split(rng.permutation(40), 10):
+                train = np.ones(40, dtype=bool)
+                train[held_out] = False
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    model = pls_fit(Design(X[train], design.y[train], design.names), 2)
+                truncated += len(caught)
+                squared_errors[held_out] = (model.predict(X[held_out]) - design.y[held_out]) ** 2
+            refit_mse.append(squared_errors.mean())
+        assert 0 < truncated < 30
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = repeated_kfold_cv(design, "pls", m=2, folds=10, repeats=3, seed=6)
+        assert [str(w.message) for w in caught] == [
+            f"deflation degenerate in {truncated} of 30 training folds; models truncated"
+        ]
+        assert all(issubclass(w.category, DegenerateDeflationWarning) for w in caught)
+        np.testing.assert_allclose(report.mse_per_repeat, refit_mse, rtol=1e-10, atol=1e-30)
+
     @pytest.mark.parametrize("method", ["ols", "pls"])
     def test_rare_binary_predictor_names_repeat_and_fold(self, method):
         # One positive in 40 rows: the fold that holds it out leaves the
@@ -538,8 +641,13 @@ class TestCrossValidation:
         design = Design(X, X @ np.array([1.0, 2.0]) + rng.normal(size=30), ("a", "b"))
         permutation = np.random.default_rng(4).permutation(30)
         fold = next(f for f, part in enumerate(np.array_split(permutation, 5)) if 5 in part)
-        with pytest.raises(RankDeficient, match=f"repeat 1 of 2, fold {fold + 1} of 5"):
-            repeated_kfold_cv(design, "ols", folds=5, repeats=2, seed=4)
+        for method, error, text in (
+            ("ols", RankDeficient, "training design is rank deficient"),
+            ("pls", RankExceeded, "2 factors requested, predictor rank is 1"),
+        ):
+            with pytest.raises(error) as raised:
+                repeated_kfold_cv(design, method, m=2, folds=5, repeats=2, seed=4)
+            assert str(raised.value) == f"repeat 1 of 2, fold {fold + 1} of 5: {text}"
 
     def test_frozen_regression_value(self):
         # Pinned output for one fixed configuration; any change to fold
