@@ -2,10 +2,11 @@
 
 One subcommand per pipeline stage: feature extraction from MIDI and WAV
 corpora, rater agreement, feature cross-correlation, model fitting and
-cross-validated evaluation.  Every command writes a machine-readable CSV at
-full precision and a human-readable aligned text table into the output
-directory.  Exit status is 0 on success, 1 on data or file errors, 2 on
-usage errors.
+cross-validated evaluation.  Each command returns a summary phrase and its
+outputs, and writes nothing itself: ``main`` writes each output as a
+machine-readable CSV at full precision and a human-readable aligned text
+table into the output directory, then prints one summary line.  Exit status
+is 0 on success, 1 on data or file errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 import sys
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,9 @@ def _typed(key: str, value, action: argparse.Action):
     for item in value if listed else [value]:
         if not isinstance(item, kinds) or isinstance(item, bool) != (bool in kinds):
             raise SchemaError(f"configuration key {key!r} takes {what}, not {value!r}")
+        if action.choices is not None and item not in action.choices:
+            raise SchemaError(f"configuration key {key!r} takes one of"
+                              f" {', '.join(action.choices)}, not {value!r}")
     return action.type(value) if action.type else value
 
 
@@ -137,35 +141,30 @@ def _per_file(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, obj
         yield path, result
 
 
-def _emit(out_dir: Path, stem: str, columns: Sequence[str], rows, preamble: Dict,
-          table: ReportTable) -> Path:
-    """Write ``stem.csv`` (full precision) and ``stem.txt`` (the report); return the CSV."""
-    csv_path = out_dir / f"{stem}.csv"
-    write_csv(csv_path, columns, rows, preamble)
-    (out_dir / f"{stem}.txt").write_text(table.render(), encoding="utf-8")
-    return csv_path
+class _Output(NamedTuple):
+    """One result: ``stem.csv`` at full precision and, with a report, ``stem.txt``."""
+
+    stem: str
+    columns: Sequence[str]
+    rows: list
+    preamble: Dict
+    report: Optional[ReportTable]
 
 
 # ------------------------------------------------------------ feature tables
 
 
-def _feature_table(args, command: str, vectors, preamble: Dict,
-                   title: str, noun: str, detail: str) -> int:
+def _feature_table(stem: str, vectors, preamble: Dict, title: str, noun: str, detail: str):
     """One row per input file, named by its stem; the first row's keys name the columns."""
     names = list(vectors[0][1])
     rows = [[path.stem, *vector.values()] for path, vector in vectors]
-    table = ReportTable(title=title, headers=["song", *names],
-                        footnotes=[f"{len(rows)} {noun}; {detail}"])
-    for song_id, *values in rows:
-        table.add_row([song_id, *(fmt(v) for v in values)])
-    stem = f"{command.split('-')[1]}_features"
-    csv_path = _emit(Path(args.out_dir), stem, ["song_id", *names], rows,
-                     {"command": command, **preamble}, table)
-    print(f"{command}: {len(rows)} {noun} -> {csv_path}")
-    return 0
+    table = ReportTable(title, ["song", *names],
+                        [[song_id, *map(fmt, values)] for song_id, *values in rows],
+                        [f"{len(rows)} {noun}; {detail}"])
+    return f"{len(rows)} {noun}", [_Output(stem, ["song_id", *names], rows, preamble, table)]
 
 
-def _cmd_extract_midi(args) -> int:
+def _cmd_extract_midi(args):
     midi_dir = Path(_required(args, "midi_dir"))
     annotations = load_annotations(args.annotations) if args.annotations else {}
     tempos = load_tempos(args.tempos) if args.tempos else {}
@@ -183,7 +182,7 @@ def _cmd_extract_midi(args) -> int:
 
     vectors = list(_per_file(_sorted_files(midi_dir, ("*.mid", "*.midi")), features))
     return _feature_table(
-        args, "extract-midi", vectors,
+        "midi_features", vectors,
         {"merge_window": args.merge_window, "annotations": args.annotations or "",
          "tempos": args.tempos or "", "calibration": args.calibration or "default"},
         "Symbolic features per song", "songs",
@@ -192,7 +191,7 @@ def _cmd_extract_midi(args) -> int:
     )
 
 
-def _cmd_extract_audio(args) -> int:
+def _cmd_extract_audio(args):
     wav_dir = Path(_required(args, "wav_dir"))
     fractions = _floats(args.rolloff_fractions)
     cutoffs = _floats(args.brightness_cutoffs)
@@ -212,7 +211,7 @@ def _cmd_extract_audio(args) -> int:
 
     vectors = list(_per_file(_sorted_files(wav_dir, ("*.wav",)), features))
     return _feature_table(
-        args, "extract-audio", vectors,
+        "audio_features", vectors,
         {"frame_length": args.frame_length, "hop_length": args.hop_length,
          "window": args.window,
          "rolloff_fractions": ",".join(f"{f:g}" for f in fractions),
@@ -247,9 +246,8 @@ def _ratings_files(raw) -> List[Path]:
     return files
 
 
-def _cmd_agreement(args) -> int:
+def _cmd_agreement(args):
     files = _ratings_files(_required(args, "ratings"))
-    out_dir = Path(args.out_dir)
     trim = args.trim
     scale = None if args.no_scale_check else (args.scale_min, args.scale_max)
 
@@ -265,11 +263,7 @@ def _cmd_agreement(args) -> int:
             trimmed = inter_rater_agreement(matrix.drop_raters(drop))
         return matrix, report, flagged, trimmed, item_mean_ratings(matrix, drop if trim else [])
 
-    csv_rows = []
-    table = ReportTable(
-        title="Inter-rater agreement",
-        headers=["feature", "raters", "items", "mean r", "alpha"],
-    )
+    csv_rows, text_rows = [], []
     notes: List[str] = []
     mean_columns: Dict[str, Dict[str, float]] = {}
     items: Dict[str, None] = {}  # item ids in order of first appearance
@@ -293,7 +287,7 @@ def _cmd_agreement(args) -> int:
         if trimmed is not None:
             r_cell += f" ({fmt(trimmed.mean_pairwise_r)})"
             alpha_cell += f" ({fmt(trimmed.alpha)})"
-        table.add_row([feature, report.n_raters, report.n_items, r_cell, alpha_cell])
+        text_rows.append([feature, report.n_raters, report.n_items, r_cell, alpha_cell])
         if flagged:
             listed = ", ".join(f"{rid} (mean r {fmt(value)})" for rid, value in flagged)
             if trimmed is not None:
@@ -317,33 +311,28 @@ def _cmd_agreement(args) -> int:
             )
     if trim:
         notes.append("Item means exclude flagged raters (trim requested).")
-    table.footnotes = notes or ["No raters were flagged."]
-    preamble = {"command": "agreement", "trim": str(trim).lower()}
-    csv_path = _emit(
-        out_dir, "agreement",
-        ["feature", "n_raters", "n_items", "n_complete_items", "mean_r", "alpha",
-         "n_flagged", "flagged_raters", "mean_r_trimmed", "alpha_trimmed",
-         "n_skipped_pairs"],
-        csv_rows,
-        {**preamble, "scale": "none" if scale is None else f"{scale[0]:g}..{scale[1]:g}"},
-        table,
-    )
+    preamble = {"trim": str(trim).lower()}
     features = [path.stem for path in files]
-    write_csv(
-        out_dir / "item_means.csv",
-        ["item_id", *features],
-        [[item, *(mean_columns[f].get(item) for f in features)] for item in items],
-        preamble,
-    )
-    print(f"agreement: {len(files)} feature(s) -> {csv_path},"
-          f" item means -> {out_dir / 'item_means.csv'}")
-    return 0
+    return f"{len(files)} feature(s)", [
+        _Output("agreement",
+                ["feature", "n_raters", "n_items", "n_complete_items", "mean_r", "alpha",
+                 "n_flagged", "flagged_raters", "mean_r_trimmed", "alpha_trimmed",
+                 "n_skipped_pairs"],
+                csv_rows,
+                {**preamble, "scale": "none" if scale is None else f"{scale[0]:g}..{scale[1]:g}"},
+                ReportTable("Inter-rater agreement",
+                            ["feature", "raters", "items", "mean r", "alpha"], text_rows,
+                            notes or ["No raters were flagged."])),
+        _Output("item_means", ["item_id", *features],
+                [[item, *(mean_columns[f].get(item) for f in features)] for item in items],
+                preamble, None),
+    ]
 
 
 # ---------------------------------------------------------------------- xcorr
 
 
-def _cmd_xcorr(args) -> int:
+def _cmd_xcorr(args):
     table_path = Path(_required(args, "table"))
     _, names, values = load_table(table_path)
     grid = cross_correlation_matrix(values, names)
@@ -355,22 +344,18 @@ def _cmd_xcorr(args) -> int:
             else:
                 csv_rows.append([row_name, names[j], cell.r, cell.n, cell.p, cell.stars])
     report = ReportTable(
-        title="Feature cross-correlations",
-        headers=["", *names[:-1]],
-        footnotes=[
-            _STAR_FOOTNOTE,
-            "Each cell uses the rows where both variables are present;"
-            " blank cells are undefined (constant column or too few rows).",
-        ],
+        "Feature cross-correlations",
+        ["", *names[:-1]],
+        [[names[i], *("" if cell is None else f"{cell.r:.2f}{cell.stars}"
+                      for cell in grid.cells[i][:i]), *[""] * (len(names) - 1 - i)]
+         for i in range(1, len(names))],
+        [_STAR_FOOTNOTE,
+         "Each cell uses the rows where both variables are present;"
+         " blank cells are undefined (constant column or too few rows)."],
     )
-    for i in range(1, len(names)):
-        cells = ["" if cell is None else f"{cell.r:.2f}{cell.stars}"
-                 for cell in grid.cells[i][:i]]
-        report.add_row([names[i], *cells, *[""] * (len(names) - 1 - i)])
-    csv_path = _emit(Path(args.out_dir), "xcorr", ["var_a", "var_b", "r", "n", "p", "stars"],
-                     csv_rows, {"command": "xcorr", "table": table_path.name}, report)
-    print(f"xcorr: {len(names)} variables -> {csv_path}")
-    return 0
+    return f"{len(names)} variables", [
+        _Output("xcorr", ["var_a", "var_b", "r", "n", "p", "stars"], csv_rows,
+                {"table": table_path.name}, report)]
 
 
 # ------------------------------------------------------------------ fit and cv
@@ -402,24 +387,21 @@ def _design(args):
             raise UsageError("duplicate predictor names")
     X = values[:, [names.index(p) for p in predictors]]
     design, mask = Design.from_arrays(X, values[:, names.index(target)], predictors)
-    method = str(args.method).lower()
-    if method not in ("ols", "pls"):
-        raise UsageError(f"--method must be ols or pls, got {method!r}")
     components = None
-    if method == "pls":
+    if args.method == "pls":
         if args.components is None:
             raise UsageError("--method pls needs --components")
         components = args.components
-    shared = {"table": table_path.name, "target": target, "method": method,
+    shared = {"table": table_path.name, "target": target, "method": args.method,
               "components": "" if components is None else components}
-    return design, method, components, int((~mask).sum()), shared
+    return design, args.method, components, int((~mask).sum()), shared
 
 
 def _dropped_note(n_dropped: int) -> str:
     return f" {n_dropped} incomplete row(s) dropped." if n_dropped else ""
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     design, method, components, n_dropped, shared = _design(args)
     target = shared["target"]
     if method == "ols":
@@ -429,58 +411,44 @@ def _cmd_fit(args) -> int:
         columns = [model.coef, model.beta_std, model.sr, model.se, model.t, model.p]
         stars = [stars_for_p(float(p)) for p in model.p]
         report = ReportTable(
-            title=f"Least squares fit: {target}",
-            headers=["predictor", "beta", "sr", "t", "p", ""],
-            footnotes=[
-                f"R2 = {fmt(model.r2)}, adjusted R2 = {fmt(model.adj_r2)},"
-                f" n = {model.n}, predictors = {model.k}." + _dropped_note(n_dropped),
-                "beta: standardized coefficient; sr: signed semipartial correlation.",
-                _STAR_FOOTNOTE,
-            ],
+            f"Least squares fit: {target}",
+            ["predictor", "beta", "sr", "t", "p", ""],
+            [[name, fmt(model.beta_std[i]), fmt(model.sr[i]), fmt(model.t[i]),
+              fmt_p(float(model.p[i])), stars[i]] for i, name in enumerate(model.names)],
+            [f"R2 = {fmt(model.r2)}, adjusted R2 = {fmt(model.adj_r2)},"
+             f" n = {model.n}, predictors = {model.k}." + _dropped_note(n_dropped),
+             "beta: standardized coefficient; sr: signed semipartial correlation.",
+             _STAR_FOOTNOTE],
         )
-        for i, name in enumerate(model.names):
-            report.add_row([
-                name, fmt(model.beta_std[i]), fmt(model.sr[i]), fmt(model.t[i]),
-                fmt_p(float(model.p[i])), stars[i],
-            ])
     else:
         model = pls_fit(design, components)
-        residual = design.y - model.predict(design.X)
-        sst = float(((design.y - design.y.mean()) ** 2).sum())
-        r2 = 1.0 - float(residual @ residual) / sst
-        stats = {"r2": r2, "n": design.n, "k": design.k, "m": model.m,
+        stats = {"r2": model.r2, "n": design.n, "k": design.k, "m": model.m,
                  "truncated": str(model.truncated).lower()}
         columns = [model.coef, model.beta_std]
         stars = [""] * design.k
         report = ReportTable(
-            title=f"Latent factor fit: {target}",
-            headers=["predictor", "beta", ""],
-            footnotes=[
-                f"R2 = {fmt(r2)}, n = {design.n}, predictors = {design.k},"
-                f" factors = {model.m}."
-                + (" Model truncated: deflation degenerated early." if model.truncated else "")
-                + _dropped_note(n_dropped),
-                "beta: coefficient on autoscaled data, from the factor model.",
-            ],
+            f"Latent factor fit: {target}",
+            ["predictor", "beta", ""],
+            [[name, fmt(beta), ""] for name, beta in zip(model.names, model.beta_std)],
+            [f"R2 = {fmt(model.r2)}, n = {design.n}, predictors = {design.k},"
+             f" factors = {model.m}."
+             + (" Model truncated: deflation degenerated early." if model.truncated else "")
+             + _dropped_note(n_dropped),
+             "beta: coefficient on autoscaled data, from the factor model."],
         )
-        for name, beta in zip(model.names, model.beta_std):
-            report.add_row([name, fmt(beta), ""])
     rows = [["stat", name, value, *[None] * 6, ""] for name, value in stats.items()]
     rows += [
         ["coef", name, None, *(float(c[i]) for c in columns),
          *[None] * (6 - len(columns)), stars[i]]
         for i, name in enumerate(model.names)
     ]
-    csv_path = _emit(
-        Path(args.out_dir), f"fit_{_safe_name(target)}_{method}",
-        ["record", "name", "value", "coef", "beta_std", "sr", "se", "t", "p", "stars"],
-        rows, {"command": "fit", **shared, "rows_dropped_incomplete": n_dropped}, report,
-    )
-    print(f"fit: {method} on {target!r} (n={design.n}) -> {csv_path}")
-    return 0
+    return f"{method} on {target!r} (n={design.n})", [
+        _Output(f"fit_{_safe_name(target)}_{method}",
+                ["record", "name", "value", "coef", "beta_std", "sr", "se", "t", "p", "stars"],
+                rows, {**shared, "rows_dropped_incomplete": n_dropped}, report)]
 
 
-def _cmd_cv(args) -> int:
+def _cmd_cv(args):
     design, method, components, n_dropped, shared = _design(args)
     target = shared["target"]
     report = repeated_kfold_cv(
@@ -495,28 +463,20 @@ def _cmd_cv(args) -> int:
     )]
     rows += [["mse", str(index), mse] for index, mse in enumerate(report.mse_per_repeat)]
     text = ReportTable(
-        title=f"Cross-validated fit: {target}",
-        headers=["statistic", "value"],
-        footnotes=[
-            f"{report.folds}-fold cross-validation, {report.repeats} repeats,"
-            f" errors pooled per repeat; per-repeat MSE in the machine output."
-            + _dropped_note(n_dropped),
-        ],
+        f"Cross-validated fit: {target}",
+        ["statistic", "value"],
+        [["method", report.method + ("" if report.m is None else f" ({report.m})")],
+         ["n", report.n], ["predictors", design.k], ["R2 (cross-validated)", fmt(report.r2_cv)],
+         ["seed", report.seed]],
+        [f"{report.folds}-fold cross-validation, {report.repeats} repeats,"
+         f" errors pooled per repeat; per-repeat MSE in the machine output."
+         + _dropped_note(n_dropped)],
     )
-    text.add_row(["method", report.method + ("" if report.m is None else f" ({report.m})")])
-    text.add_row(["n", str(report.n)])
-    text.add_row(["predictors", str(design.k)])
-    text.add_row(["R2 (cross-validated)", fmt(report.r2_cv)])
-    text.add_row(["seed", str(report.seed)])
-    csv_path = _emit(
-        Path(args.out_dir), f"cv_{_safe_name(target)}_{method}", ["record", "name", "value"],
-        rows,
-        {"command": "cv", **shared, "folds": args.folds, "repeats": args.repeats,
-         "seed": args.seed, "rows_dropped_incomplete": n_dropped},
-        text,
-    )
-    print(f"cv: {method} on {target!r} r2_cv={report.r2_cv:.4f} -> {csv_path}")
-    return 0
+    return f"{method} on {target!r} r2_cv={report.r2_cv:.4f}", [
+        _Output(f"cv_{_safe_name(target)}_{method}", ["record", "name", "value"], rows,
+                {**shared, "folds": args.folds, "repeats": args.repeats, "seed": args.seed,
+                 "rows_dropped_incomplete": n_dropped},
+                text)]
 
 
 # ----------------------------------------------------------------------- main
@@ -596,7 +556,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # Config values become the command's defaults: flags still win.
             commands[args.command].set_defaults(**_config_defaults(args.config, commands))
             args = parser.parse_args(argv)
-        return args.run(args)
+        summary, outputs = args.run(args)
+        paths = [Path(args.out_dir) / f"{out.stem}.csv" for out in outputs]
+        for out, path in zip(outputs, paths):
+            write_csv(path, out.columns, out.rows, {"command": args.command, **out.preamble})
+            if out.report is not None:
+                path.with_suffix(".txt").write_text(out.report.render(), encoding="utf-8")
+        also = "".join(f", {out.stem.replace('_', ' ')} -> {path}"
+                       for out, path in zip(outputs[1:], paths[1:]))
+        print(f"{args.command}: {summary} -> {paths[0]}{also}")
+        return 0
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

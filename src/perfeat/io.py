@@ -195,7 +195,7 @@ def load_calibration(path: PathLike) -> TableCalibration:
     if not triples:
         raise SchemaError(f"{path}: empty calibration file")
     try:
-        return TableCalibration.from_rows(triples)
+        return TableCalibration(triples)
     except ValueError as err:
         raise SchemaError(f"{path}: {err}") from None
 

@@ -57,49 +57,27 @@ def default_calibration(velocity: int, volume_cc: int) -> float:
 class TableCalibration:
     """Calibration measured on a (velocity, volume) grid.
 
-    Lookups between grid points are bilinear; lookups outside the grid clamp
-    to the nearest edge.  The grid must be complete: one dB value for every
-    velocity/volume combination.
+    Built from (velocity, volume, dB) triples, in any order, that cover every
+    velocity/volume combination of the grid once.  Lookups between grid
+    points are bilinear; lookups outside the grid clamp to the nearest edge.
     """
 
-    def __init__(
-        self,
-        velocities: Sequence[int],
-        volumes: Sequence[int],
-        level_db: Sequence[Sequence[float]],
-    ):
-        velocities = [int(v) for v in velocities]
-        volumes = [int(v) for v in volumes]
-        if len(set(velocities)) != len(velocities) or len(set(volumes)) != len(volumes):
-            raise ValueError("calibration axes contain duplicates")
-        if len(velocities) < 2 or len(volumes) < 2:
-            raise ValueError("calibration needs at least a 2 x 2 grid")
-        level_db = [[float(x) for x in row] for row in level_db]
-        if len(level_db) != len(velocities) or any(len(row) != len(volumes) for row in level_db):
-            raise ValueError("calibration grid shape does not match its axes")
-        # Sort both axes, carrying the grid's rows and columns along.
-        rows = sorted(range(len(velocities)), key=velocities.__getitem__)
-        columns = sorted(range(len(volumes)), key=volumes.__getitem__)
-        self.velocities = [velocities[i] for i in rows]
-        self.volumes = [volumes[j] for j in columns]
-        self.level_db = [[level_db[i][j] for j in columns] for i in rows]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Tuple[int, int, float]]) -> "TableCalibration":
-        """Build from (velocity, volume, dB) triples covering a full grid once."""
+    def __init__(self, rows: Iterable[Tuple[int, int, float]]):
         cells: Dict[Tuple[int, int], float] = {}
         for velocity, volume, db in rows:
             cell = (int(velocity), int(volume))
             if cell in cells:
                 raise ValueError(f"calibration repeats velocity={cell[0]} volume={cell[1]}")
             cells[cell] = float(db)
-        velocities = sorted({v for v, _ in cells})
-        volumes = sorted({v for _, v in cells})
-        missing = [(v, w) for v in velocities for w in volumes if (v, w) not in cells]
+        self.velocities = sorted({v for v, _ in cells})
+        self.volumes = sorted({v for _, v in cells})
+        if len(self.velocities) < 2 or len(self.volumes) < 2:
+            raise ValueError("calibration needs at least a 2 x 2 grid")
+        missing = [(v, w) for v in self.velocities for w in self.volumes if (v, w) not in cells]
         if missing:
             velocity, volume = missing[0]
             raise ValueError(f"calibration grid is missing velocity={velocity} volume={volume}")
-        return cls(velocities, volumes, [[cells[v, w] for w in volumes] for v in velocities])
+        self.level_db = [[cells[v, w] for w in self.volumes] for v in self.velocities]
 
     @staticmethod
     def _bracket(axis: Sequence[int], value: float) -> Tuple[int, int, float]:

@@ -232,7 +232,8 @@ class PlsModel(_LinearModel):
     ``beta_std`` is the regression vector on autoscaled data (centered, unit
     sample variance); ``coef`` and ``intercept`` are the same map in the
     original units.  ``m`` is the number of factors actually kept, which is
-    lower than requested when the model was ``truncated``.
+    lower than requested when the model was ``truncated``.  ``r2`` is the
+    training R-squared.
     """
 
     names: Tuple[str, ...]
@@ -241,6 +242,7 @@ class PlsModel(_LinearModel):
     coef: np.ndarray
     intercept: float
     truncated: bool
+    r2: float
 
 
 class _Autoscaled(NamedTuple):
@@ -354,6 +356,8 @@ def pls_fit(design: Design, m: int) -> PlsModel:
             DegenerateDeflationWarning,
             stacklevel=2,
         )
+    residual = design.y - (float(intercept[0]) + design.X @ coef[0])
+    sst = float(((design.y - design.y.mean()) ** 2).sum())
     return PlsModel(
         names=design.names,
         m=int(kept[0]),
@@ -361,6 +365,7 @@ def pls_fit(design: Design, m: int) -> PlsModel:
         coef=coef[0],
         intercept=float(intercept[0]),
         truncated=truncated,
+        r2=1.0 - float(residual @ residual) / sst,
     )
 
 

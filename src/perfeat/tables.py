@@ -8,8 +8,8 @@ that would otherwise be lost in rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 
 def fmt(value: Optional[float]) -> str:
@@ -35,34 +35,32 @@ def fmt_p(p: Optional[float]) -> str:
 
 @dataclass
 class ReportTable:
-    """One titled table with aligned columns and optional footnotes."""
+    """One titled table with aligned columns and optional footnotes.
+
+    Cells may be any value; ``None`` renders as an empty cell, anything else
+    as its ``str``.
+    """
 
     title: str
-    headers: List[str]
-    rows: List[List[str]] = field(default_factory=list)
-    footnotes: List[str] = field(default_factory=list)
-
-    def add_row(self, cells: Sequence) -> None:
-        self.rows.append(["" if c is None else str(c) for c in cells])
+    headers: Sequence[str]
+    rows: Sequence[Sequence]
+    footnotes: Sequence[str] = ()
 
     def render(self) -> str:
         columns = len(self.headers)
-        for row in self.rows:
+        rows = [["" if c is None else str(c) for c in row] for row in self.rows]
+        for row in rows:
             if len(row) != columns:
                 raise ValueError("row width does not match the header")
-        widths = [
-            max(len(self.headers[j]), *(len(row[j]) for row in self.rows), 1)
-            if self.rows
-            else max(len(self.headers[j]), 1)
-            for j in range(columns)
-        ]
+        widths = [max(1, len(header), *(len(row[j]) for row in rows))
+                  for j, header in enumerate(self.headers)]
         lines = [self.title, "=" * len(self.title), ""]
         header_cells = [self.headers[0].ljust(widths[0])] + [
             self.headers[j].rjust(widths[j]) for j in range(1, columns)
         ]
         lines.append("  ".join(header_cells).rstrip())
         lines.append("-" * len("  ".join(header_cells).rstrip()))
-        for row in self.rows:
+        for row in rows:
             cells = [row[0].ljust(widths[0])] + [
                 row[j].rjust(widths[j]) for j in range(1, columns)
             ]

@@ -617,7 +617,8 @@ class TestConfig:
         assert [r["name"] for r in records if r["record"] == "coef"] == ["x1", "x2"]
 
     @pytest.mark.parametrize("key, value", [
-        ("folds", [4]), ("folds", 4.7), ("trim", "false"),
+        ("folds", [4]), ("folds", 4.7), ("trim", "false"), ("method", "PLS"),
+        ("window", "hamming"),
     ])
     def test_mistyped_value_names_the_key(self, feature_table, tmp_path, key, value,
                                           capsys):
@@ -715,6 +716,7 @@ _GOLDEN_COMMANDS = [
      "--components", "1", "--folds", "4", "--repeats", "3"],
     ["fit", "--table", "features.csv", "--target", "y", "--method", "pls"],
     ["extract-midi", "--midi-dir", "nowhere"],
+    ["xcorr", "--table", "features.csv", "--out-dir", "features.csv"],
 ]
 
 

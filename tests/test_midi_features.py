@@ -1,5 +1,6 @@
 """Symbolic feature computations on hand-built note lists."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -62,14 +63,14 @@ class TestCalibration:
             assert default_calibration(80, v + 1) > default_calibration(80, v)
 
     def test_table_exact_at_grid_points(self):
-        table = TableCalibration.from_rows(
+        table = TableCalibration(
             [(1, 1, -80.0), (1, 127, -40.0), (127, 1, -40.0), (127, 127, 0.0)]
         )
         assert table(1, 1) == pytest.approx(-80.0, abs=1e-12)
         assert table(127, 127) == pytest.approx(0.0, abs=1e-12)
 
     def test_table_bilinear_midpoint(self):
-        table = TableCalibration.from_rows(
+        table = TableCalibration(
             [(1, 1, -80.0), (1, 127, -40.0), (127, 1, -40.0), (127, 127, 0.0)]
         )
         assert table(64, 64) == pytest.approx(-40.0, abs=0.5)
@@ -79,24 +80,26 @@ class TestCalibration:
         )
 
     def test_table_clamps_outside_grid(self):
-        table = TableCalibration.from_rows(
+        table = TableCalibration(
             [(10, 10, -30.0), (10, 100, -20.0), (100, 10, -20.0), (100, 100, 0.0)]
         )
         assert table(0, 0) == pytest.approx(-30.0, abs=1e-12)
         assert table(127, 127) == pytest.approx(0.0, abs=1e-12)
 
     def test_table_with_descending_axes_reads_its_own_cells(self):
-        table = TableCalibration([127, 1], [1, 127], [[-30.0, 0.0], [-70.0, -40.0]])
+        # Triples in any order, descending ones included, read the same cells.
+        triples = [(127, 127, 0.0), (127, 1, -30.0), (1, 127, -40.0), (1, 1, -70.0)]
+        table = TableCalibration(triples)
         assert table.velocities == [1, 127] and table.volumes == [1, 127]
         assert table(127, 127) == 0.0
         assert table(127, 1) == -30.0
         assert table(1, 1) == -70.0
-        reversed_volumes = TableCalibration([1, 127], [127, 1], [[-40.0, -70.0], [0.0, -30.0]])
-        assert reversed_volumes.level_db == table.level_db
+        for order in itertools.permutations(triples):
+            assert TableCalibration(order).level_db == table.level_db
 
     def test_table_rejects_incomplete_grid(self):
         with pytest.raises(ValueError):
-            TableCalibration.from_rows(
+            TableCalibration(
                 [(1, 1, -80.0), (1, 127, -40.0), (127, 1, -40.0)]
             )
 
@@ -109,7 +112,7 @@ class CountingCalibration(TableCalibration):
     """A calibration table that counts its lookups per (velocity, volume) pair."""
 
     def __init__(self):
-        super().__init__([1, 127], [0, 127], [[-80.0, -40.0], [-40.0, 0.0]])
+        super().__init__([(1, 0, -80.0), (1, 127, -40.0), (127, 0, -40.0), (127, 127, 0.0)])
         self.calls = Counter()
 
     def __call__(self, velocity, volume_cc):
