@@ -84,6 +84,8 @@ def _typed(key: str, value, action: argparse.Action):
     else:
         kinds, what = (str,), "a string or a list of strings" if action.nargs else "a string"
     listed = isinstance(value, list) and (action.type is _split or action.nargs is not None)
+    if listed and not value and action.nargs == "+":
+        raise SchemaError(f"configuration key {key!r} takes at least one value, not []")
     for item in value if listed else [value]:
         if not isinstance(item, kinds) or isinstance(item, bool) != (bool in kinds):
             raise SchemaError(f"configuration key {key!r} takes {what}, not {value!r}")
@@ -195,16 +197,10 @@ def _cmd_extract_audio(args):
     wav_dir = Path(_required(args, "wav_dir"))
     fractions = _floats(args.rolloff_fractions)
     cutoffs = _floats(args.brightness_cutoffs)
-    # Each clip stays referenced until the next one is decoded.  Freed at
-    # once, malloc hands its heap back to the OS and the next clip faults it
-    # in again: three times the minor page faults and 13-17% more CPU.
-    clip = None
 
     def features(path: Path) -> Dict[str, float]:
-        nonlocal clip
-        clip = af.read_wav(path.read_bytes())
         return af.extract_audio_features(
-            clip, frame_length=args.frame_length,
+            af.read_wav(path.read_bytes()), frame_length=args.frame_length,
             hop_length=args.hop_length, window=args.window,
             rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
         )

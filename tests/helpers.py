@@ -5,16 +5,20 @@ specifications so parser tests never depend on the code under test.  The
 quadrature oracle integrates the t density numerically as an independent
 check on the closed-form tail probabilities.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
-``perfeat.regress``.
+``perfeat.regress``.  The single-frame spectral descriptors describe one
+magnitude spectrum at a time; ``extract_audio_features`` must equal their
+mean over a clip's non-silent frames.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
+from perfeat.audio_features import _DEGENERATE_SPREAD_RTOL, SilentFrame
 from perfeat.smf import NOTE_DTYPE
 
 # ----------------------------------------------------------------- SMF bytes
@@ -103,6 +107,86 @@ def wav(
 def pcm16(x) -> np.ndarray:
     """Float samples in [-1, 1] to int16 codes."""
     return np.clip(np.round(np.asarray(x) * 32768.0), -32768, 32767).astype("<i2")
+
+
+# ------------------------------------------------------ single-frame spectra
+
+
+class SpectralMoments(NamedTuple):
+    """Magnitude-weighted moments of one spectrum."""
+
+    centroid: float
+    spread: float
+    skewness: float
+    kurtosis: float
+    degenerate: bool
+
+
+def spectral_moments(magnitudes: np.ndarray, frequencies: np.ndarray) -> SpectralMoments:
+    """Centroid, spread, skewness and kurtosis of one magnitude spectrum.
+
+    Weights are magnitudes normalized to sum one.  When the spread is below
+    1e-9 of Nyquist the spectrum is a single line: skewness and kurtosis are
+    reported as zero with the degenerate flag set.
+    """
+    total = float(magnitudes.sum())
+    if total <= 0:
+        raise SilentFrame("all-zero spectrum")
+    weights = magnitudes / total
+    centroid = float(weights @ frequencies)
+    deviations = frequencies - centroid
+    spread = math.sqrt(max(float(weights @ deviations**2), 0.0))
+    nyquist = float(frequencies[-1])
+    if spread < _DEGENERATE_SPREAD_RTOL * nyquist:
+        return SpectralMoments(centroid, spread, 0.0, 0.0, True)
+    skewness = float(weights @ deviations**3) / spread**3
+    kurtosis = float(weights @ deviations**4) / spread**4
+    return SpectralMoments(centroid, spread, skewness, kurtosis, False)
+
+
+def spectral_flatness(magnitudes: np.ndarray) -> float:
+    """Geometric over arithmetic mean of the non-DC magnitudes.
+
+    The DC bin is excluded so a constant offset does not read as tonality.
+    Any zero magnitude sends the geometric mean, and the flatness, to zero.
+    """
+    if not magnitudes.any():
+        raise SilentFrame("all-zero spectrum")
+    band = magnitudes[1:]
+    if band.size == 0 or np.any(band <= 0):
+        return 0.0
+    return float(np.exp(np.mean(np.log(band))) / band.mean())
+
+
+def spectral_rolloff(
+    magnitudes: np.ndarray, frequencies: np.ndarray, fraction: float
+) -> float:
+    """Lowest frequency below which the given fraction of energy lies.
+
+    Energy is squared magnitude; the result is the smallest bin frequency
+    whose cumulative energy reaches ``fraction`` of the total.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be strictly between 0 and 1")
+    energy = magnitudes.astype(float) ** 2
+    total = float(energy.sum())
+    if total <= 0:
+        raise SilentFrame("all-zero spectrum")
+    cumulative = np.cumsum(energy)
+    index = int(np.searchsorted(cumulative, fraction * total))
+    index = min(index, len(frequencies) - 1)
+    return float(frequencies[index])
+
+
+def brightness(
+    magnitudes: np.ndarray, frequencies: np.ndarray, cutoff: float
+) -> float:
+    """Share of spectral energy at or above the cutoff frequency."""
+    energy = magnitudes.astype(float) ** 2
+    total = float(energy.sum())
+    if total <= 0:
+        raise SilentFrame("all-zero spectrum")
+    return float(energy[frequencies >= cutoff].sum() / total)
 
 
 # ------------------------------------------------------------- note fixtures

@@ -15,13 +15,19 @@ import time
 
 import numpy as np
 
-from helpers import NipalsPls, control, note, note_off, note_on, notes, smf, track
-from perfeat.audio_features import (
-    AudioClip,
+from helpers import (
+    NipalsPls,
     brightness,
-    extract_audio_features,
+    control,
+    note,
+    note_off,
+    note_on,
+    notes,
+    smf,
     spectral_rolloff,
+    track,
 )
+from perfeat.audio_features import AudioClip, extract_audio_features
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, adjusted_r2, ols_fit, pls_fit, repeated_kfold_cv
 from perfeat.smf import parse_smf

@@ -2,6 +2,7 @@
 
 import io as std_io
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -10,8 +11,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import pcm16, wav
+from helpers import (
+    brightness,
+    pcm16,
+    spectral_flatness,
+    spectral_moments,
+    spectral_rolloff,
+    wav,
+)
 from perfeat.audio_features import (
+    BLOCK_FRAMES,
+    BRIGHTNESS_CUTOFFS,
+    ROLLOFF_FRACTIONS,
     AllFramesSilent,
     AudioClip,
     ClipTooShort,
@@ -23,16 +34,16 @@ from perfeat.audio_features import (
     TooFewFrames,
     TruncatedData,
     UnsupportedCodec,
-    brightness,
     extract_audio_features,
     read_wav,
-    spectral_flatness,
     spectral_flux,
-    spectral_moments,
-    spectral_rolloff,
     stft_magnitudes,
     time_domain_features,
 )
+
+
+# Derandomized so that every run of the suite draws the same examples.
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 
 def sine(frequency, seconds, sample_rate, amplitude=1.0, phase=0.0):
@@ -58,6 +69,27 @@ class TestWavReader:
         x = rng.normal(scale=0.25, size=200).astype("<f4")
         clip = read_wav(wav(x, 22050, fmt=3, bits=32))
         np.testing.assert_allclose(clip.samples, x.astype(np.float64), atol=0)
+
+    @PROPERTY
+    @given(data=st.data(), channels=st.integers(1, 3), pcm=st.booleans())
+    def test_decodes_as_scaling_every_code_then_averaging(self, data, channels, pcm):
+        # The decoder averages the codes and scales once; the oracle scales
+        # every code, then averages the channels.
+        if pcm:
+            fmt, bits, dtype, scale = 1, 16, "<i2", 1.0 / 32768.0
+            values = st.integers(-32768, 32767)
+        else:
+            fmt, bits, dtype, scale = 3, 32, "<f4", 1.0
+            values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        size = channels * data.draw(st.integers(0, 40))
+        codes = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                         dtype=dtype)
+        expected = codes.astype(np.float64)
+        expected *= scale
+        if channels > 1:
+            expected = expected.reshape(-1, channels).mean(axis=1)
+        clip = read_wav(wav(codes, 8000, fmt=fmt, bits=bits, channels=channels))
+        assert np.array_equal(clip.samples, expected)
 
     def test_unknown_chunks_skipped(self):
         clip = read_wav(wav([0, 100, -100], 8000, extra_chunk=True))
@@ -450,6 +482,22 @@ class TestExtract:
         direct = extract_audio_features(AudioClip(pcm16(x) / 32768.0, sample_rate))
         assert vector["centroid"] == pytest.approx(direct["centroid"], rel=1e-12)
 
+    def test_memory_beyond_the_samples_does_not_grow_with_the_clip(self):
+        # The whole-clip RMS and crossing temporaries take about 9 bytes per
+        # sample; full-length frames x bins arrays would take about 40.
+        rate = 16000
+        rng = np.random.default_rng(12)
+        peaks = {}
+        for seconds in (30, 120):
+            clip = AudioClip(0.1 * rng.normal(size=seconds * rate), rate)
+            tracemalloc.start()
+            try:
+                extract_audio_features(clip)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[120] - peaks[30]) / (90 * rate) <= 12.0
+
     def test_energy_underflow_is_a_silent_frame(self):
         # Magnitudes this small are non-zero but square to zero.
         x = 1e-170 * np.random.default_rng(10).normal(size=4096)
@@ -489,9 +537,6 @@ class TestDescriptorArguments:
             extract_audio_features(self.SHORT, **{option: values})
         assert str(raised.value) == message
 
-
-# Derandomized so that every run of the suite draws the same examples.
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 # Per-frame rounding differs between the batched pass and the oracles, so
 # values agree to 1e-12 relative; a mean that is itself near zero (a
@@ -545,10 +590,66 @@ cutoffs = st.lists(st.floats(-100.0, 4100.0) | st.sampled_from([0.0, 2000.0, 400
                    min_size=1, max_size=3)
 
 
+@st.composite
+def block_edge_clips(draw):
+    """(clip, frame length, hop) with B - 1, B, B + 1 or 2B + 1 frames.
+
+    B is the block size.  Noise is cut by silent runs of whole frames that
+    start or end the clip, fill one block, or fall anywhere; a lone impulse
+    in the middle of one frame leaves that frame the only live one.
+    """
+    frame_length = draw(st.sampled_from([16, 64]))
+    hop = draw(st.sampled_from([frame_length // 2, frame_length]))
+    n = draw(st.sampled_from([BLOCK_FRAMES - 1, BLOCK_FRAMES, BLOCK_FRAMES + 1,
+                              2 * BLOCK_FRAMES + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n - 1) * hop + frame_length + draw(st.integers(0, hop - 1)))
+    for kind in draw(st.lists(st.sampled_from(["start", "end", "block", "span", "lone"]),
+                              max_size=3)):
+        if kind == "lone":
+            x[:] = 0.0
+            x[draw(st.integers(0, n - 1)) * hop + frame_length // 2] = 1.0
+            continue
+        if kind == "start":
+            first, stop = 0, draw(st.integers(1, n))
+        elif kind == "end":
+            first, stop = draw(st.integers(0, n - 1)), n
+        elif kind == "block":
+            first = BLOCK_FRAMES * draw(st.integers(0, (n - 1) // BLOCK_FRAMES))
+            stop = min(first + BLOCK_FRAMES, n)
+        else:
+            first = draw(st.integers(0, n - 1))
+            stop = draw(st.integers(first + 1, n))
+        x[first * hop : (stop - 1) * hop + frame_length] = 0.0
+    return AudioClip(x, 8000), frame_length, hop
+
+
+def _assert_equals_oracles(vector, live, frequencies, rolloffs, brights):
+    """Each column is the mean of its single-frame oracle over the live frames."""
+    moments = [spectral_moments(frame, frequencies) for frame in live]
+    nyquist = frequencies[-1]
+    for name, scale in (("centroid", nyquist), ("spread", nyquist),
+                        ("skewness", 1.0), ("kurtosis", 1.0)):
+        oracle = np.mean([getattr(m, name) for m in moments])
+        assert _close(vector[name], oracle, scale), name
+    oracle = np.mean([spectral_flatness(frame) for frame in live])
+    assert _close(vector["flatness"], oracle, 1.0)
+    for name, cutoff in brights.items():
+        oracle = np.mean([brightness(frame, frequencies, cutoff) for frame in live])
+        assert _close(vector[name], oracle, 1.0), cutoff
+    for name, fraction in rolloffs.items():
+        oracle = np.mean([spectral_rolloff(frame, frequencies, fraction)
+                          for frame in live])
+        assert vector[name] == oracle, fraction
+    assert vector["flux"] == spectral_flux(live)
+
+
 def _extract_from(magnitudes, frequencies, **options):
+    # A one-frame clip is one block, so the mocked STFT is called once and
+    # its whole series is described.
     series = SpectralFrameSeries(magnitudes=magnitudes, bin_frequencies=frequencies)
     with mock.patch("perfeat.audio_features.stft_magnitudes", return_value=series):
-        return extract_audio_features(AudioClip(np.zeros(8), 8000), **options)
+        return extract_audio_features(AudioClip(np.zeros(2048), 8000), **options)
 
 
 class TestBatchedDescriptors:
@@ -577,22 +678,26 @@ class TestBatchedDescriptors:
         vector = _extract_from(magnitudes, frequencies, rolloff_fractions=list(rolloffs.values()),
                                brightness_cutoffs=list(brights.values()))
         live = magnitudes[magnitudes.any(axis=1)]
-        moments = [spectral_moments(frame, frequencies) for frame in live]
-        nyquist = frequencies[-1]
-        for name, scale in (("centroid", nyquist), ("spread", nyquist),
-                            ("skewness", 1.0), ("kurtosis", 1.0)):
-            oracle = np.mean([getattr(m, name) for m in moments])
-            assert _close(vector[name], oracle, scale), name
-        oracle = np.mean([spectral_flatness(frame) for frame in live])
-        assert _close(vector["flatness"], oracle, 1.0)
-        for name, cutoff in brights.items():
-            oracle = np.mean([brightness(frame, frequencies, cutoff) for frame in live])
-            assert _close(vector[name], oracle, 1.0), cutoff
-        for name, fraction in rolloffs.items():
-            oracle = np.mean([spectral_rolloff(frame, frequencies, fraction)
-                              for frame in live])
-            assert vector[name] == oracle, fraction
-        assert vector["flux"] == spectral_flux(live)
+        _assert_equals_oracles(vector, live, frequencies, rolloffs, brights)
+
+    @PROPERTY
+    @given(case=block_edge_clips())
+    def test_real_clips_across_block_edges(self, case):
+        clip, frame_length, hop_length = case
+        series = stft_magnitudes(clip, frame_length, hop_length)
+        live = series.magnitudes[series.magnitudes.any(axis=1)]
+        options = {"frame_length": frame_length, "hop_length": hop_length}
+        if len(live) < 2:
+            with pytest.raises(TooFewFrames if len(live) else AllFramesSilent):
+                extract_audio_features(clip, **options)
+            return
+        vector = extract_audio_features(clip, **options)
+        assert (vector["zcr"], vector["rms"]) == time_domain_features(clip)
+        _assert_equals_oracles(
+            vector, live, series.bin_frequencies,
+            {f"rolloff{f * 100:g}": f for f in ROLLOFF_FRACTIONS},
+            {f"bright{c:g}": c for c in BRIGHTNESS_CUTOFFS},
+        )
 
     def test_zero_bins_and_single_lines_raise_no_warning(self):
         # Two-sample rectangular frames have the exact spectrum

@@ -618,7 +618,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("folds", [4]), ("folds", 4.7), ("trim", "false"), ("method", "PLS"),
-        ("window", "hamming"),
+        ("window", "hamming"), ("ratings", []),
     ])
     def test_mistyped_value_names_the_key(self, feature_table, tmp_path, key, value,
                                           capsys):
