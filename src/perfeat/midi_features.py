@@ -163,14 +163,6 @@ def _mean(values: np.ndarray, empty: str = "no notes to average") -> float:
     return math.fsum(values.tolist()) / len(values)
 
 
-def mean_sound_level(
-    notes: np.ndarray,
-    calibration: CalibrationCurve = default_calibration,
-) -> float:
-    """Mean per-note sound level in dB."""
-    return _mean(sound_levels(notes, calibration))
-
-
 def mean_pitch(notes: np.ndarray) -> float:
     """Mean note number."""
     return _mean(notes["key"])

@@ -177,52 +177,39 @@ def _payload(body: bytes, pos: int) -> Tuple[int, int]:
 def _parse_track(body: bytes, track_id: int):
     """One track chunk -> (closed notes in ticks, end tick, tempo events).
 
-    A closed note is (onset tick, off tick, track, channel, key, velocity,
-    volume).
+    Closed notes are one flat list, six ints per note: onset tick, off tick,
+    channel, key, velocity, volume.
     """
     pos = 0
     tick = 0
     running: Optional[int] = None
-    volume = {}  # channel -> controller 7 value
-    open_notes = {}  # (channel, key) -> stack of (onset_tick, velocity, volume)
+    volume = [DEFAULT_VOLUME_CC] * 16  # controller 7 value per channel
+    open_notes = {}  # channel << 7 | key -> stack of (onset_tick, velocity, volume)
     closed = []
     tempos = []
-    end_tick: Optional[int] = None
     try:
         while pos < len(body):
-            delta, pos = _varint(body, pos)
+            delta = body[pos]
+            if delta < 0x80:
+                pos += 1
+            elif body[pos + 1] < 0x80:
+                delta = (delta & 0x7F) << 7 | body[pos + 1]
+                pos += 2
+            else:
+                delta, pos = _varint(body, pos)
             tick += delta
             status = body[pos]
             if status < 0x80:
                 if running is None:
-                    raise TruncatedChunk(
-                        f"data byte with no running status in track {track_id}"
-                    )
+                    raise TruncatedChunk(f"data byte with no running status in track {track_id}")
                 status = running
             else:
                 pos += 1
-            if status == 0xFF:
-                running = None
-                meta_type = body[pos]
-                start, pos = _payload(body, pos + 1)
-                if meta_type == 0x51 and pos - start == 3:
-                    tempos.append((tick, int.from_bytes(body[start:pos], "big")))
-                elif meta_type == 0x2F:
-                    end_tick = tick
-                    break
-            elif status in (0xF0, 0xF7):
-                running = None
-                _, pos = _payload(body, pos)
-            elif status >= 0xF0:
-                raise TruncatedChunk(
-                    f"system message {status:#x} is not valid in a track chunk"
-                )
-            else:
+            if status < 0xF0:
                 running = status
                 kind = status & 0xF0
-                channel = status & 0x0F
                 d1 = body[pos]
-                if kind in (0xC0, 0xD0):
+                if kind == 0xC0 or kind == 0xD0:
                     d2 = 0
                     pos += 1
                 else:
@@ -230,25 +217,37 @@ def _parse_track(body: bytes, track_id: int):
                     pos += 2
                 if (d1 | d2) & 0x80:
                     raise SmfError(f"data byte above 0x7f in track {track_id}")
-                if kind == 0x90 and d2 > 0:
-                    stack = open_notes.setdefault((channel, d1), [])
-                    stack.append((tick, d2, volume.get(channel, DEFAULT_VOLUME_CC)))
-                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                    stack = open_notes.get((channel, d1))
+                channel = status & 0x0F
+                if kind == 0x90 and d2:
+                    note = channel << 7 | d1
+                    open_notes.setdefault(note, []).append((tick, d2, volume[channel]))
+                elif kind <= 0x90:  # a note-off, or a note-on of velocity zero
+                    stack = open_notes.get(channel << 7 | d1)
                     if stack:  # off with no matching on is ignored
                         onset, vel, vol = stack.pop()
-                        closed.append((onset, tick, track_id, channel, d1, vel, vol))
+                        closed += (onset, tick, channel, d1, vel, vol)
                 elif kind == 0xB0 and d1 == 7:
                     volume[channel] = d2
+            elif status == 0xFF:
+                running = None
+                meta_type = body[pos]
+                start, pos = _payload(body, pos + 1)
+                if meta_type == 0x51 and pos - start == 3:
+                    tempos.append((tick, int.from_bytes(body[start:pos], "big")))
+                elif meta_type == 0x2F:
+                    break  # the end tick is the tick of end-of-track
+            elif status == 0xF0 or status == 0xF7:
+                running = None
+                _, pos = _payload(body, pos)
+            else:
+                raise TruncatedChunk(f"system message {status:#x} is not valid in a track chunk")
     except IndexError:
         raise TruncatedChunk(_PAST_END) from None
-    if end_tick is None:
-        end_tick = tick
-    # Notes still sounding at end-of-track are closed there.
-    for (channel, key), stack in open_notes.items():
+    # Notes still sounding at end-of-track are closed there, in first-on order.
+    for note, stack in open_notes.items():
         for onset, vel, vol in stack:
-            closed.append((onset, end_tick, track_id, channel, key, vel, vol))
-    return closed, end_tick, tempos
+            closed += (onset, tick, note >> 7, note & 0x7F, vel, vol)
+    return closed, tick, tempos
 
 
 def parse_smf(data: bytes, song_id: str = "") -> Song:
@@ -260,21 +259,21 @@ def parse_smf(data: bytes, song_id: str = "") -> Song:
     and are dropped.  The song duration is the latest end-of-track time.
     """
     _, division, bodies = _split_chunks(data)
-    closed = []
-    tempo_events = []
-    end_ticks = []
+    closed, per_track, end_ticks, tempo_events = [], [], [], []
     for track_id, body in enumerate(bodies):
         track_closed, end_tick, tempos = _parse_track(body, track_id)
-        closed.extend(track_closed)
+        closed += track_closed
+        per_track.append(len(track_closed) // 6)
         end_ticks.append(end_tick)
-        tempo_events.extend(tempos)
+        tempo_events += tempos
     tempo_events.sort(key=lambda event: event[0])
     tempo_map = TempoMap(tempo_events, division)
-    closed = np.array(closed, dtype=np.int64).reshape(-1, 7)
+    closed = np.array(closed, dtype=np.int64).reshape(-1, 6)
     notes = np.empty(len(closed), dtype=NOTE_DTYPE)
+    notes["track_id"] = np.repeat(np.arange(len(bodies)), per_track)
     notes["onset"] = tempo_map.seconds(closed[:, 0])
     notes["duration"] = tempo_map.seconds(closed[:, 1]) - notes["onset"]
-    for column, name in enumerate(("track_id", "channel", "key", "velocity", "volume_cc"), 2):
+    for column, name in enumerate(("channel", "key", "velocity", "volume_cc"), 2):
         notes[name] = closed[:, column]
     notes = notes[notes["duration"] > 0]
     notes = notes[np.lexsort((notes["key"], notes["track_id"], notes["onset"]))]

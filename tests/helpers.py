@@ -2,6 +2,10 @@
 
 The MIDI and WAV builders construct files directly from the container
 specifications so parser tests never depend on the code under test.  The
+SMF scan oracle is a plain per-event track scan, with tuple-keyed note
+matching and one tuple per note; ``perfeat.smf.parse_smf`` must give the
+same notes, duration and errors.  ``mean_sound_level`` is the per-group
+sound level that ``extract_midi_features`` computes through masks.  The
 quadrature oracle integrates the t density numerically as an independent
 check on the closed-form tail probabilities.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
@@ -19,7 +23,15 @@ from typing import NamedTuple
 import numpy as np
 
 from perfeat.audio_features import _DEGENERATE_SPREAD_RTOL, SilentFrame
-from perfeat.smf import NOTE_DTYPE
+from perfeat.midi_features import _mean, default_calibration, sound_levels
+from perfeat.smf import (
+    DEFAULT_VOLUME_CC,
+    NOTE_DTYPE,
+    SmfError,
+    TempoMap,
+    TruncatedChunk,
+    _split_chunks,
+)
 
 # ----------------------------------------------------------------- SMF bytes
 
@@ -70,6 +82,133 @@ def track(*events: bytes, eot_delta: int = 0, append_eot: bool = True) -> bytes:
 def smf(*tracks: bytes, division: int = 480, fmt: int = 1) -> bytes:
     header = b"MThd" + struct.pack(">IHHH", 6, fmt, len(tracks), division)
     return header + b"".join(tracks)
+
+
+# ---------------------------------------------------------- SMF scan oracle
+
+_PAST_END = "event data ran past the end of its track chunk"
+
+
+def _varint(data: bytes, pos: int):
+    """Big-endian base-128 with a continuation bit, at most four bytes: (value, next pos)."""
+    value = 0
+    for pos in range(pos, pos + 4):
+        byte = data[pos]
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos + 1
+    raise TruncatedChunk("variable-length quantity longer than four bytes")
+
+
+def _payload(body: bytes, pos: int):
+    """Bounds of the length-prefixed payload of a meta or sysex event."""
+    length, start = _varint(body, pos)
+    if start + length > len(body):
+        raise TruncatedChunk(_PAST_END)
+    return start, start + length
+
+
+def oracle_parse_track(body: bytes, track_id: int):
+    """One track chunk -> (closed notes in ticks, end tick, tempo events).
+
+    A closed note is (onset tick, off tick, track, channel, key, velocity,
+    volume).
+    """
+    pos = 0
+    tick = 0
+    running = None
+    volume = {}  # channel -> controller 7 value
+    open_notes = {}  # (channel, key) -> stack of (onset_tick, velocity, volume)
+    closed = []
+    tempos = []
+    end_tick = None
+    try:
+        while pos < len(body):
+            delta, pos = _varint(body, pos)
+            tick += delta
+            status = body[pos]
+            if status < 0x80:
+                if running is None:
+                    raise TruncatedChunk(
+                        f"data byte with no running status in track {track_id}"
+                    )
+                status = running
+            else:
+                pos += 1
+            if status == 0xFF:
+                running = None
+                meta_type = body[pos]
+                start, pos = _payload(body, pos + 1)
+                if meta_type == 0x51 and pos - start == 3:
+                    tempos.append((tick, int.from_bytes(body[start:pos], "big")))
+                elif meta_type == 0x2F:
+                    end_tick = tick
+                    break
+            elif status in (0xF0, 0xF7):
+                running = None
+                _, pos = _payload(body, pos)
+            elif status >= 0xF0:
+                raise TruncatedChunk(
+                    f"system message {status:#x} is not valid in a track chunk"
+                )
+            else:
+                running = status
+                kind = status & 0xF0
+                channel = status & 0x0F
+                d1 = body[pos]
+                if kind in (0xC0, 0xD0):
+                    d2 = 0
+                    pos += 1
+                else:
+                    d2 = body[pos + 1]
+                    pos += 2
+                if (d1 | d2) & 0x80:
+                    raise SmfError(f"data byte above 0x7f in track {track_id}")
+                if kind == 0x90 and d2 > 0:
+                    stack = open_notes.setdefault((channel, d1), [])
+                    stack.append((tick, d2, volume.get(channel, DEFAULT_VOLUME_CC)))
+                elif kind == 0x80 or (kind == 0x90 and d2 == 0):
+                    stack = open_notes.get((channel, d1))
+                    if stack:  # off with no matching on is ignored
+                        onset, vel, vol = stack.pop()
+                        closed.append((onset, tick, track_id, channel, d1, vel, vol))
+                elif kind == 0xB0 and d1 == 7:
+                    volume[channel] = d2
+    except IndexError:
+        raise TruncatedChunk(_PAST_END) from None
+    if end_tick is None:
+        end_tick = tick
+    # Notes still sounding at end-of-track are closed there.
+    for (channel, key), stack in open_notes.items():
+        for onset, vel, vol in stack:
+            closed.append((onset, end_tick, track_id, channel, key, vel, vol))
+    return closed, end_tick, tempos
+
+
+def oracle_parse_smf(data: bytes):
+    """(sorted read-only NOTE_DTYPE notes, duration) of one file, by the oracle scan."""
+    _, division, bodies = _split_chunks(data)
+    closed = []
+    tempo_events = []
+    end_ticks = []
+    for track_id, body in enumerate(bodies):
+        track_closed, end_tick, tempos = oracle_parse_track(body, track_id)
+        closed.extend(track_closed)
+        end_ticks.append(end_tick)
+        tempo_events.extend(tempos)
+    tempo_events.sort(key=lambda event: event[0])
+    tempo_map = TempoMap(tempo_events, division)
+    closed = np.array(closed, dtype=np.int64).reshape(-1, 7)
+    notes = np.empty(len(closed), dtype=NOTE_DTYPE)
+    notes["onset"] = tempo_map.seconds(closed[:, 0])
+    notes["duration"] = tempo_map.seconds(closed[:, 1]) - notes["onset"]
+    for column, name in enumerate(("track_id", "channel", "key", "velocity", "volume_cc"), 2):
+        notes[name] = closed[:, column]
+    notes = notes[notes["duration"] > 0]
+    notes = notes[np.lexsort((notes["key"], notes["track_id"], notes["onset"]))]
+    notes.flags.writeable = False
+    duration = float(tempo_map.seconds(end_ticks).max()) if end_ticks else 0.0
+    return notes, duration
 
 
 # ----------------------------------------------------------------- WAV bytes
@@ -213,6 +352,11 @@ def notes(rows=()) -> np.ndarray:
 
 
 # ----------------------------------------------------------- numeric oracles
+
+
+def mean_sound_level(notes: np.ndarray, calibration=default_calibration) -> float:
+    """Mean per-note sound level in dB."""
+    return _mean(sound_levels(notes, calibration))
 
 
 def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import note, notes as note_array
+from helpers import mean_sound_level, note, notes as note_array
 from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
@@ -24,7 +24,6 @@ from perfeat.midi_features import (
     filter_soft_notes,
     mean_articulation,
     mean_pitch,
-    mean_sound_level,
     note_density,
     sound_levels,
 )

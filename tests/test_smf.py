@@ -11,9 +11,11 @@ from helpers import (
     ev,
     note_off,
     note_on,
+    oracle_parse_smf,
     set_tempo,
     smf,
     track,
+    vlq,
 )
 from perfeat.midi_features import TOM_KEYS, extract_midi_features
 from perfeat.smf import (
@@ -416,11 +418,79 @@ def _valid_files():
     ]
 
 
+# Deltas of one, two, three and four bytes, often zero so that events share a tick.
+DELTAS = st.one_of(
+    st.just(0),
+    st.integers(0, 0x7F),
+    st.integers(0x80, 0x3FFF),
+    st.integers(0x4000, 0x1FFFFF),
+    st.integers(0x200000, 0x0FFFFFFF),
+)
+
+# Channel messages as (status high nibble, number of data bytes).
+CHANNEL_KINDS = {
+    "on": (0x90, 2), "off": (0x80, 2), "on0": (0x90, 2), "cc7": (0xB0, 2),
+    "cc": (0xB0, 2), "touch": (0xA0, 2), "bend": (0xE0, 2),
+    "program": (0xC0, 1), "pressure": (0xD0, 1),
+}
+# Note events weighted up, so that most keys are struck again before their off.
+EVENT_KINDS = ["on"] * 4 + ["off"] * 2 + [*CHANNEL_KINDS, "sysex", "escape", "text", "tempo"]
+
+
 @st.composite
-def damaged_files(draw):
-    """A valid file after a few byte replacements, truncations and splices."""
-    files = _valid_files()
-    data = bytearray(draw(st.sampled_from(files)))
+def track_bodies(draw):
+    """One valid MTrk body.
+
+    Few channels and keys, so same-key overlaps and orphan offs are common.
+    Channel messages repeat their status byte or lean on running status;
+    sysex and meta events (tempo among them) cancel it.  The track may end
+    without an end-of-track event, or carry bytes after one.
+    """
+    body = bytearray()
+    running = None
+    for _ in range(draw(st.integers(0, 30))):
+        body += vlq(draw(DELTAS))
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        if kind in CHANNEL_KINDS:
+            high, size = CHANNEL_KINDS[kind]
+            status = high | draw(st.sampled_from([0, 1, 9]))
+            if kind in ("on", "off", "on0"):
+                d1 = draw(st.sampled_from([36, 60, 61]))
+            else:
+                d1 = 7 if kind == "cc7" else draw(st.integers(0, 127))
+            d2 = 0 if kind == "on0" else draw(st.integers(1 if kind == "on" else 0, 127))
+            data = bytes([d1, d2][:size])
+            if status != running or draw(st.booleans()):
+                data = bytes([status]) + data
+            running = status
+        elif kind == "tempo":
+            data = b"\xff\x51\x03" + draw(st.integers(1, 0xFFFFFF)).to_bytes(3, "big")
+            running = None
+        else:
+            payload = draw(st.binary(max_size=140))
+            lead = {"sysex": b"\xf0", "escape": b"\xf7", "text": b"\xff\x01"}[kind]
+            data = lead + vlq(len(payload)) + payload
+            running = None
+        body += data
+    if draw(st.booleans()):
+        body += vlq(draw(DELTAS)) + b"\xff\x2f\x00" + draw(st.binary(max_size=4))
+    return bytes(body)
+
+
+@st.composite
+def scanned_files(draw):
+    """A valid format 0 or 1 file of one to three generated tracks."""
+    bodies = draw(st.lists(track_bodies(), min_size=1, max_size=3))
+    return smf(
+        *(track(body, append_eot=False) for body in bodies),
+        division=draw(st.integers(1, 0x7FFF)),
+        fmt=draw(st.sampled_from([0, 1])),
+    )
+
+
+def _damage(draw, data, donors):
+    """A few byte replacements, truncations and splices of data."""
+    data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(["replace", "truncate", "splice"]))
         at = draw(st.integers(0, max(len(data) - 1, 0)))
@@ -429,13 +499,81 @@ def damaged_files(draw):
         elif op == "truncate":
             del data[at:]
         else:
-            donor = draw(st.sampled_from(files))
+            donor = draw(st.sampled_from(donors))
             start = draw(st.integers(0, len(donor) - 1))
             data[at:at] = donor[start : start + draw(st.integers(1, 12))]
     return bytes(data)
 
 
+@st.composite
+def damaged_files(draw):
+    """A valid file after a few byte replacements, truncations and splices."""
+    files = _valid_files()
+    return _damage(draw, draw(st.sampled_from(files)), files)
+
+
+@st.composite
+def damaged_scanned_files(draw):
+    """A generated valid file after a few replacements, truncations and splices."""
+    data = draw(scanned_files())
+    return _damage(draw, data, [data])
+
+
+def _outcome(parse, data):
+    """(note bytes, duration) of a parse, or the class and message of its SmfError."""
+    try:
+        notes, duration = parse(data)
+    except SmfError as error:
+        return type(error), str(error)
+    return notes.tobytes(), duration
+
+
+def _scan(data):
+    song = parse_smf(data)
+    return song.notes, song.duration
+
+
+class TestOracleScan:
+    """The track scan gives the notes and duration of the oracle scan in tests/helpers.py."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=scanned_files())
+    def test_valid_files_equal_oracle(self, data):
+        song = parse_smf(data)
+        notes, duration = oracle_parse_smf(data)
+        assert song.notes.tobytes() == notes.tobytes()
+        assert song.duration == duration
+
+
 class TestDamagedFiles:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x00\x3c\x64",  # data byte with no running status
+            b"\x00\x90\x3c\x64\x00\xf0\x00\x00\x3c\x00",  # sysex cancels running status
+            b"\x00\xf2\x00\x00",  # system common message
+            b"\x00\xfe",  # system real-time message
+            b"\x00",  # delta with no event
+            b"\x81",  # two-byte delta cut after one byte
+            b"\x81\x80",  # three-byte delta cut after two bytes
+            b"\x81\x80\x80\x80\x00",  # five-byte delta
+            b"\x00\x90\x3c",  # note-on with no velocity
+            b"\x00\xc0",  # program change with no program
+            b"\x00\xff",  # meta event with no type
+            b"\x00\xff\x01\x05abc",  # meta payload past the end
+            b"\x00\xf0\x81",  # sysex length cut short
+            b"\x00\xf7\x81\x80\x80\x80\x00",  # five-byte sysex length
+            b"\x00\x90\x3c\x80",  # velocity above 0x7f
+            b"\x00\xd0\x80",  # channel pressure above 0x7f
+            set_tempo(0, 0),  # a tempo of zero
+        ],
+    )
+    def test_each_error_matches_oracle(self, body):
+        data = smf(track(end_of_track()), track(body, append_eot=False))
+        outcome = _outcome(_scan, data)
+        assert issubclass(outcome[0], SmfError)
+        assert outcome == _outcome(oracle_parse_smf, data)
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(data=damaged_files())
     def test_only_smf_errors_and_seven_bit_notes(self, data):
@@ -447,3 +585,13 @@ class TestDamagedFiles:
             extract_midi_features(song)
         except SmfError:
             pass
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=damaged_files())
+    def test_same_outcome_as_oracle(self, data):
+        assert _outcome(_scan, data) == _outcome(oracle_parse_smf, data)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=damaged_scanned_files())
+    def test_generated_files_same_outcome_as_oracle(self, data):
+        assert _outcome(_scan, data) == _outcome(oracle_parse_smf, data)
