@@ -240,17 +240,18 @@ def _frame_descriptors(
     """Per-frame descriptors of live frames x bins, one row per descriptor.
 
     The rows are centroid, spread, skewness, kurtosis, flatness, a rolloff
-    frequency per fraction and a high-band energy share per cutoff.  Every
-    value depends on its own frame alone.  SilentFrame when a frame's
-    energy underflows to zero.
+    frequency per fraction and a high-band energy share per cutoff.  Each is
+    a row reduction, never a BLAS product, so no bit depends on the other
+    rows.  SilentFrame when a frame's energy underflows to zero.
     """
     # Moments, centred on each frame's centroid: expanding raw moments
     # instead cancels on near-line spectra.  Two frames x bins work arrays
     # serve every descriptor below.
     total = frames.sum(axis=1)
-    centroid = frames @ frequencies / total
+    work = frames * frequencies
+    centroid = work.sum(axis=1) / total
     deviations = frequencies - centroid[:, None]
-    work = frames * deviations
+    np.multiply(frames, deviations, out=work)
     work *= deviations
     spread = np.sqrt(np.maximum(work.sum(axis=1) / total, 0.0))
     work *= deviations
@@ -313,11 +314,11 @@ def extract_audio_features(
 
     The STFT and the descriptors run over blocks of ``BLOCK_FRAMES`` frames,
     so memory beyond the samples does not grow with the clip.  Only per-frame
-    values are kept, and each mean is taken once over all live frames.  The
-    descriptors equal the mean over live frames of the single-frame oracles
-    in the tests up to rounding (rolloff exactly).  Rolloff fractions and
-    brightness cutoffs are checked before the STFT runs: two that name one
-    column raise ValueError.
+    values are kept, each mean is taken once over all live frames, and no
+    value depends on the block size.  The descriptors equal the mean over
+    live frames of the single-frame oracles in the tests up to rounding
+    (rolloff exactly).  Rolloff fractions and brightness cutoffs are checked
+    before the STFT runs: two that name one column raise ValueError.
     """
     rolloff_columns: Dict[str, float] = {}
     for fraction in rolloff_fractions:
@@ -332,7 +333,7 @@ def extract_audio_features(
     x = clip.samples
     n_frames = _frame_count(len(x), frame_length, hop_length)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())
-    blocks, steps, pending = [], [], None
+    blocks, steps, last = [], [], None
     for start in range(0, n_frames, BLOCK_FRAMES):
         stop = min(start + BLOCK_FRAMES, n_frames)
         part = AudioClip(x[start * hop_length : (stop - 1) * hop_length + frame_length],
@@ -342,24 +343,15 @@ def extract_audio_features(
         if not live.any():
             continue
         frames = series.magnitudes[live]
-        frequencies = series.bin_frequencies
-        pending = frames if pending is None else np.concatenate([pending, frames])
         # Flux carries the last live frame over from the block before.
-        steps.append(_flux_steps(pending[-len(frames) - 1 :]))
-        # Descriptors run on chunks of exactly BLOCK_FRAMES live frames, and
-        # the last chunk holds the rest with at least one chunk's worth.  A
-        # BLAS GEMV that works through rows in groups then rounds every row
-        # as it would in one call over all live frames.
-        if len(pending) >= 2 * BLOCK_FRAMES:
-            blocks.append(_frame_descriptors(pending[:BLOCK_FRAMES], frequencies,
-                                             fractions, cutoffs))
-            pending = pending[BLOCK_FRAMES:]
-    if pending is None:
+        steps.append(_flux_steps(frames if last is None else np.concatenate([last, frames])))
+        blocks.append(_frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
+        last = frames[-1:]
+    if last is None:
         raise AllFramesSilent("every frame of the clip is silent")
     steps = np.concatenate(steps)
     if not len(steps):
         raise TooFewFrames("flux needs at least two frames")
-    blocks.append(_frame_descriptors(pending, frequencies, fractions, cutoffs))
     zcr, rms = time_domain_features(clip)
     means = [float(row.mean()) for row in np.concatenate(blocks, axis=1)]
     split = 5 + len(rolloff_columns)

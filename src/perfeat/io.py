@@ -32,6 +32,10 @@ class OutOfScale(ValueError):
     """A rating lies outside the declared response scale."""
 
 
+class InvalidScale(ValueError):
+    """A response scale with a NaN bound or a minimum above its maximum."""
+
+
 _CATEGORY_ALIASES = {
     "melody": TrackCategory.MELODY,
     "mel": TrackCategory.MELODY,
@@ -124,8 +128,13 @@ def load_ratings(
     and is ignored).  An item id on a second row raises SchemaError.  Empty
     cells are missing values.  With ``scale`` set, any value outside the
     closed interval raises :class:`OutOfScale` naming the first such cell,
-    row by row; pass ``scale=None`` for unbounded responses.
+    row by row; pass ``scale=None`` for unbounded responses.  A ``scale``
+    that is not an interval (a NaN bound, or ``lo > hi``) raises
+    :class:`InvalidScale` before the file is read.
     """
+    if scale is not None and not scale[0] <= scale[1]:
+        raise InvalidScale(f"scale [{scale[0]}, {scale[1]}] is not an interval:"
+                           " need minimum <= maximum, neither NaN")
     item_ids, rater_ids, values, lines = _read_grid(path)
     if len(rater_ids) < 2:
         raise SchemaError(f"{path}: need an id column and two raters")

@@ -23,9 +23,11 @@ from helpers import (
     note_off,
     note_on,
     notes,
+    pcm16,
     smf,
     spectral_rolloff,
     track,
+    wav,
 )
 from perfeat.audio_features import AudioClip, extract_audio_features
 from perfeat.midi_features import extract_midi_features
@@ -452,3 +454,50 @@ def test_agreement_determinism(tmp_path):
             f"{label} run differs from the first",
         )
     _finish("agreement-determinism", failures, started, 60.0)
+
+
+def test_extract_audio_determinism(tmp_path):
+    """extract-audio output is byte-identical across runs and thread counts."""
+    started = time.monotonic()
+    failures = []
+    rng = np.random.default_rng(79)
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    rate = 22050
+    t = np.arange(8 * rate) / rate
+    clips = {
+        "noise": 0.3 * rng.normal(size=t.size),
+        "tones": 0.4 * np.sin(2 * np.pi * 440.0 * t) + 0.2 * np.sin(2 * np.pi * 3100.0 * t),
+    }
+    for name, x in clips.items():
+        # 8 s is 171 frames, more than two blocks; the silent runs leave
+        # blocks with a live frame count that is not a multiple of four.
+        for first, stop in ((10, 13), (70, 83), (127, 130)):
+            x[first * 1024 : (stop - 1) * 1024 + 2048] = 0.0
+        (wavs / f"{name}.wav").write_bytes(wav(pcm16(x), rate))
+
+    outputs = []
+    for label, threads in (("first", "1"), ("second", "1"), ("threaded", "4")):
+        out_dir = tmp_path / label
+        env = os.environ.copy()
+        for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[variable] = threads
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "perfeat", "extract-audio",
+                "--wav-dir", str(wavs), "--out-dir", str(out_dir),
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        _expect(
+            failures, result.returncode == 0,
+            f"{label} run failed: {result.stderr.strip()}",
+        )
+        if result.returncode == 0:
+            outputs.append((label, (out_dir / "audio_features.csv").read_bytes()))
+    for label, data in outputs[1:]:
+        _expect(
+            failures, data == outputs[0][1],
+            f"{label} run differs from the first",
+        )
+    _finish("extract-audio-determinism", failures, started, 60.0)

@@ -34,6 +34,7 @@ from perfeat.audio_features import (
     TooFewFrames,
     TruncatedData,
     UnsupportedCodec,
+    _frame_descriptors,
     extract_audio_features,
     read_wav,
     spectral_flux,
@@ -624,6 +625,24 @@ def block_edge_clips(draw):
     return AudioClip(x, 8000), frame_length, hop
 
 
+@st.composite
+def row_ranges(draw):
+    """(live frames x bins, first, stop): random spectra and a row range.
+
+    Rows are uniform noise at one of three scales, some with zero bins and
+    some single lines; every row keeps at least one positive bin.
+    """
+    rows = draw(st.integers(1, 13))
+    bins = draw(st.sampled_from([2, 5, 33, 257, 1025]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.uniform(0.0, 1.0, (rows, bins)) * rng.choice([1e-3, 1.0, 1e4], (rows, 1))
+    frames[rng.random((rows, bins)) < 0.1] = 0.0
+    frames[rng.random(rows) < 0.2] = 0.0
+    frames[np.arange(rows), rng.integers(0, bins, rows)] = rng.uniform(0.5, 1.0, rows)
+    first = draw(st.integers(0, rows - 1))
+    return frames, first, draw(st.integers(first + 1, rows))
+
+
 def _assert_equals_oracles(vector, live, frequencies, rolloffs, brights):
     """Each column is the mean of its single-frame oracle over the live frames."""
     moments = [spectral_moments(frame, frequencies) for frame in live]
@@ -698,6 +717,30 @@ class TestBatchedDescriptors:
             {f"rolloff{f * 100:g}": f for f in ROLLOFF_FRACTIONS},
             {f"bright{c:g}": c for c in BRIGHTNESS_CUTOFFS},
         )
+
+    @PROPERTY
+    @given(case=row_ranges(), fractions=fractions, cutoffs=cutoffs)
+    def test_rows_equal_the_whole_matrix_call(self, case, fractions, cutoffs):
+        frames, first, stop = case
+        frequencies = np.linspace(0.0, 4000.0, frames.shape[1])
+        whole = _frame_descriptors(frames, frequencies, fractions, cutoffs)
+        for start, end in [(first, stop), *((row, row + 1) for row in range(first, stop))]:
+            part = _frame_descriptors(frames[start:end], frequencies, fractions, cutoffs)
+            assert np.array_equal(part, whole[:, start:end]), (start, end)
+
+    def test_block_size_moves_no_value(self):
+        rng = np.random.default_rng(15)
+        n_frames = 200
+        x = rng.normal(size=(n_frames - 1) * 1024 + 2048)
+        # Silent runs of whole frames inside one block and across block edges.
+        for first, stop in ((5, 9), (60, 75), (130, 131), (150, 171)):
+            x[first * 1024 : (stop - 1) * 1024 + 2048] = 0.0
+        clip = AudioClip(x, 22050)
+        vectors = []
+        for size in (1, 3, 7, 64):
+            with mock.patch("perfeat.audio_features.BLOCK_FRAMES", size):
+                vectors.append(extract_audio_features(clip))
+        assert vectors[1:] == vectors[:1] * 3
 
     def test_zero_bins_and_single_lines_raise_no_warning(self):
         # Two-sample rectangular frames have the exact spectrum

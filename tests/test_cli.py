@@ -390,6 +390,16 @@ class TestAgreement:
         assert run("agreement", "--ratings", path, "--out-dir", tmp_path) == 1
         assert "bad.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", [("nan", "nan"), ("9", "1")])
+    def test_scale_that_is_not_an_interval_fails(self, tmp_path, capsys, bounds):
+        path = tmp_path / "panel.csv"
+        path.write_text("item,r1,r2\ns1,3,60\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--scale-min", bounds[0],
+                   "--scale-max", bounds[1], "--out-dir", out) == 1
+        assert "is not an interval" in capsys.readouterr().err
+        assert not (out / "agreement.csv").exists()
+
     def test_no_scale_check_accepts(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from perfeat.io import (
+    InvalidScale,
     OutOfScale,
     SchemaError,
     format_number,
@@ -58,6 +59,15 @@ class TestLoadRatings:
         path = write(tmp_path / "r.csv", "item,r1,r2\ns1,5,0\ns2,10,5\n")
         with pytest.raises(OutOfScale, match=r":2: rating 0.0 for item 's1' by 'r2'"):
             load_ratings(path)
+
+    @pytest.mark.parametrize("scale", [(math.nan, math.nan), (1.0, math.nan),
+                                       (math.nan, 9.0), (9.0, 1.0)])
+    def test_scale_that_is_not_an_interval(self, tmp_path, scale):
+        # Every comparison with NaN is false, so a NaN bound would let every
+        # rating through.
+        path = write(tmp_path / "r.csv", "item,r1,r2\ns1,5,60\n")
+        with pytest.raises(InvalidScale, match=r"is not an interval"):
+            load_ratings(path, scale=scale)
 
     def test_non_finite_text_rejected(self, tmp_path):
         path = write(tmp_path / "r.csv", "item,r1,r2\ns1,3,4\ns2,nan,4\n")
