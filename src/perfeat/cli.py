@@ -24,6 +24,7 @@ from . import audio_features as af
 from . import midi_features as mf
 from .io import (
     SchemaError,
+    check_scale,
     load_annotations,
     load_calibration,
     load_config,
@@ -246,6 +247,7 @@ def _cmd_agreement(args):
     files = _ratings_files(_required(args, "ratings"))
     trim = args.trim
     scale = None if args.no_scale_check else (args.scale_min, args.scale_max)
+    check_scale(scale)  # an argument error: checked here, so that no file is blamed
 
     def panel(path: Path):
         matrix = load_ratings(path, scale=scale)

@@ -119,6 +119,13 @@ def _once(path: PathLike, seen: Dict[object, int], key, line: int, what: str) ->
     seen[key] = line
 
 
+def check_scale(scale: Optional[Tuple[float, float]]) -> None:
+    """InvalidScale unless ``scale`` is None or an interval: minimum <= maximum, no NaN."""
+    if scale is not None and not scale[0] <= scale[1]:
+        raise InvalidScale(f"scale [{scale[0]}, {scale[1]}] is not an interval:"
+                           " need minimum <= maximum, neither NaN")
+
+
 def load_ratings(
     path: PathLike, scale: Optional[Tuple[float, float]] = (1.0, 9.0)
 ) -> RatingMatrix:
@@ -132,9 +139,7 @@ def load_ratings(
     that is not an interval (a NaN bound, or ``lo > hi``) raises
     :class:`InvalidScale` before the file is read.
     """
-    if scale is not None and not scale[0] <= scale[1]:
-        raise InvalidScale(f"scale [{scale[0]}, {scale[1]}] is not an interval:"
-                           " need minimum <= maximum, neither NaN")
+    check_scale(scale)
     item_ids, rater_ids, values, lines = _read_grid(path)
     if len(rater_ids) < 2:
         raise SchemaError(f"{path}: need an id column and two raters")

@@ -32,6 +32,11 @@ TOM_KEYS = frozenset({35, 36, 38, 40, 41, 43, 45, 47, 48, 50})
 """General MIDI percussion keys heard as drum-skin hits: kicks, snares, toms.
 Every other drum note (hi-hats, cymbals, shakers, ...) is ``dru_rest``."""
 
+_IS_TOM_KEY = np.zeros(256, dtype=bool)
+_IS_TOM_KEY[list(TOM_KEYS)] = True
+
+_ROLE_CODES = {role: code for code, role in enumerate(TrackCategory, 1)}  # 0: no role
+
 CalibrationCurve = Callable[[int, int], float]
 
 
@@ -107,9 +112,9 @@ def sound_levels(
     # Both fields are uint8, so the code is one-to-one and indexes a lookup table.
     codes = notes["velocity"].astype(np.intp) * 256 + notes["volume_cc"]
     counts = np.bincount(codes)
+    present = np.flatnonzero(counts)
     table = np.zeros(len(counts))
-    for code in np.flatnonzero(counts).tolist():
-        table[code] = calibration(*divmod(code, 256))
+    table[present] = [calibration(*divmod(code, 256)) for code in present.tolist()]
     return table[codes]
 
 
@@ -128,32 +133,20 @@ def filter_soft_notes(
     return notes[levels > levels.max() - SOFT_NOTE_CUTOFF_DB]
 
 
-def cluster_onsets(onsets: Iterable[float], merge_window: float = MERGE_WINDOW) -> int:
-    """Count onset clusters under greedy left-to-right anchoring.
+def _count_clusters(onsets: np.ndarray, merge_window: float) -> int:
+    """Onset clusters of non-empty ascending ``onsets`` under greedy left-to-right anchoring.
 
-    Scanning onsets in ascending order, an onset starts a new cluster exactly
-    when it is more than ``merge_window`` after the current cluster's first
-    onset; otherwise it joins the cluster.  With a zero window every distinct
-    onset is its own cluster.
+    An onset more than ``merge_window`` after the current cluster's first
+    onset starts a new cluster; any other joins it.  A repeated onset always
+    joins, so only distinct onsets are walked.
     """
     count = 0
     anchor = -math.inf
-    for t in np.sort(np.asarray(onsets, dtype=float)).tolist():
+    for t in onsets[np.append(True, onsets[1:] != onsets[:-1])].tolist():
         if t - anchor > merge_window:
             count += 1
             anchor = t
     return count
-
-
-def note_density(
-    notes: np.ndarray,
-    song_duration: float,
-    merge_window: float = MERGE_WINDOW,
-) -> float:
-    """Onset clusters per second over the full song duration."""
-    if song_duration <= 0:
-        raise NonPositiveDuration("song duration must be positive")
-    return cluster_onsets(notes["onset"], merge_window) / song_duration
 
 
 def _mean(values: np.ndarray, empty: str = "no notes to average") -> float:
@@ -163,30 +156,22 @@ def _mean(values: np.ndarray, empty: str = "no notes to average") -> float:
     return math.fsum(values.tolist()) / len(values)
 
 
-def mean_pitch(notes: np.ndarray) -> float:
-    """Mean note number."""
-    return _mean(notes["key"])
+def _inter_onset_intervals(notes: np.ndarray) -> np.ndarray:
+    """Each note's interval to the next distinct onset of its track; inf at a track's last.
 
-
-def mean_articulation(notes: np.ndarray) -> float:
-    """Mean duration-to-inter-onset-interval ratio.
-
-    For each note the interval runs from its onset to the next distinct
-    onset time within the same track, so chord tones share one interval.
-    Notes at the last onset of their track have no interval and notes whose
-    interval exceeds :data:`IOI_LIMIT` sit before a gap; both are excluded.
+    Chord tones share one interval.  One sort by (track, onset) serves every
+    track: a run of equal (track, onset) reaches the next run of its track.
     """
-    ratios = [np.empty(0)]
-    for track_id in set(notes["track_id"].tolist()):
-        track = notes[notes["track_id"] == track_id]
-        # The first sorted onset strictly after a note's own is the next distinct one.
-        onsets = np.sort(track["onset"])
-        following = np.searchsorted(onsets, track["onset"], side="right")
-        usable = following < len(onsets)
-        ioi = onsets[following[usable]] - track["onset"][usable]
-        short = ioi <= IOI_LIMIT
-        ratios.append(track["duration"][usable][short] / ioi[short])
-    return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
+    order = np.lexsort((notes["onset"], notes["track_id"]))
+    tracks, onsets = notes["track_id"][order], notes["onset"][order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (tracks[1:] != tracks[:-1]) | (onsets[1:] != onsets[:-1])
+    starts = np.flatnonzero(first)
+    gaps = np.where(tracks[starts[1:]] == tracks[starts[:-1]],
+                    onsets[starts[1:]] - onsets[starts[:-1]], np.inf)
+    ioi = np.empty(len(order))
+    ioi[order] = np.append(gaps, np.inf)[np.cumsum(first) - 1]
+    return ioi
 
 
 FIELDS = (
@@ -217,7 +202,8 @@ def extract_midi_features(
     the whole-song aggregates only.  Drum notes split into ``dru_tom``
     (:data:`TOM_KEYS`) and ``dru_rest``.  ``tempo`` is the song's counted
     tempo in beats per second, reported as ``ann_tempo``.  A negative or
-    non-finite ``merge_window`` raises ValueError.
+    non-finite ``merge_window`` raises ValueError, and a song with audible
+    notes but no positive duration raises NonPositiveDuration.
     """
     if not (math.isfinite(merge_window) and merge_window >= 0):
         raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
@@ -225,22 +211,32 @@ def extract_midi_features(
     calibration = functools.lru_cache(maxsize=None)(calibration)
     kept = filter_soft_notes(song.notes, calibration)
     levels = sound_levels(kept, calibration)
-    tracks = kept["track_id"]
+    tracks, onsets, keys = kept["track_id"], kept["onset"], kept["key"]
+    # One role code per note: an annotation wins over the percussion channel.
+    codes = np.where(kept["channel"] == PERCUSSION_CHANNEL, _ROLE_CODES[TrackCategory.DRUMS], 0)
+    for track_id, role in song.annotations.items():
+        codes[tracks == track_id] = _ROLE_CODES[role]
     groups = {"all": np.ones(len(kept), dtype=bool)}
-    for role in TrackCategory:
-        role_tracks = [t for t, r in song.annotations.items() if r is role]
-        groups[role.value[:3]] = np.isin(tracks, role_tracks)
-    unannotated = ~np.isin(tracks, list(song.annotations))
-    groups["dru"] |= unannotated & (kept["channel"] == PERCUSSION_CHANNEL)
-    tom = np.isin(kept["key"], list(TOM_KEYS))
+    for role, code in _ROLE_CODES.items():
+        groups[role.value[:3]] = codes == code
+    tom = _IS_TOM_KEY[keys]
     groups["dru_tom"] = groups["dru"] & tom
     groups["dru_rest"] = groups["dru"] & ~tom
+    # Roles are whole tracks, so a note's ratio is the same in every group that holds it.
+    ioi = _inter_onset_intervals(kept)
+    ratios = kept["duration"] / ioi
+    articulated = ioi <= IOI_LIMIT
+    onset_order = np.argsort(onsets, kind="stable")
+    by_onset = onsets[onset_order]
+    if len(kept) and song.duration <= 0:
+        raise NonPositiveDuration("song duration must be positive")
 
     statistics = {
-        "nps": lambda group: note_density(kept[group], song.duration, merge_window),
+        "nps": lambda group: (_count_clusters(by_onset[group[onset_order]], merge_window)
+                              / song.duration),
         "sl": lambda group: _mean(levels[group]),
-        "f0": lambda group: mean_pitch(kept[group]),
-        "art": lambda group: mean_articulation(kept[group]),
+        "f0": lambda group: _mean(keys[group]),
+        "art": lambda group: _mean(ratios[group & articulated]),
     }
     out: Dict[str, Optional[float]] = dict.fromkeys(FIELDS)
     out["ann_tempo"] = tempo

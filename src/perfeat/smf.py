@@ -187,8 +187,9 @@ def _parse_track(body: bytes, track_id: int):
     open_notes = {}  # channel << 7 | key -> stack of (onset_tick, velocity, volume)
     closed = []
     tempos = []
+    end = len(body)
     try:
-        while pos < len(body):
+        while pos < end:
             delta = body[pos]
             if delta < 0x80:
                 pos += 1
@@ -220,7 +221,11 @@ def _parse_track(body: bytes, track_id: int):
                 channel = status & 0x0F
                 if kind == 0x90 and d2:
                     note = channel << 7 | d1
-                    open_notes.setdefault(note, []).append((tick, d2, volume[channel]))
+                    stack = open_notes.get(note)
+                    if stack is None:
+                        open_notes[note] = [(tick, d2, volume[channel])]
+                    else:
+                        stack.append((tick, d2, volume[channel]))
                 elif kind <= 0x90:  # a note-off, or a note-on of velocity zero
                     stack = open_notes.get(channel << 7 | d1)
                     if stack:  # off with no matching on is ignored

@@ -4,8 +4,10 @@ The MIDI and WAV builders construct files directly from the container
 specifications so parser tests never depend on the code under test.  The
 SMF scan oracle is a plain per-event track scan, with tuple-keyed note
 matching and one tuple per note; ``perfeat.smf.parse_smf`` must give the
-same notes, duration and errors.  ``mean_sound_level`` is the per-group
-sound level that ``extract_midi_features`` computes through masks.  The
+same notes, duration and errors.  ``mean_sound_level``, ``note_density``,
+``mean_pitch`` and ``mean_articulation`` compute one group's statistic from
+that group's notes alone, each with its own sort; ``extract_midi_features``
+computes every group's from one set of per-note arrays per song.  The
 quadrature oracle integrates the t density numerically as an independent
 check on the closed-form tail probabilities.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
@@ -23,7 +25,14 @@ from typing import NamedTuple
 import numpy as np
 
 from perfeat.audio_features import _DEGENERATE_SPREAD_RTOL, SilentFrame
-from perfeat.midi_features import _mean, default_calibration, sound_levels
+from perfeat.midi_features import (
+    IOI_LIMIT,
+    MERGE_WINDOW,
+    NonPositiveDuration,
+    _mean,
+    default_calibration,
+    sound_levels,
+)
 from perfeat.smf import (
     DEFAULT_VOLUME_CC,
     NOTE_DTYPE,
@@ -357,6 +366,58 @@ def notes(rows=()) -> np.ndarray:
 def mean_sound_level(notes: np.ndarray, calibration=default_calibration) -> float:
     """Mean per-note sound level in dB."""
     return _mean(sound_levels(notes, calibration))
+
+
+def cluster_onsets(onsets, merge_window: float = MERGE_WINDOW) -> int:
+    """Count onset clusters under greedy left-to-right anchoring.
+
+    Scanning onsets in ascending order, an onset starts a new cluster exactly
+    when it is more than ``merge_window`` after the current cluster's first
+    onset; otherwise it joins the cluster.  With a zero window every distinct
+    onset is its own cluster.
+    """
+    count = 0
+    anchor = -math.inf
+    for t in np.sort(np.asarray(onsets, dtype=float)).tolist():
+        if t - anchor > merge_window:
+            count += 1
+            anchor = t
+    return count
+
+
+def note_density(
+    notes: np.ndarray, song_duration: float, merge_window: float = MERGE_WINDOW
+) -> float:
+    """Onset clusters per second over the full song duration."""
+    if song_duration <= 0:
+        raise NonPositiveDuration("song duration must be positive")
+    return cluster_onsets(notes["onset"], merge_window) / song_duration
+
+
+def mean_pitch(notes: np.ndarray) -> float:
+    """Mean note number."""
+    return _mean(notes["key"])
+
+
+def mean_articulation(notes: np.ndarray) -> float:
+    """Mean duration-to-inter-onset-interval ratio.
+
+    For each note the interval runs from its onset to the next distinct
+    onset time within the same track, so chord tones share one interval.
+    Notes at the last onset of their track have no interval and notes whose
+    interval exceeds ``IOI_LIMIT`` sit before a gap; both are excluded.
+    """
+    ratios = [np.empty(0)]
+    for track_id in set(notes["track_id"].tolist()):
+        track = notes[notes["track_id"] == track_id]
+        # The first sorted onset strictly after a note's own is the next distinct one.
+        onsets = np.sort(track["onset"])
+        following = np.searchsorted(onsets, track["onset"], side="right")
+        usable = following < len(onsets)
+        ioi = onsets[following[usable]] - track["onset"][usable]
+        short = ioi <= IOI_LIMIT
+        ratios.append(track["duration"][usable][short] / ioi[short])
+    return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
 
 
 def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float:

@@ -400,6 +400,18 @@ class TestAgreement:
         assert "is not an interval" in capsys.readouterr().err
         assert not (out / "agreement.csv").exists()
 
+    def test_scale_error_names_no_file(self, tmp_path, capsys):
+        # The scale is an argument, so its error blames none of the panels.
+        paths = [tmp_path / "speed.csv", tmp_path / "weight.csv"]
+        for path in paths:
+            path.write_text("item,r1,r2\ns1,3,4\ns2,5,6\n", encoding="utf-8")
+        assert run("agreement", "--ratings", *paths, "--scale-min", "9", "--scale-max", "1",
+                   "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == "error: scale [9.0, 1.0] is not an interval: need minimum <= maximum," \
+                      " neither NaN\n"
+        assert not any(path.stem in err for path in paths)
+
     def test_no_scale_check_accepts(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text(

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mean_sound_level, note, notes as note_array
+from helpers import (
+    cluster_onsets,
+    mean_articulation,
+    mean_pitch,
+    mean_sound_level,
+    note,
+    note_density,
+    notes as note_array,
+)
 from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
@@ -18,13 +26,9 @@ from perfeat.midi_features import (
     EmptyCategory,
     NonPositiveDuration,
     TableCalibration,
-    cluster_onsets,
     default_calibration,
     extract_midi_features,
     filter_soft_notes,
-    mean_articulation,
-    mean_pitch,
-    note_density,
     sound_levels,
 )
 from perfeat.smf import Song, TrackCategory
@@ -374,6 +378,10 @@ class TestExtract:
             song_of(notes, 1.0, annotations=roles)
         )["ann_tempo"] is None
 
+    def test_notes_without_a_positive_duration(self):
+        with pytest.raises(NonPositiveDuration):
+            extract_midi_features(song_of([note(0.0, 0.4)], 0.0))
+
     def test_empty_song_all_absent(self):
         v = extract_midi_features(song_of([], 0.0))
         assert all(value is None for value in v.values())
@@ -555,44 +563,106 @@ def _absent_or(statistic, notes):
         return None
 
 
+def _oracle_features(song, merge_window=MERGE_WINDOW):
+    """Every field from the per-group oracles, over note lists split row by row."""
+    # The role of a note: its track's annotation if there is one, else
+    # drums on channel 9 (MIDI channel 10), else none.
+    def role(n):
+        if n["track_id"] in song.annotations:
+            return song.annotations[n["track_id"]]
+        return TrackCategory.DRUMS if n["channel"] == 9 else None
+
+    def density(g):
+        return note_density(g, song.duration, merge_window)
+
+    kept = filter_soft_notes(song.notes)
+    drums = [n for n in kept if role(n) is TrackCategory.DRUMS]
+    groups = {"all": kept}
+    for category, name in ROLE_FIELDS.items():
+        groups[name] = [n for n in kept if role(n) is category]
+    expected = {"ann_tempo": None}
+    for name, members in groups.items():
+        expected[f"nps_{name}"] = _absent_or(density, members)
+        expected[f"sl_{name}"] = _absent_or(mean_sound_level, members)
+        expected[f"f0_{name}"] = _absent_or(mean_pitch, members)
+        expected[f"art_{name}"] = _absent_or(mean_articulation, members)
+    expected["nps_dru"] = _absent_or(density, drums)
+    expected["sl_dru"] = _absent_or(mean_sound_level, drums)
+    expected["nps_dru_tom"] = _absent_or(
+        density, [n for n in drums if int(n["key"]) in GM_TOM_KEYS]
+    )
+    expected["nps_dru_rest"] = _absent_or(
+        density, [n for n in drums if int(n["key"]) not in GM_TOM_KEYS]
+    )
+    return expected
+
+
+@st.composite
+def off_grid_songs(draw):
+    """1-5 tracks of unsorted float onsets: chords within a track, onsets shared
+    across tracks, and successors just below, at and just above IOI_LIMIT."""
+    times = st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_nan=False))
+    shared = draw(st.lists(times, min_size=1, max_size=3))
+    n_tracks = draw(st.integers(1, 5))
+    notes = []
+    for track_id in range(n_tracks):
+        channel = draw(st.sampled_from([0, 1, 9]))
+        onsets = []
+        for onset in draw(st.lists(st.one_of(times, st.sampled_from(shared)), max_size=6)):
+            onsets.append(onset)
+            follower = onset + IOI_LIMIT  # exactly IOI_LIMIT after an onset of 0.0
+            onsets += draw(st.sampled_from([
+                [], [onset], [follower],
+                [math.nextafter(follower, -math.inf)], [math.nextafter(follower, math.inf)],
+            ]))
+        for onset in onsets:
+            notes.append(
+                note(
+                    onset,
+                    draw(st.floats(1e-3, 2.0)),
+                    key=draw(st.integers(30, 90)),
+                    velocity=draw(st.integers(1, 127)),
+                    volume_cc=draw(st.integers(0, 127)),
+                    track_id=track_id,
+                    channel=channel,
+                )
+            )
+    roles = st.sampled_from(list(TrackCategory))
+    annotations = draw(
+        st.dictionaries(st.integers(0, n_tracks - 1), roles, max_size=n_tracks)
+    )
+    return song_of(notes, 5.0, annotations=annotations)
+
+
 class TestRoleResolution:
     @PROPERTY
     @given(song=annotated_songs())
     def test_fields_equal_statistics_over_track_channel_roles(self, song):
-        # The role of a note: its track's annotation if there is one, else
-        # drums on channel 9 (MIDI channel 10), else none.
-        def role(n):
-            if n["track_id"] in song.annotations:
-                return song.annotations[n["track_id"]]
-            return TrackCategory.DRUMS if n["channel"] == 9 else None
-
-        kept = filter_soft_notes(song.notes)
-        drums = [n for n in kept if role(n) is TrackCategory.DRUMS]
-        groups = {"all": kept}
-        for category, name in ROLE_FIELDS.items():
-            groups[name] = [n for n in kept if role(n) is category]
-        expected = {"ann_tempo": None}
-        for name, members in groups.items():
-            expected[f"nps_{name}"] = _absent_or(
-                lambda g: note_density(g, song.duration), members
-            )
-            expected[f"sl_{name}"] = _absent_or(mean_sound_level, members)
-            expected[f"f0_{name}"] = _absent_or(mean_pitch, members)
-            expected[f"art_{name}"] = _absent_or(mean_articulation, members)
-        expected["nps_dru"] = _absent_or(lambda g: note_density(g, song.duration), drums)
-        expected["sl_dru"] = _absent_or(mean_sound_level, drums)
-        expected["nps_dru_tom"] = _absent_or(
-            lambda g: note_density(g, song.duration),
-            [n for n in drums if int(n["key"]) in GM_TOM_KEYS],
-        )
-        expected["nps_dru_rest"] = _absent_or(
-            lambda g: note_density(g, song.duration),
-            [n for n in drums if int(n["key"]) not in GM_TOM_KEYS],
-        )
+        expected = _oracle_features(song)
         assert set(expected) == set(FIELDS)
 
         v = extract_midi_features(song)
         assert v == expected
+
+    @PROPERTY
+    @given(
+        song=off_grid_songs(),
+        merge_window=st.one_of(st.sampled_from([0.0, MERGE_WINDOW]), st.floats(0.0, 1.0)),
+    )
+    def test_off_grid_fields_equal_the_per_group_oracles(self, song, merge_window):
+        expected = _oracle_features(song, merge_window)
+        assert extract_midi_features(song, merge_window=merge_window) == expected
+
+    @PROPERTY
+    @given(song=annotated_songs())
+    def test_one_curve_call_per_distinct_pair_across_gate_and_levels(self, song):
+        curve = CountingCalibration()
+        v = extract_midi_features(song, calibration=curve)
+        pairs = zip(song.notes["velocity"].tolist(), song.notes["volume_cc"].tolist())
+        assert curve.calls == Counter(dict.fromkeys(pairs, 1))
+        # The cached levels are the curve's own: sl_all is their mean over the kept notes.
+        kept = filter_soft_notes(song.notes, CountingCalibration())
+        assert v["sl_all"] == _absent_or(lambda g: mean_sound_level(g, curve), kept)
 
 
 def articulation_by_loop(rows, ioi_limit=IOI_LIMIT):
