@@ -252,7 +252,7 @@ def _cmd_agreement(args):
     def panel(path: Path):
         matrix = load_ratings(path, scale=scale)
         report = inter_rater_agreement(matrix)
-        flagged = flag_outlier_raters(matrix) if matrix.n_raters >= 3 else []
+        flagged = flag_outlier_raters(report) if report.n_raters >= 3 else []
         drop = [rid for rid, _ in flagged]
         # Without --trim, a panel that flagging would empty keeps its
         # untrimmed statistics; with --trim, drop_raters raises AllDropped.

@@ -49,14 +49,23 @@ _CATEGORY_ALIASES = {
 }
 
 
+def _not_utf8(path: PathLike, err: UnicodeDecodeError) -> SchemaError:
+    """The error for a file that is not UTF-8 text, naming the file and the byte."""
+    return SchemaError(f"{path}: not UTF-8 text"
+                       f" (byte 0x{err.object[err.start]:02x}: {err.reason})")
+
+
 def _data_rows(path: PathLike):
     """Yield (line_number, row) for non-empty, non-comment CSV rows."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            yield reader.line_num, [cell.strip() for cell in row]
+        try:
+            for row in reader:
+                if not row or row[0].lstrip().startswith("#"):
+                    continue
+                yield reader.line_num, [cell.strip() for cell in row]
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
 
 
 def _parse_float(cell: str, path: PathLike, line: int) -> float:
@@ -273,6 +282,8 @@ def load_config(path: PathLike) -> Dict[str, object]:
             config = json.load(handle)
         except json.JSONDecodeError as err:
             raise SchemaError(f"{path}: not valid JSON ({err})") from None
+        except UnicodeDecodeError as err:
+            raise _not_utf8(path, err) from None
     if not isinstance(config, dict):
         raise SchemaError(f"{path}: configuration must be a JSON object")
     return config

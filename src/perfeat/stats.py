@@ -89,13 +89,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def pairwise_count(x: Sequence[float], y: Sequence[float]) -> int:
-    """Number of jointly present values."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return int((np.isfinite(x) & np.isfinite(y)).sum())
-
-
 def correlation_p_value(r: float, n: int) -> float:
     """Two-tailed p for a correlation of ``r`` over ``n`` pairs.
 
@@ -183,7 +176,10 @@ class AgreementReport:
     """Panel-level agreement summary for one rating matrix.
 
     ``alpha`` is None when fewer than :data:`MIN_COMPLETE_ITEMS` items are
-    rated by every rater.
+    rated by every rater.  ``per_rater_mean_r`` holds each rater's mean r
+    over their defined pairs, in rater order (NaN with none); it is what
+    :func:`flag_outlier_raters` reads, so flagging computes no correlation
+    of its own.
     """
 
     mean_pairwise_r: float
@@ -237,34 +233,6 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     return np.where(defined, np.clip(r, -1.0, 1.0), np.nan)
 
 
-def _pairwise_r_table(matrix: RatingMatrix):
-    """All rater-pair correlations, with undefined pairs recorded separately."""
-    r = _pairwise_r(matrix.values)
-    computed: Dict[Tuple[str, str], float] = {}
-    skipped: List[Tuple[str, str]] = []
-    for a, b in combinations(range(matrix.n_raters), 2):
-        ids = (matrix.rater_ids[a], matrix.rater_ids[b])
-        if math.isnan(r[a, b]):
-            skipped.append(ids)
-        else:
-            computed[ids] = float(r[a, b])
-    return computed, skipped
-
-
-def _per_rater_mean_r(
-    matrix: RatingMatrix, computed: Dict[Tuple[str, str], float]
-) -> Dict[str, float]:
-    """Each rater's mean correlation over their defined pairs; NaN with none."""
-    per_rater: Dict[str, List[float]] = {rid: [] for rid in matrix.rater_ids}
-    for (a, b), r in computed.items():
-        per_rater[a].append(r)
-        per_rater[b].append(r)
-    return {
-        rid: (math.fsum(rs) / len(rs) if rs else math.nan)
-        for rid, rs in per_rater.items()
-    }
-
-
 def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     """Mean pairwise correlation and internal consistency for a panel.
 
@@ -273,34 +241,49 @@ def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     consistency coefficient uses complete cases and is absent (None) when
     there are too few of them.
     """
-    computed, skipped = _pairwise_r_table(matrix)
-    if not computed:
+    r = _pairwise_r(matrix.values)
+    ids = matrix.rater_ids
+    defined: List[float] = []
+    per_rater: Dict[str, List[float]] = {rid: [] for rid in ids}
+    skipped: List[Tuple[str, str]] = []
+    for a, b in combinations(range(matrix.n_raters), 2):
+        if math.isnan(r[a, b]):
+            skipped.append((ids[a], ids[b]))
+            continue
+        value = float(r[a, b])
+        defined.append(value)
+        per_rater[ids[a]].append(value)
+        per_rater[ids[b]].append(value)
+    if not defined:
         raise ConstantInput("no rater pair has a defined correlation")
     complete_rows = int(np.isfinite(matrix.values).all(axis=1).sum())
     alpha = cronbach_alpha(matrix) if complete_rows >= MIN_COMPLETE_ITEMS else None
     return AgreementReport(
-        mean_pairwise_r=math.fsum(computed.values()) / len(computed),
+        mean_pairwise_r=math.fsum(defined) / len(defined),
         alpha=alpha,
         n_items=matrix.n_items,
         n_complete_items=complete_rows,
         n_raters=matrix.n_raters,
-        per_rater_mean_r=_per_rater_mean_r(matrix, computed),
+        per_rater_mean_r={
+            rid: (math.fsum(rs) / len(rs) if rs else math.nan)
+            for rid, rs in per_rater.items()
+        },
         skipped_pairs=tuple(skipped),
     )
 
 
-def flag_outlier_raters(matrix: RatingMatrix) -> List[Tuple[str, float]]:
+def flag_outlier_raters(report: AgreementReport) -> List[Tuple[str, float]]:
     """Raters whose mean correlation with the others marks them as deviant.
 
-    A rater is flagged when their mean pairwise correlation is negative,
-    undefined (no valid pair at all), or more than :data:`OUTLIER_SD_FACTOR`
-    sample standard deviations below the across-rater mean.  Returns (rater
-    id, mean r) pairs; callers decide whether to trim.
+    Reads ``report.per_rater_mean_r``, in rater order.  A rater is flagged
+    when their mean pairwise correlation is negative, undefined (no valid
+    pair at all), or more than :data:`OUTLIER_SD_FACTOR` sample standard
+    deviations below the across-rater mean.  Returns (rater id, mean r)
+    pairs; callers decide whether to trim.
     """
-    if matrix.n_raters < 3:
+    if report.n_raters < 3:
         raise ValueError("outlier flagging needs at least three raters")
-    computed, _ = _pairwise_r_table(matrix)
-    means = _per_rater_mean_r(matrix, computed)
+    means = report.per_rater_mean_r
     defined = [m for m in means.values() if not math.isnan(m)]
     if defined:
         grand_mean = math.fsum(defined) / len(defined)
@@ -308,8 +291,7 @@ def flag_outlier_raters(matrix: RatingMatrix) -> List[Tuple[str, float]]:
     else:
         grand_mean, sd = math.nan, 0.0
     flagged = []
-    for rid in matrix.rater_ids:
-        m = means[rid]
+    for rid, m in means.items():
         if math.isnan(m) or m < 0 or (sd > 0 and m < grand_mean - OUTLIER_SD_FACTOR * sd):
             flagged.append((rid, m))
     return flagged
@@ -364,16 +346,17 @@ def cross_correlation_matrix(
     if table.ndim != 2 or table.shape[1] != len(names):
         raise ValueError("table shape does not match the variable names")
     k = len(names)
+    present = np.isfinite(table).astype(float)
+    counts = np.einsum("ia,ib->ab", present, present)  # joint rows of each pair
     grid: List[List[Optional[CorrelationCell]]] = [[None] * k for _ in range(k)]
     for i in range(k):
-        n_i = int(np.isfinite(table[:, i]).sum())
-        grid[i][i] = CorrelationCell(r=1.0, n=n_i, p=0.0, stars="***")
+        grid[i][i] = CorrelationCell(r=1.0, n=int(counts[i, i]), p=0.0, stars="***")
     for i, j in combinations(range(k), 2):
         try:
             r = pearson(table[:, i], table[:, j])
         except (TooFewPairs, ConstantInput):
             continue
-        n = pairwise_count(table[:, i], table[:, j])
+        n = int(counts[i, j])
         p = correlation_p_value(r, n)
         cell = CorrelationCell(r=r, n=n, p=p, stars=stars_for_p(p))
         grid[i][j] = cell

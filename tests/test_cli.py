@@ -12,7 +12,7 @@ import pytest
 
 from helpers import note_on, note_off, pcm16, set_tempo, smf, track, wav
 import perfeat
-from perfeat import cli
+from perfeat import cli, stats
 from perfeat.io import load_table
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, ols_fit
@@ -34,6 +34,19 @@ def read_records(path):
     rows = list(csv.reader(lines))
     header = rows[0]
     return [dict(zip(header, row)) for row in rows[1:]]
+
+
+def add_deviant_rater(path):
+    """Append a rater ``r5`` who scores against the panel's mean."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] += ",r5"
+    for i in range(1, len(lines)):
+        panel_mean = np.mean([float(c) for c in lines[i].split(",")[1:]])
+        lines[i] += f",{10.0 - panel_mean:.2f}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+NOT_UTF8 = b"\xff"
 
 
 @pytest.fixture
@@ -159,6 +172,14 @@ class TestExtractMidi:
         column = names.index("ann_tempo")
         assert values[0][column] == 2.4
         assert math.isnan(values[1][column])
+
+    def test_tempos_not_utf8_names_the_file(self, midi_corpus, tmp_path, capsys):
+        corpus, _, _ = midi_corpus
+        tempos = tmp_path / "tempos.csv"
+        tempos.write_bytes(b"song_id,beats_per_second\nsong_a," + NOT_UTF8 + b"\n")
+        assert run("extract-midi", "--midi-dir", corpus, "--tempos", tempos,
+                   "--out-dir", tmp_path / "out") == 1
+        assert f"{tempos}: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_dir_flag_is_usage_error(self, capsys):
         assert run("extract-midi") == 2
@@ -295,20 +316,40 @@ class TestAgreement:
         assert not out.exists()
 
     def test_flagged_rater_reported(self, ratings_dir, tmp_path, capsys):
-        # Append a rater who scores against the panel.
         path = ratings_dir / "speed.csv"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[0] += ",r5"
-        for i in range(1, len(lines)):
-            panel_mean = np.mean([float(c) for c in lines[i].split(",")[1:]])
-            lines[i] += f",{10.0 - panel_mean:.2f}"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        add_deviant_rater(path)
         out = tmp_path / "out"
         assert run("agreement", "--ratings", path, "--out-dir", out) == 0
         record = read_records(out / "agreement.csv")[0]
         assert record["n_flagged"] == "1"
         assert record["flagged_raters"] == "r5"
         assert float(record["mean_r_trimmed"]) > float(record["mean_r"])
+
+    def test_each_panel_computed_once(self, ratings_dir, tmp_path, monkeypatch):
+        add_deviant_rater(ratings_dir / "speed.csv")
+        kernel = stats._pairwise_r
+        raters_per_call = []
+
+        def counted(values):
+            raters_per_call.append(values.shape[1])
+            return kernel(values)
+
+        monkeypatch.setattr(stats, "_pairwise_r", counted)
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", ratings_dir, "--out-dir", out) == 0
+        flagged = {r["feature"]: r["n_flagged"] for r in read_records(out / "agreement.csv")}
+        assert flagged == {"energy": "0", "speed": "1"}
+        # energy's panel; speed's panel, then its trimmed re-run without r5.
+        assert raters_per_call == [4, 5, 4]
+
+    def test_damaged_file_is_named_alone(self, ratings_dir, tmp_path, capsys):
+        good, bad = ratings_dir / "energy.csv", ratings_dir / "speed.csv"
+        bad.write_bytes(bad.read_bytes().replace(b"item03,", b"item03" + NOT_UTF8 + b","))
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", good, bad, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err and good.name not in err
+        assert not out.exists()
 
     def test_no_complete_item_leaves_alpha_empty(self, tmp_path):
         # 12 items x 5 raters, each item missing one rater: no item is
@@ -434,6 +475,12 @@ class TestXcorr:
         assert cell["n"] == "16"
         text = (out / "xcorr.txt").read_text(encoding="utf-8")
         assert "* p < .05" in text
+
+    def test_table_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,a,b\nr1,1,2\nr2," + NOT_UTF8 + b",3\n")
+        assert run("xcorr", "--table", path, "--out-dir", tmp_path / "out") == 1
+        assert f"{path}: not UTF-8 text (byte 0xff" in capsys.readouterr().err
 
     def test_undefined_pair_left_blank(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -625,6 +672,12 @@ class TestConfig:
         config.write_text(json.dumps({"table": str(path), "fold_count": 4}))
         assert run("cv", "--config", config, "--target", "y") == 1
         assert "fold_count" in capsys.readouterr().err
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"table": "' + NOT_UTF8 + b'"}')
+        assert run("cv", "--config", config, "--target", "y") == 1
+        assert f"{config}: not UTF-8 text" in capsys.readouterr().err
 
     def test_predictor_list(self, feature_table, tmp_path):
         path, _, _ = feature_table

@@ -22,7 +22,6 @@ from perfeat.stats import (
     flag_outlier_raters,
     inter_rater_agreement,
     item_mean_ratings,
-    pairwise_count,
     pearson,
     stars_for_p,
 )
@@ -53,7 +52,6 @@ class TestPearson:
         x = [1.0, 2.0, math.nan, 3.0, 4.0]
         y = [1.0, 3.0, 9.0, 2.0, 4.0]
         assert pearson(x, y) == pytest.approx(0.8, abs=1e-12)
-        assert pairwise_count(x, y) == 4
 
     def test_too_few_pairs(self):
         with pytest.raises(TooFewPairs):
@@ -233,6 +231,45 @@ class TestAgreementReport:
             (r01 + r02 + r12) / 3.0, abs=1e-12
         )
 
+    @PROPERTY
+    @given(
+        n=st.integers(3, 30),
+        k=st.integers(3, 12),
+        missing=st.floats(0.0, 0.6),
+        constant=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_per_rater_means_and_skipped_pairs_match_pearson(self, n, k, missing,
+                                                             constant, seed):
+        """Each rater's mean r is the fsum mean of ``pearson`` over their
+        defined pairs, NaN with none; the skipped pairs are where it raises."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(1, 10, size=(n, k)).astype(float)
+        if constant:
+            values[:, -1] = 5.0  # a rater with no defined pair
+        values[rng.random((n, k)) < missing] = np.nan
+        m = matrix(values)
+        defined, skipped = {}, []
+        for a, b in combinations(range(k), 2):
+            try:
+                defined[a, b] = pearson(values[:, a], values[:, b])
+            except (TooFewPairs, ConstantInput):
+                skipped.append((m.rater_ids[a], m.rater_ids[b]))
+        if not defined:
+            with pytest.raises(ConstantInput):
+                inter_rater_agreement(m)
+            return
+        report = inter_rater_agreement(m)
+        assert report.skipped_pairs == tuple(skipped)
+        assert list(report.per_rater_mean_r) == list(m.rater_ids)
+        for j, rid in enumerate(m.rater_ids):
+            rs = [r for pair, r in defined.items() if j in pair]
+            mean = report.per_rater_mean_r[rid]
+            if rs:
+                assert abs(mean - math.fsum(rs) / len(rs)) <= 1e-12, (rid, mean)
+            else:
+                assert math.isnan(mean), (rid, mean)
+
 
 def joint_row_conditioning(values, a, b):
     """Sum of squares about each column's own mean over its squares about the joint-row mean.
@@ -313,18 +350,22 @@ class TestPairwiseKernel:
         assert r[0, 0] == pytest.approx(1.0) and r[1, 1] == pytest.approx(1.0)
 
 
+def flag(values):
+    return flag_outlier_raters(inter_rater_agreement(matrix(values)))
+
+
 class TestOutlierFlagging:
     def test_negated_rater_flagged(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         values = np.column_stack([column, column, column, -column])
-        flagged = flag_outlier_raters(matrix(values))
+        flagged = flag(values)
         assert [rid for rid, _ in flagged] == ["r3"]
         assert flagged[0][1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_identical_panel_unflagged(self):
         column = np.array([1.0, 2.0, 3.0, 4.0])
         values = np.column_stack([column] * 5)
-        assert flag_outlier_raters(matrix(values)) == []
+        assert flag(values) == []
 
     def test_noise_rater_flagged_far_below_panel(self):
         rng = np.random.default_rng(21)
@@ -334,7 +375,7 @@ class TestOutlierFlagging:
         )
         lone = rng.normal(size=40)  # rates independently of everyone
         values = np.column_stack([panel, lone])
-        flagged = flag_outlier_raters(matrix(values))
+        flagged = flag(values)
         assert "r9" in [rid for rid, _ in flagged]
         coherent = {f"r{j}" for j in range(9)}
         assert not coherent & {rid for rid, _ in flagged}
@@ -342,13 +383,15 @@ class TestOutlierFlagging:
     def test_flagging_does_not_mutate(self):
         column = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         values = np.column_stack([column, column, -column])
-        m = matrix(values)
-        flag_outlier_raters(m)
-        assert m.n_raters == 3
+        report = inter_rater_agreement(matrix(values))
+        before = dict(report.per_rater_mean_r)
+        assert [rid for rid, _ in flag_outlier_raters(report)] == ["r2"]
+        assert report.per_rater_mean_r == before
 
     def test_needs_three_raters(self):
+        report = inter_rater_agreement(matrix([[1, 2], [2, 3], [3, 4]]))
         with pytest.raises(ValueError):
-            flag_outlier_raters(matrix([[1, 2], [2, 3], [3, 4]]))
+            flag_outlier_raters(report)
 
 
 class TestItemMeans:
@@ -385,8 +428,19 @@ class TestCrossCorrelation:
         grid = cross_correlation_matrix(table, ["a", "b", "c", "d"])
         cell = grid.cell("a", "b")
         assert cell.r == pytest.approx(pearson(table[:, 0], table[:, 1]), abs=1e-14)
-        assert cell.n == pairwise_count(table[:, 0], table[:, 1]) == 24
+        assert cell.n == 24
         assert cell.p == pytest.approx(correlation_p_value(cell.r, cell.n), abs=1e-15)
+
+    def test_counts_are_each_pairs_joint_rows(self):
+        rng = np.random.default_rng(34)
+        table = rng.normal(size=(20, 4))
+        for column, rows in enumerate(([0, 1], [1, 2, 3], [7], [])):
+            table[rows, column] = np.nan
+        grid = cross_correlation_matrix(table, ["a", "b", "c", "d"])
+        for i in range(4):
+            for j in range(4):
+                x, y = table[:, i], table[:, j]
+                assert grid.cells[i][j].n == int((np.isfinite(x) & np.isfinite(y)).sum())
 
     def test_symmetric(self):
         rng = np.random.default_rng(32)
