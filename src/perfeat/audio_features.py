@@ -295,6 +295,30 @@ def _frame_descriptors(
     return np.stack([centroid, spread, skewness, kurtosis, flatness, *rolloffs, *brights])
 
 
+def check_settings(
+    frame_length: int, hop_length: int,
+    rolloff_fractions: Sequence[float], brightness_cutoffs: Sequence[float],
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """The rolloff and brightness columns of valid settings, each value by its column.
+
+    FrameTooShort for a frame under two samples.  ValueError for a hop
+    under one, a rolloff fraction not strictly between 0 and 1, a
+    non-finite brightness cutoff, or two values that name one column.
+    """
+    _frame_count(frame_length, frame_length, hop_length)  # the framing of a one-frame clip
+    rolloff_columns: Dict[str, float] = {}
+    for fraction in rolloff_fractions:
+        if not 0.0 < fraction < 1.0:
+            raise ValueError(f"rolloff fraction {fraction:g} is not strictly between 0 and 1")
+        _add_column(rolloff_columns, f"rolloff{fraction * 100:g}", fraction, "rolloff fractions")
+    bright_columns: Dict[str, float] = {}
+    for cutoff in brightness_cutoffs:
+        if not math.isfinite(cutoff):
+            raise ValueError(f"brightness cutoff {cutoff:g} is not finite")
+        _add_column(bright_columns, f"bright{cutoff:g}", cutoff, "brightness cutoffs")
+    return rolloff_columns, bright_columns
+
+
 def extract_audio_features(
     clip: AudioClip,
     frame_length: int = FRAME_LENGTH,
@@ -317,19 +341,11 @@ def extract_audio_features(
     values are kept, each mean is taken once over all live frames, and no
     value depends on the block size.  The descriptors equal the mean over
     live frames of the single-frame oracles in the tests up to rounding
-    (rolloff exactly).  Rolloff fractions and brightness cutoffs are checked
-    before the STFT runs: two that name one column raise ValueError.
+    (rolloff exactly).  :func:`check_settings` checks the settings before
+    the STFT runs.
     """
-    rolloff_columns: Dict[str, float] = {}
-    for fraction in rolloff_fractions:
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"rolloff fraction {fraction:g} is not strictly between 0 and 1")
-        _add_column(rolloff_columns, f"rolloff{fraction * 100:g}", fraction, "rolloff fractions")
-    bright_columns: Dict[str, float] = {}
-    for cutoff in brightness_cutoffs:
-        if not math.isfinite(cutoff):
-            raise ValueError(f"brightness cutoff {cutoff:g} is not finite")
-        _add_column(bright_columns, f"bright{cutoff:g}", cutoff, "brightness cutoffs")
+    rolloff_columns, bright_columns = check_settings(
+        frame_length, hop_length, rolloff_fractions, brightness_cutoffs)
     x = clip.samples
     n_frames = _frame_count(len(x), frame_length, hop_length)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())

@@ -130,11 +130,13 @@ def _sorted_files(directory: Path, patterns: Sequence[str]) -> List[Path]:
 
 
 def _per_file(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, object]]:
-    """Yield ``(path, work(path))`` in order; a ValueError from ``work`` names the file."""
+    """Yield ``(path, work(path))`` in order; a ValueError from ``work`` names the file once."""
     for path in paths:
         try:
             result = work(path)
         except ValueError as err:
+            if str(path) in str(err):
+                raise  # the reader already named the file
             message = f"{path.name}: {err}"
             try:
                 named = type(err)(message)
@@ -169,6 +171,7 @@ def _feature_table(stem: str, vectors, preamble: Dict, title: str, noun: str, de
 
 def _cmd_extract_midi(args):
     midi_dir = Path(_required(args, "midi_dir"))
+    mf.check_merge_window(args.merge_window)  # argument errors blame no file
     annotations = load_annotations(args.annotations) if args.annotations else {}
     tempos = load_tempos(args.tempos) if args.tempos else {}
     calibration = (
@@ -198,6 +201,8 @@ def _cmd_extract_audio(args):
     wav_dir = Path(_required(args, "wav_dir"))
     fractions = _floats(args.rolloff_fractions)
     cutoffs = _floats(args.brightness_cutoffs)
+    # Argument errors are checked here, so that no file is blamed.
+    af.check_settings(args.frame_length, args.hop_length, fractions, cutoffs)
 
     def features(path: Path) -> Dict[str, float]:
         return af.extract_audio_features(
@@ -298,10 +303,11 @@ def _cmd_agreement(args):
                     f" {matrix.n_raters - len(flagged)} of {matrix.n_raters} raters, need 2."
                 )
         if report.alpha is None:
-            notes.append(
-                f"{feature}: alpha undefined: {report.n_complete_items} complete"
-                f" items, need {MIN_COMPLETE_ITEMS}."
-            )
+            complete = report.n_complete_items
+            reason = (f"{complete} complete items, need {MIN_COMPLETE_ITEMS}"
+                      if complete < MIN_COMPLETE_ITEMS else
+                      f"row sums are constant across the {complete} complete items")
+            notes.append(f"{feature}: alpha undefined: {reason}.")
         if report.skipped_pairs:
             notes.append(
                 f"{feature}: {len(report.skipped_pairs)} rater pair(s) had no"

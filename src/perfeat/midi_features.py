@@ -186,6 +186,12 @@ is the prefix's statistic over one group of notes: all of them, a role by the
 first three letters of its name (``mel`` ... ``dru``), or the drums' tom/rest split."""
 
 
+def check_merge_window(merge_window: float) -> None:
+    """ValueError unless the onset merge window is finite and at least 0."""
+    if not (math.isfinite(merge_window) and merge_window >= 0):
+        raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
+
+
 def extract_midi_features(
     song: Song,
     calibration: CalibrationCurve = default_calibration,
@@ -205,8 +211,7 @@ def extract_midi_features(
     non-finite ``merge_window`` raises ValueError, and a song with audible
     notes but no positive duration raises NonPositiveDuration.
     """
-    if not (math.isfinite(merge_window) and merge_window >= 0):
-        raise ValueError(f"merge_window must be finite and at least 0, got {merge_window:g}")
+    check_merge_window(merge_window)
     # The gate and the sl_ means share one curve call per distinct pair.
     calibration = functools.lru_cache(maxsize=None)(calibration)
     kept = filter_soft_notes(song.notes, calibration)

@@ -11,7 +11,6 @@ fold splits and is fully determined by its seed.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -177,7 +176,7 @@ def ols_fit(design: Design) -> OlsFit:
     Returns raw and standardized coefficients, signed semipartial
     correlations, standard errors, t statistics and two-tailed p-values.
     An exact fit has zero standard errors; its t statistics are signed
-    infinity (zero for zero coefficients) and its p-values are zero.
+    infinity and its p-values 0, or 0 and 1 for a zero coefficient.
     """
     X, y = design.X, design.y
     n, k = design.n, design.k
@@ -195,17 +194,11 @@ def ols_fit(design: Design) -> OlsFit:
     r_inv = np.linalg.solve(r_factor, np.eye(k + 1))
     unscaled = (r_inv * r_inv).sum(axis=1)  # diagonal of (X'X)^-1
     sigma2 = sse / df
-    se = np.sqrt(sigma2 * unscaled)
-    t = np.empty(k + 1)
-    p = np.empty(k + 1)
-    for i in range(k + 1):
-        if se[i] == 0.0:
-            t[i] = 0.0 if coef[i] == 0.0 else math.copysign(math.inf, coef[i])
-            p[i] = 1.0 if coef[i] == 0.0 else 0.0
-        else:
-            t[i] = coef[i] / se[i]
-            p[i] = student_t_two_tailed(t[i], df)
     slopes = coef[1:]
+    se = np.sqrt(sigma2 * unscaled[1:])
+    exact = np.where(slopes == 0.0, 0.0, np.copysign(np.inf, slopes))
+    t = np.divide(slopes, se, out=exact, where=se != 0.0)
+    p = np.array([student_t_two_tailed(value, df) for value in t.tolist()])
     beta_std = slopes * X.std(axis=0, ddof=1) / y.std(ddof=1)
     sr = slopes / np.sqrt(unscaled[1:] * sst)
     return OlsFit(
@@ -214,9 +207,9 @@ def ols_fit(design: Design) -> OlsFit:
         coef=slopes,
         beta_std=beta_std,
         sr=sr,
-        se=se[1:],
-        t=t[1:],
-        p=p[1:],
+        se=se,
+        t=t,
+        p=p,
         r2=r2,
         adj_r2=adjusted_r2(r2, n, k),
         n=n,

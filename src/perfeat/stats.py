@@ -9,7 +9,7 @@ silently removed: trimming is the caller's explicit decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -176,10 +176,10 @@ class AgreementReport:
     """Panel-level agreement summary for one rating matrix.
 
     ``alpha`` is None when fewer than :data:`MIN_COMPLETE_ITEMS` items are
-    rated by every rater.  ``per_rater_mean_r`` holds each rater's mean r
-    over their defined pairs, in rater order (NaN with none); it is what
-    :func:`flag_outlier_raters` reads, so flagging computes no correlation
-    of its own.
+    rated by every rater, or when their row sums are constant.
+    ``per_rater_mean_r`` holds each rater's mean r over their defined pairs,
+    in rater order (NaN with none); it is what :func:`flag_outlier_raters`
+    reads, so flagging computes no correlation of its own.
     """
 
     mean_pairwise_r: float
@@ -239,36 +239,35 @@ def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     Pairwise correlations use pairwise deletion; pairs that are undefined
     (constant rater, too much missingness) are skipped and reported.  The
     consistency coefficient uses complete cases and is absent (None) when
-    there are too few of them.
+    there are too few of them or their row sums are constant.
     """
     r = _pairwise_r(matrix.values)
     ids = matrix.rater_ids
-    defined: List[float] = []
-    per_rater: Dict[str, List[float]] = {rid: [] for rid in ids}
-    skipped: List[Tuple[str, str]] = []
-    for a, b in combinations(range(matrix.n_raters), 2):
-        if math.isnan(r[a, b]):
-            skipped.append((ids[a], ids[b]))
-            continue
-        value = float(r[a, b])
-        defined.append(value)
-        per_rater[ids[a]].append(value)
-        per_rater[ids[b]].append(value)
-    if not defined:
+    a, b = np.triu_indices(matrix.n_raters, 1)  # the pairs in combinations order
+    pairs = r[a, b]
+    skipped = np.isnan(pairs)
+    defined = pairs[~skipped]
+    if not len(defined):
         raise ConstantInput("no rater pair has a defined correlation")
-    complete_rows = int(np.isfinite(matrix.values).all(axis=1).sum())
-    alpha = cronbach_alpha(matrix) if complete_rows >= MIN_COMPLETE_ITEMS else None
+    # Rater j's row: r of each pair with j, NaN where undefined, all read off the
+    # upper triangle so that no value depends on the kernel being symmetric to the bit.
+    rows = np.full(r.shape, np.nan)
+    rows[a, b] = rows[b, a] = pairs
+    per_rater = [row[~np.isnan(row)] for row in rows]
+    try:
+        alpha = cronbach_alpha(matrix)
+    except (TooFewItems, ConstantInput):
+        alpha = None
     return AgreementReport(
         mean_pairwise_r=math.fsum(defined) / len(defined),
         alpha=alpha,
         n_items=matrix.n_items,
-        n_complete_items=complete_rows,
+        n_complete_items=int(np.isfinite(matrix.values).all(axis=1).sum()),
         n_raters=matrix.n_raters,
-        per_rater_mean_r={
-            rid: (math.fsum(rs) / len(rs) if rs else math.nan)
-            for rid, rs in per_rater.items()
-        },
-        skipped_pairs=tuple(skipped),
+        per_rater_mean_r={rid: math.fsum(rs) / len(rs) if len(rs) else math.nan
+                          for rid, rs in zip(ids, per_rater)},
+        skipped_pairs=tuple((ids[i], ids[j])
+                            for i, j in zip(a[skipped].tolist(), b[skipped].tolist())),
     )
 
 

@@ -54,17 +54,14 @@ class ReportTable:
                 raise ValueError("row width does not match the header")
         widths = [max(1, len(header), *(len(row[j]) for row in rows))
                   for j, header in enumerate(self.headers)]
-        lines = [self.title, "=" * len(self.title), ""]
-        header_cells = [self.headers[0].ljust(widths[0])] + [
-            self.headers[j].rjust(widths[j]) for j in range(1, columns)
-        ]
-        lines.append("  ".join(header_cells).rstrip())
-        lines.append("-" * len("  ".join(header_cells).rstrip()))
-        for row in rows:
-            cells = [row[0].ljust(widths[0])] + [
-                row[j].rjust(widths[j]) for j in range(1, columns)
-            ]
-            lines.append("  ".join(cells).rstrip())
+
+        def line(cells: Sequence[str]) -> str:
+            """The first cell left-aligned, the others right-aligned."""
+            return "  ".join(cell.rjust(width) if j else cell.ljust(width)
+                             for j, (cell, width) in enumerate(zip(cells, widths))).rstrip()
+        header = line(self.headers)
+        lines = [self.title, "=" * len(self.title), "", header, "-" * len(header)]
+        lines.extend(line(row) for row in rows)
         if self.footnotes:
             lines.append("")
             lines.extend(self.footnotes)

@@ -38,25 +38,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITERATIONS + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # One Lentz step for the even term, then one for the odd term.
+        for numerator in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                          -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + numerator * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + numerator / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -79,13 +72,11 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_two_tailed(t: float, df: float) -> float:
-    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom: 0 at t = ±inf."""
+    if not 0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
     x = df / (df + t * t)
     return regularized_incomplete_beta(0.5 * df, 0.5, x)
 

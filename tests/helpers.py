@@ -9,7 +9,8 @@ same notes, duration and errors.  ``mean_sound_level``, ``note_density``,
 that group's notes alone, each with its own sort; ``extract_midi_features``
 computes every group's from one set of per-note arrays per song.  The
 quadrature oracle integrates the t density numerically as an independent
-check on the closed-form tail probabilities.  The NIPALS oracle fits PLS1 by
+check on the closed-form tail probabilities.  The rater-pair oracle walks
+the pairs of a Pearson matrix one by one.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
 ``perfeat.regress``.  The single-frame spectral descriptors describe one
 magnitude spectrum at a time; ``extract_audio_features`` must equal their
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -418,6 +420,31 @@ def mean_articulation(notes: np.ndarray) -> float:
         short = ioi <= IOI_LIMIT
         ratios.append(track["duration"][usable][short] / ioi[short])
     return _mean(np.concatenate(ratios), "no note has a usable inter-onset interval")
+
+
+def agreement_by_pairs(r: np.ndarray, rater_ids):
+    """(mean pairwise r, each rater's mean r, skipped pairs) by walking the pairs.
+
+    Reads entry (a, b) of the Pearson matrix ``r`` for each rater pair
+    a < b in ``combinations`` order; a NaN entry is a skipped pair.  Means
+    are ``math.fsum`` means, NaN for a rater with no defined pair.  Returns
+    None when no pair is defined.  ``inter_rater_agreement`` must give the
+    same values from the same matrix.
+    """
+    defined, skipped = [], []
+    per_rater = {rid: [] for rid in rater_ids}
+    for a, b in combinations(range(len(rater_ids)), 2):
+        if math.isnan(r[a, b]):
+            skipped.append((rater_ids[a], rater_ids[b]))
+            continue
+        value = float(r[a, b])
+        defined.append(value)
+        per_rater[rater_ids[a]].append(value)
+        per_rater[rater_ids[b]].append(value)
+    if not defined:
+        return None
+    means = {rid: math.fsum(rs) / len(rs) if rs else math.nan for rid, rs in per_rater.items()}
+    return math.fsum(defined) / len(defined), means, tuple(skipped)
 
 
 def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float:

@@ -189,14 +189,15 @@ class TestExtractMidi:
         assert run("extract-midi", "--midi-dir", tmp_path / "nope") == 1
 
     @pytest.mark.parametrize("window", ["-1", "nan", "inf"])
-    def test_bad_merge_window_names_the_first_file(self, midi_corpus, tmp_path,
-                                                   window, capsys):
+    def test_bad_merge_window_names_no_file(self, midi_corpus, tmp_path, window, capsys):
+        # The window is an argument, so its error blames none of the songs.
         corpus, _, _ = midi_corpus
         out = tmp_path / "out"
         assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out,
                    "--merge-window", window) == 1
         err = capsys.readouterr().err
-        assert "song_a.mid" in err and "merge_window must be finite and at least 0" in err
+        assert err.startswith("error: merge_window must be finite and at least 0")
+        assert not any(path.stem in err for path in corpus.iterdir())
         assert not (out / "midi_features.csv").exists()
 
     def test_zero_merge_window_is_accepted(self, midi_corpus, tmp_path):
@@ -249,28 +250,35 @@ class TestExtractAudio:
         assert f"both name column '{column}'" in capsys.readouterr().err
         assert not (out / "audio_features.csv").exists()
 
-    @pytest.mark.parametrize("frame_length", ["0", "-8", "1"])
-    def test_frame_length_below_two_names_the_file(self, wav_corpus, tmp_path,
-                                                   frame_length, capsys):
-        assert run(
-            "extract-audio", "--wav-dir", wav_corpus, "--out-dir", tmp_path / "out",
-            "--frame-length", frame_length,
-        ) == 1
-        err = capsys.readouterr().err
-        assert "clip_high.wav" in err and "frame_length must be at least 2" in err
-
-    @pytest.mark.parametrize("flag, value, message", [
+    BAD_SETTINGS = [
+        ("--frame-length", "0", "frame_length must be at least 2 samples, got 0"),
+        ("--frame-length", "-8", "frame_length must be at least 2 samples, got -8"),
+        ("--frame-length", "1", "frame_length must be at least 2 samples, got 1"),
+        ("--hop-length", "0", "hop must be positive"),
         ("--brightness-cutoffs", "nan", "brightness cutoff nan is not finite"),
-        ("--rolloff-fractions", "0.85,1.5", "rolloff fraction 1.5"),
-    ])
-    def test_bad_descriptor_argument_names_the_file(self, wav_corpus, tmp_path,
-                                                    flag, value, message, capsys):
+        ("--brightness-cutoffs", "inf", "brightness cutoff inf is not finite"),
+        ("--rolloff-fractions", "0.85,1.5", "rolloff fraction 1.5 is not strictly between"),
+        ("--rolloff-fractions", "0.85,0.850", "rolloff fractions 0.85 and 0.85 both name"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, message", BAD_SETTINGS,
+                             ids=[f"{flag}={value}" for flag, value, _ in BAD_SETTINGS])
+    def test_bad_argument_names_no_file(self, wav_corpus, tmp_path, flag, value, message,
+                                        capsys):
+        # A setting is an argument, so its error blames none of the clips.
         out = tmp_path / "out"
         assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", out,
                    flag, value) == 1
         err = capsys.readouterr().err
-        assert "clip_high.wav" in err and message in err
+        assert err.startswith(f"error: {message}")
+        assert not any(path.stem in err for path in wav_corpus.iterdir())
         assert not (out / "audio_features.csv").exists()
+
+    def test_clip_shorter_than_a_frame_names_the_clip(self, wav_corpus, tmp_path, capsys):
+        # Each clip holds 8,000 samples: too few for one frame is the clip's fault.
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", tmp_path / "out",
+                   "--frame-length", "8192") == 1
+        assert capsys.readouterr().err == "error: clip_high.wav: 8000 samples, need 8192\n"
 
 
 class TestAgreement:
@@ -350,6 +358,32 @@ class TestAgreement:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err and good.name not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"item,r1,r2\ns1,3," + NOT_UTF8 + b"\n", ": not UTF-8 text"),
+        (b"item,r1,r2\ns1,3,4\ns2,12,5\n", ":3: rating 12.0 for item 's2'"),
+    ], ids=["not-utf8", "out-of-scale"])
+    def test_reader_error_names_the_file_once(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert run("agreement", "--ratings", path, "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{message}")
+        assert err.count(path.name) == 1
+
+    def test_constant_row_sums_leave_alpha_empty(self, tmp_path):
+        # Every row sums to 10: alpha is undefined, the pairwise r is -1.
+        path = tmp_path / "const.csv"
+        path.write_text("item,r1,r2\ns1,1,9\ns2,2,8\ns3,3,7\ns4,4,6\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out) == 0
+        record = read_records(out / "agreement.csv")[0]
+        assert record["n_complete_items"] == "4" and record["mean_r"] == "-1.0"
+        assert record["alpha"] == ""
+        text = (out / "agreement.txt").read_text(encoding="utf-8")
+        assert ("const: alpha undefined: row sums are constant across the 4 complete items."
+                in text)
+        assert "need 3" not in text
 
     def test_no_complete_item_leaves_alpha_empty(self, tmp_path):
         # 12 items x 5 raters, each item missing one rater: no item is

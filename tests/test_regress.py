@@ -91,6 +91,13 @@ class TestOls:
         assert math.isinf(fit.t[0]) and fit.t[0] > 0
         assert fit.p[0] == 0.0
 
+    def test_exact_line_with_negative_slope(self):
+        x = np.arange(10.0)
+        fit = ols_fit(Design(x[:, None], 5.0 - 2.0 * x, ("x",)))
+        assert fit.se[0] == 0.0
+        assert fit.t[0] == -math.inf
+        assert fit.p[0] == 0.0
+
     def test_orthogonal_design_variance_shares(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         y = np.array([2.0, 1.0, -2.0, -1.0])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import agreement_by_pairs
 from perfeat.stats import (
     AllDropped,
     ConstantInput,
@@ -269,6 +270,50 @@ class TestAgreementReport:
                 assert abs(mean - math.fsum(rs) / len(rs)) <= 1e-12, (rid, mean)
             else:
                 assert math.isnan(mean), (rid, mean)
+
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 30),
+        k=st.integers(2, 14),
+        missing=st.floats(0.0, 0.7),
+        integer=st.booleans(),
+        constant=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_match_the_pair_loop_exactly(self, n, k, missing, integer, constant,
+                                                seed):
+        """The mean r, each rater's mean r and the skipped pairs equal, bit for
+        bit, those of a loop over the pairs of the same kernel matrix."""
+        rng = np.random.default_rng(seed)
+        values = rng.integers(1, 10, size=(n, k)).astype(float)
+        if not integer:
+            values += rng.normal(0.0, 0.3, size=(n, k))
+        values[:, k - constant:] = 5.0  # raters with no defined pair
+        values[rng.random((n, k)) < missing] = np.nan
+        m = matrix(values)
+        expected = agreement_by_pairs(_pairwise_r(values), m.rater_ids)
+        if expected is None:
+            with pytest.raises(ConstantInput):
+                inter_rater_agreement(m)
+            return
+        report = inter_rater_agreement(m)
+        mean_r, per_rater, skipped = expected
+        assert report.mean_pairwise_r.hex() == mean_r.hex()
+        assert report.skipped_pairs == skipped
+        assert [v.hex() for v in report.per_rater_mean_r.values()] == \
+            [v.hex() for v in per_rater.values()]
+        assert list(report.per_rater_mean_r) == list(per_rater)
+
+    def test_constant_row_sums_leave_alpha_absent(self):
+        # Every row sums to 10: alpha's denominator is zero, r is -1.
+        m = matrix([[1, 9], [2, 8], [3, 7], [4, 6]])
+        with pytest.raises(ConstantInput):
+            cronbach_alpha(m)
+        report = inter_rater_agreement(m)
+        assert report.alpha is None
+        assert report.n_complete_items == 4
+        assert report.mean_pairwise_r == pytest.approx(-1.0, abs=1e-12)
 
 
 def joint_row_conditioning(values, a, b):

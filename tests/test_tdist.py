@@ -85,7 +85,10 @@ class TestStudentT:
         assert student_t_two_tailed(t, 2) == pytest.approx(0.2, abs=1e-12)
 
     def test_zero_statistic(self):
-        assert student_t_two_tailed(0.0, 5) == 1.0
+        # x = df / (df + t^2) is exactly 1 at t = 0 of either sign.
+        for df in (*GRID_DF, 0.5, 2.5, 1e6):
+            assert student_t_two_tailed(0.0, df) == 1.0
+            assert student_t_two_tailed(-0.0, df) == 1.0
 
     def test_symmetric_in_t(self):
         for t in (0.7, 2.3):
@@ -107,3 +110,8 @@ class TestStudentT:
     def test_invalid_df(self):
         with pytest.raises(ValueError):
             student_t_two_tailed(1.0, 0)
+        # x = df / (df + t^2) would be NaN, and the continued fraction never converge.
+        for df in (math.inf, math.nan):
+            for t in (1.0, math.inf):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    student_t_two_tailed(t, df)
