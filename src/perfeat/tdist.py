@@ -56,9 +56,15 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), monotone in x from 0 at x = 0 to 1 at x = 1."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
+    """I_x(a, b), monotone in x from 0 at x = 0 to 1 at x = 1.
+
+    ValueError for a shape that is not positive and finite, or a NaN x.
+    """
+    for name, shape in (("a", a), ("b", b)):
+        if not 0 < shape < math.inf:
+            raise ValueError(f"shape parameter {name} must be positive and finite, got {shape}")
+    if math.isnan(x):
+        raise ValueError("x is NaN")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

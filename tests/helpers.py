@@ -14,7 +14,8 @@ the pairs of a Pearson matrix one by one.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
 ``perfeat.regress``.  The single-frame spectral descriptors describe one
 magnitude spectrum at a time; ``extract_audio_features`` must equal their
-mean over a clip's non-silent frames.
+mean over a clip's non-silent frames.  The channel-sum downmix adds each
+WAV frame's codes one by one in Python floats.
 """
 
 from __future__ import annotations
@@ -257,6 +258,18 @@ def wav(
 def pcm16(x) -> np.ndarray:
     """Float samples in [-1, 1] to int16 codes."""
     return np.clip(np.round(np.asarray(x) * 32768.0), -32768, 32767).astype("<i2")
+
+
+def channel_sum_mono(codes: np.ndarray, channels: int, scale: float) -> np.ndarray:
+    """Mono samples from interleaved codes: each frame's codes added left to
+    right in float64, divided by ``channels``, then multiplied by ``scale``."""
+    frames = []
+    for start in range(0, len(codes), channels):
+        total = 0.0
+        for code in codes[start : start + channels]:
+            total += float(code)
+        frames.append(total / channels * scale)
+    return np.array(frames, dtype=np.float64)
 
 
 # ------------------------------------------------------ single-frame spectra

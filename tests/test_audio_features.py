@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brightness,
+    channel_sum_mono,
     pcm16,
     spectral_flatness,
     spectral_moments,
@@ -52,6 +53,18 @@ def sine(frequency, seconds, sample_rate, amplitude=1.0, phase=0.0):
     return amplitude * np.sin(2 * np.pi * frequency * t + phase)
 
 
+@st.composite
+def interleaved_codes(draw):
+    """(codes, channels): up to 40 frames of 1 to 12 channels, int16 or float32."""
+    channels = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        dtype, values = "<i2", st.integers(-32768, 32767)
+    else:
+        dtype, values = "<f4", st.floats(width=32, allow_nan=False, allow_infinity=False)
+    size = channels * draw(st.integers(0, 40))
+    return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype), channels
+
+
 class TestWavReader:
     def test_int16_code_mapping(self):
         clip = read_wav(wav([32767, -32768, 0, 16384], 8000))
@@ -72,25 +85,35 @@ class TestWavReader:
         np.testing.assert_allclose(clip.samples, x.astype(np.float64), atol=0)
 
     @PROPERTY
-    @given(data=st.data(), channels=st.integers(1, 3), pcm=st.booleans())
-    def test_decodes_as_scaling_every_code_then_averaging(self, data, channels, pcm):
-        # The decoder averages the codes and scales once; the oracle scales
-        # every code, then averages the channels.
-        if pcm:
-            fmt, bits, dtype, scale = 1, 16, "<i2", 1.0 / 32768.0
-            values = st.integers(-32768, 32767)
+    @given(case=interleaved_codes())
+    @example(
+        # Eight float channels: the running sum rounds every 1 away from
+        # 2**53, numpy's pairwise mean adds them in pairs first.
+        case=(np.array([2.0**53, 1, 1, 1, 1, 1, 1, 1], dtype="<f4"), 8),
+    )
+    def test_decodes_as_scaling_every_code_then_averaging(self, case):
+        # The decoder sums the codes in channel order, divides and scales
+        # once; the oracle scales every code, then takes numpy's mean over
+        # the channels.  From eight channels on that mean sums pairwise, so
+        # the decoder is held to the channel-order sum bit for bit and to
+        # the mean within the error bound of summing ``channels`` terms.
+        codes, channels = case
+        if codes.dtype == np.dtype("<i2"):
+            fmt, bits, scale = 1, 16, 1.0 / 32768.0
         else:
-            fmt, bits, dtype, scale = 3, 32, "<f4", 1.0
-            values = st.floats(width=32, allow_nan=False, allow_infinity=False)
-        size = channels * data.draw(st.integers(0, 40))
-        codes = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
-                         dtype=dtype)
+            fmt, bits, scale = 3, 32, 1.0
         expected = codes.astype(np.float64)
         expected *= scale
         if channels > 1:
             expected = expected.reshape(-1, channels).mean(axis=1)
         clip = read_wav(wav(codes, 8000, fmt=fmt, bits=bits, channels=channels))
-        assert np.array_equal(clip.samples, expected)
+        if channels < 8:
+            assert np.array_equal(clip.samples, expected)
+            return
+        assert np.array_equal(clip.samples, channel_sum_mono(codes, channels, scale))
+        magnitude = np.abs(codes.astype(np.float64)).reshape(-1, channels).mean(axis=1) * scale
+        bound = channels * np.finfo(np.float64).eps * magnitude
+        assert (np.abs(clip.samples - expected) <= bound).all()
 
     def test_unknown_chunks_skipped(self):
         clip = read_wav(wav([0, 100, -100], 8000, extra_chunk=True))
@@ -629,16 +652,18 @@ def block_edge_clips(draw):
 def row_ranges(draw):
     """(live frames x bins, first, stop): random spectra and a row range.
 
-    Rows are uniform noise at one of three scales, some with zero bins and
-    some single lines; every row keeps at least one positive bin.
+    Rows are uniform noise, some with zero bins and some single lines, at
+    one of five scales, down to near-silent rows whose energies are
+    subnormal; every row keeps at least one positive bin.
     """
     rows = draw(st.integers(1, 13))
     bins = draw(st.sampled_from([2, 5, 33, 257, 1025]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frames = rng.uniform(0.0, 1.0, (rows, bins)) * rng.choice([1e-3, 1.0, 1e4], (rows, 1))
+    frames = rng.uniform(0.0, 1.0, (rows, bins))
     frames[rng.random((rows, bins)) < 0.1] = 0.0
     frames[rng.random(rows) < 0.2] = 0.0
     frames[np.arange(rows), rng.integers(0, bins, rows)] = rng.uniform(0.5, 1.0, rows)
+    frames *= rng.choice([1e-160, 1e-150, 1e-3, 1.0, 1e4], (rows, 1))
     first = draw(st.integers(0, rows - 1))
     return frames, first, draw(st.integers(first + 1, rows))
 
@@ -727,6 +752,24 @@ class TestBatchedDescriptors:
         for start, end in [(first, stop), *((row, row + 1) for row in range(first, stop))]:
             part = _frame_descriptors(frames[start:end], frequencies, fractions, cutoffs)
             assert np.array_equal(part, whole[:, start:end]), (start, end)
+
+    @PROPERTY
+    @given(case=row_ranges(), fractions=fractions)
+    @example(
+        # The running sum of these energies ends at 3.599999999999999, below
+        # JUST_BELOW_ONE times the pairwise total 3.6.
+        case=(np.array([[1.0, 0.9, 0.6, 0.6, 0.1, 0.1, 0.2, 0.1, 1.0, 0.0]]), 0, 1),
+        fractions=[JUST_BELOW_ONE],
+    )
+    def test_rolloff_rows_equal_the_oracle(self, case, fractions):
+        # Rolloff is the first crossing of the cumulative energy; where the
+        # running sum ends just below the target, the last bin.
+        frames, _, _ = case
+        frequencies = np.linspace(0.0, 4000.0, frames.shape[1])
+        rows = _frame_descriptors(frames, frequencies, fractions, [])[5 : 5 + len(fractions)]
+        for row, fraction in zip(rows, fractions):
+            oracle = [spectral_rolloff(frame, frequencies, fraction) for frame in frames]
+            assert row.tolist() == oracle, fraction
 
     def test_block_size_moves_no_value(self):
         rng = np.random.default_rng(15)

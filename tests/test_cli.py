@@ -16,7 +16,7 @@ from perfeat import cli, stats
 from perfeat.io import load_table
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, ols_fit
-from perfeat.smf import TrackCategory, annotate_tracks, parse_smf
+from perfeat.smf import annotate_tracks, parse_smf
 from perfeat.stats import pearson
 
 

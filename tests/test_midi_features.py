@@ -22,7 +22,6 @@ from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
     FIELDS,
-    SOFT_NOTE_CUTOFF_DB,
     EmptyCategory,
     NonPositiveDuration,
     TableCalibration,

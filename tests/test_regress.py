@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from helpers import NipalsPls
 from perfeat.regress import (
     ConstantResponse,
-    CvReport,
     DegenerateDeflationWarning,
     Design,
     RankDeficient,

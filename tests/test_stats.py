@@ -12,7 +12,6 @@ from helpers import agreement_by_pairs
 from perfeat.stats import (
     AllDropped,
     ConstantInput,
-    CorrelationCell,
     RatingMatrix,
     TooFewItems,
     TooFewPairs,

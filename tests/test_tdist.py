@@ -57,6 +57,19 @@ class TestIncompleteBeta:
         with pytest.raises(ValueError):
             log_beta(-1.0, 2.0)
 
+    @pytest.mark.parametrize("a, b, x, message", [
+        (2.0, 3.0, math.nan, "x is NaN"),
+        (math.inf, 0.5, 0.5, "shape parameter a must be positive and finite, got inf"),
+        (math.nan, 1.0, 0.5, "shape parameter a must be positive and finite, got nan"),
+        (1.0, math.inf, 0.5, "shape parameter b must be positive and finite, got inf"),
+        (1.0, -math.inf, 0.5, "shape parameter b must be positive and finite, got -inf"),
+    ])
+    def test_nan_and_infinite_arguments_are_named(self, a, b, x, message):
+        # Rejected before the continued fraction, which would otherwise run
+        # every iteration and report only that it did not converge.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            regularized_incomplete_beta(a, b, x)
+
 
 class TestStudentT:
     def test_quadrature_grid(self):
@@ -115,3 +128,5 @@ class TestStudentT:
             for t in (1.0, math.inf):
                 with pytest.raises(ValueError, match="positive and finite"):
                     student_t_two_tailed(t, df)
+        with pytest.raises(ValueError, match="^t statistic is NaN$"):
+            student_t_two_tailed(math.nan, 3)
