@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -28,6 +29,10 @@ BRIGHTNESS_CUTOFFS = (1000.0, 1500.0, 3000.0)
 # wall_cal 14.47, 14.67 and 14.72 cal with quartile spreads of 0.2-0.4 cal,
 # and peak RSS within 0.15 MB of each other (68.47, 68.34 and 68.34 MB).
 BLOCK_FRAMES = 64
+
+# Samples per piece of the zero-crossing count and the sum of squares, so the
+# time-domain pass holds no whole-clip temporary.
+_TIME_PIECE = 1 << 16
 
 _DEGENERATE_SPREAD_RTOL = 1e-9  # of Nyquist; below this the spectrum is a line
 
@@ -211,25 +216,36 @@ def _flux_steps(magnitudes: np.ndarray) -> np.ndarray:
     return np.sqrt((np.diff(magnitudes, axis=0) ** 2).sum(axis=1))
 
 
-def spectral_flux(magnitudes: np.ndarray) -> float:
-    """Mean Euclidean distance between consecutive magnitude spectra."""
-    if magnitudes.shape[0] < 2:
-        raise TooFewFrames("flux needs at least two frames")
-    return float(np.mean(_flux_steps(magnitudes)))
+def _sum_of_squares(x: np.ndarray) -> float:
+    """``np.add.reduce(x * x)`` to the bit, squaring one piece at a time.
+
+    Above ``_TIME_PIECE`` samples, split where numpy's pairwise sum splits
+    (half the length, rounded down to a multiple of 8) and add the halves.
+    """
+    n = len(x)
+    if n <= _TIME_PIECE:
+        return np.add.reduce(x * x)
+    half = n // 2 - (n // 2) % 8
+    return _sum_of_squares(x[:half]) + _sum_of_squares(x[half:])
 
 
 def time_domain_features(clip: AudioClip) -> Tuple[float, float]:
     """(zero crossing rate in crossings per second, RMS) over the whole clip.
 
-    A zero sample counts as positive, so silence has no crossings.
+    A zero sample counts as positive, so silence has no crossings.  Both
+    run over pieces of ``_TIME_PIECE`` samples and equal the whole-array
+    forms bit for bit: crossings are counted on pieces that share their
+    edge sample, and the sum of squares follows numpy's pairwise split.
     """
     x = clip.samples
     if len(x) == 0:
         raise ClipTooShort("empty clip")
-    positive = x >= 0
-    crossings = int(np.count_nonzero(positive[1:] != positive[:-1]))
+    crossings = 0
+    for start in range(0, len(x) - 1, _TIME_PIECE):
+        positive = x[start : start + _TIME_PIECE + 1] >= 0
+        crossings += int(np.count_nonzero(positive[1:] != positive[:-1]))
     zcr = crossings / clip.duration
-    rms = float(np.sqrt(np.mean(x**2)))
+    rms = float(np.sqrt(_sum_of_squares(x) / len(x)))
     return zcr, rms
 
 
@@ -345,32 +361,69 @@ def extract_audio_features(
     crossing rate and RMS are whole-clip values on the raw samples.
 
     The STFT and the descriptors run over blocks of ``BLOCK_FRAMES`` frames,
-    so memory beyond the samples does not grow with the clip.  Only per-frame
-    values are kept, each mean is taken once over all live frames, and no
-    value depends on the block size.  The descriptors equal the mean over
-    live frames of the single-frame oracles in the tests up to rounding
-    (rolloff exactly).  :func:`check_settings` checks the settings before
-    the STFT runs.
+    so memory beyond the samples does not grow with the clip.  The calling
+    thread describes the even blocks and one helper thread the odd ones; the
+    helper is joined before this returns, and an error is the first in block
+    order, as a serial loop would raise it.  Only per-frame values are kept,
+    each mean is taken once over all live frames, and no value depends on
+    the block size or on which thread described a block.  The descriptors
+    equal the mean over live frames of the single-frame oracles in the tests
+    up to rounding (rolloff exactly).  :func:`check_settings` checks the
+    settings before the STFT runs.
     """
     rolloff_columns, bright_columns = check_settings(
         frame_length, hop_length, rolloff_fractions, brightness_cutoffs)
     x = clip.samples
     n_frames = _frame_count(len(x), frame_length, hop_length)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())
-    blocks, steps, last = [], [], None
-    for start in range(0, n_frames, BLOCK_FRAMES):
+    starts = range(0, n_frames, BLOCK_FRAMES)
+
+    def block(start):
+        """None for a silent block, else its first and last live frames
+        (copies, so no view keeps the block alive), flux steps and rows."""
         stop = min(start + BLOCK_FRAMES, n_frames)
         part = AudioClip(x[start * hop_length : (stop - 1) * hop_length + frame_length],
                          clip.sample_rate)
         series = stft_magnitudes(part, frame_length, hop_length, window)
-        live = series.magnitudes.any(axis=1)
-        if not live.any():
+        frames = series.magnitudes[series.magnitudes.any(axis=1)]
+        if not len(frames):
+            return None
+        return (frames[:1].copy(), frames[-1:].copy(), _flux_steps(frames),
+                _frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
+
+    # numpy releases the GIL inside the FFT and the descriptor ufuncs, so the
+    # caller takes the even blocks and one helper thread the odd ones.  Each
+    # thread stops at its first error, which stays stored at its block.
+    results = [None] * len(starts)
+
+    def run(first):
+        for index in range(first, len(starts), 2):
+            try:
+                results[index] = block(starts[index])
+            except BaseException as error:
+                results[index] = error
+                return
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    try:
+        run(0)
+    finally:
+        helper.join()
+    # In block order, the first error is the serial loop's, and flux carries
+    # the last live frame over from the block before.
+    blocks, steps, last = [], [], None
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+        if result is None:
             continue
-        frames = series.magnitudes[live]
-        # Flux carries the last live frame over from the block before.
-        steps.append(_flux_steps(frames if last is None else np.concatenate([last, frames])))
-        blocks.append(_frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
-        last = frames[-1:]
+        head, tail, within, rows = result
+        if last is not None:
+            steps.append(_flux_steps(np.concatenate([last, head])))
+        steps.append(within)
+        blocks.append(rows)
+        last = tail
     if last is None:
         raise AllFramesSilent("every frame of the clip is silent")
     steps = np.concatenate(steps)

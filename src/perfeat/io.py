@@ -57,7 +57,9 @@ def _not_utf8(path: PathLike, err: UnicodeDecodeError) -> SchemaError:
 
 def _data_rows(path: PathLike):
     """Yield (line_number, row) for non-empty, non-comment CSV rows."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports often
+    # write, which would otherwise join the first header cell.
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             for row in reader:
@@ -227,9 +229,14 @@ def load_table(path: PathLike) -> Tuple[Tuple[str, ...], Tuple[str, ...], np.nda
     """Read a numeric table: id column, named columns, empty cells -> NaN.
 
     Returns (item ids, column names, values).  ``# key=value`` preamble
-    lines written by this package's own outputs are skipped.
+    lines written by this package's own outputs are skipped.  A column name
+    that appears twice raises SchemaError: columns are looked up by name.
     """
-    return _read_grid(path)[:3]
+    item_ids, names, values, _ = _read_grid(path)
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise SchemaError(f"{path}: column {name!r} appears twice in the header")
+    return item_ids, names, values
 
 
 def format_number(value) -> str:
@@ -277,7 +284,7 @@ def write_csv(
 
 def load_config(path: PathLike) -> Dict[str, object]:
     """Read a JSON run configuration: one flat object of option values."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             config = json.load(handle)
         except json.JSONDecodeError as err:

@@ -19,9 +19,15 @@ _TINY = 1e-300
 
 
 def log_beta(a: float, b: float) -> float:
-    """log of the beta function B(a, b) for positive arguments."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta function arguments must be positive")
+    """log of the beta function B(a, b) for positive arguments.
+
+    An infinite argument gives -inf, the limit of log B there.  ValueError
+    for an argument that is not positive, NaN included.
+    """
+    if not (a > 0 and b > 0):
+        raise ValueError(f"beta function arguments must be positive, got a={a}, b={b}")
+    if math.isinf(a) or math.isinf(b):
+        return -math.inf
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 

@@ -13,9 +13,11 @@ check on the closed-form tail probabilities.  The rater-pair oracle walks
 the pairs of a Pearson matrix one by one.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
 ``perfeat.regress``.  The single-frame spectral descriptors describe one
-magnitude spectrum at a time; ``extract_audio_features`` must equal their
-mean over a clip's non-silent frames.  The channel-sum downmix adds each
-WAV frame's codes one by one in Python floats.
+magnitude spectrum at a time, and the flux oracle one pair of consecutive
+spectra; ``extract_audio_features`` must equal their mean over a clip's
+non-silent frames.  The whole-array zero-crossing and RMS forms are the
+oracle of the piecewise ``time_domain_features``.  The channel-sum downmix
+adds each WAV frame's codes one by one in Python floats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from perfeat.audio_features import _DEGENERATE_SPREAD_RTOL, SilentFrame
+from perfeat.audio_features import _DEGENERATE_SPREAD_RTOL, SilentFrame, TooFewFrames
 from perfeat.midi_features import (
     IOI_LIMIT,
     MERGE_WINDOW,
@@ -350,6 +352,28 @@ def brightness(
     if total <= 0:
         raise SilentFrame("all-zero spectrum")
     return float(energy[frequencies >= cutoff].sum() / total)
+
+
+def spectral_flux(magnitudes: np.ndarray) -> float:
+    """Mean Euclidean distance between consecutive magnitude spectra, one
+    pair of rows at a time."""
+    if magnitudes.shape[0] < 2:
+        raise TooFewFrames("flux needs at least two frames")
+    distances = [math.sqrt(np.sum((after - before) ** 2))
+                 for before, after in zip(magnitudes[:-1], magnitudes[1:])]
+    return float(np.mean(distances))
+
+
+# ------------------------------------------------------- whole-clip values
+
+
+def whole_array_time_domain(samples: np.ndarray, sample_rate: int):
+    """(zero crossing rate, RMS) from whole-clip temporaries: a sign array,
+    its shifted comparison and the squares.  A zero sample counts as
+    positive."""
+    positive = samples >= 0
+    crossings = int(np.count_nonzero(positive[1:] != positive[:-1]))
+    return crossings / (len(samples) / sample_rate), float(np.sqrt(np.mean(samples**2)))
 
 
 # ------------------------------------------------------------- note fixtures

@@ -622,6 +622,24 @@ class TestFit:
         ) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("fit", "--target", "y"),
+    ("fit", "--target", "y", "--predictors", "a"),
+    ("xcorr",),
+], ids=["fit", "fit-predictors", "xcorr"])
+def test_repeated_column_name_is_named(tmp_path, capsys, argv):
+    # Read by name, the first 'a' would stand for both columns: a false
+    # rank deficiency, a silently unread column, or two 'a,y' rows.
+    path = tmp_path / "t.csv"
+    rng = np.random.default_rng(22)
+    rows = [f"s{i},{y!r},{a!r},{b!r}"
+            for i, (y, a, b) in enumerate(rng.normal(size=(8, 3)).tolist())]
+    path.write_text("\n".join(["id,y,a,a", *rows]) + "\n", encoding="utf-8")
+    assert run(argv[0], "--table", path, *argv[1:], "--out-dir", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {path}: column 'a' appears twice in the header\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestCv:
     def test_deterministic_output_bytes(self, feature_table, tmp_path):
         path, _, _ = feature_table

@@ -258,6 +258,33 @@ class TestLoadTable:
         with pytest.raises(SchemaError):
             load_table(path)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        path = write(tmp_path / "f.csv", "song_id,y,a,b,a\ns1,1,2,3,4\n")
+        with pytest.raises(SchemaError,
+                           match=r"f\.csv: column 'a' appears twice in the header$"):
+            load_table(path)
+
+
+@pytest.mark.parametrize("reader, text", [
+    (load_ratings, "item,r1,r2\ns1,3,4\n"),
+    (load_annotations, "song_id,track_id,category\ns1,0,melody\n"),
+    (load_tempos, "song_id,beats_per_second\ns1,2.4\n"),
+    (load_calibration, "velocity,volume,dB\n1,1,-60\n1,127,-30\n127,1,-30\n127,127,0\n"),
+    (load_table, "song_id,a\ns1,1.5\n"),
+    (load_config, '{"seed": 3}'),
+], ids=["ratings", "annotations", "tempos", "calibration", "table", "config"])
+def test_byte_order_mark_is_not_content(tmp_path, reader, text):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark; read as
+    # text, it would join the first header cell.
+    plain = write(tmp_path / "plain.csv", text)
+    marked = tmp_path / "marked.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected, actual = reader(plain), reader(marked)
+    if reader is load_calibration:
+        expected, actual = expected(127, 1), actual(127, 1)
+    assert repr(actual) == repr(expected)
+
 
 class TestWriters:
     def test_format_number(self):

@@ -57,6 +57,19 @@ class TestIncompleteBeta:
         with pytest.raises(ValueError):
             log_beta(-1.0, 2.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf)])
+    def test_log_beta_of_nan_is_named(self, a, b):
+        with pytest.raises(ValueError, match=f"^beta function arguments must be positive,"
+                                             f" got a={a}, b={b}$"):
+            log_beta(a, b)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf),
+                                      (math.inf, 1e-300)])
+    def test_log_beta_at_infinity_is_its_limit(self, a, b):
+        # B(a, b) falls to 0 as either argument grows without bound.
+        assert log_beta(a, b) == -math.inf
+        assert log_beta(b, a) == -math.inf
+
     @pytest.mark.parametrize("a, b, x, message", [
         (2.0, 3.0, math.nan, "x is NaN"),
         (math.inf, 0.5, 0.5, "shape parameter a must be positive and finite, got inf"),
