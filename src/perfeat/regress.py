@@ -20,6 +20,8 @@ import numpy as np
 from .tdist import student_t_two_tailed
 
 _RANK_RTOL = 1e-10
+_RANK_MARGIN = 1e3  # the safety factor of _autoscale's full-rank certificate
+_CV_STACK_VALUES = 1 << 16  # training design values per cross-validation stack
 
 
 class TooFewRows(ValueError):
@@ -255,23 +257,32 @@ def _autoscale(X: np.ndarray, y: np.ndarray) -> _Autoscaled:
 
     Forming X'X would square the condition number; on an ill-conditioned
     design its rounding swamps the later factors.  So X'X is held as R'R,
-    from one batched QR of the autoscaled designs.  The rank comes from the
-    singular values of R, which are those of Xs, with ``matrix_rank``'s
-    tolerance for the n x k shape: an eigenvalue count on X'X would count
-    rounding noise as rank.  A constant column or response keeps a scale of
-    1, so that a degenerate design still gives finite numbers for the
-    caller to reject.
+    from one batched QR of the autoscaled designs (n >= k, so R is square).
+    The rank is ``matrix_rank``'s, with its tolerance for the n x k shape.
+    As sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, one batched
+    inverse proves a design full rank when |R|_F |R^-1|_F clears that
+    tolerance by ``_RANK_MARGIN``; only the others have singular values
+    counted.  A constant column or response keeps a scale of 1, so that a
+    degenerate design still gives finite numbers for the caller to reject.
     """
-    x_mean = X.mean(axis=1)
-    x_scale = X.std(axis=1, ddof=1)
-    y_mean = y.mean(axis=1)
+    x_mean, y_mean = X.mean(axis=1), y.mean(axis=1)
+    Xs, ys = X - x_mean[:, None], y - y_mean[:, None]
+    x_scale = np.sqrt((Xs * Xs).sum(axis=1) / (X.shape[1] - 1))  # X.std(axis=1, ddof=1)
     y_scale = y.std(axis=1, ddof=1)
-    Xs = (X - x_mean[:, None]) / np.where(x_scale > 0, x_scale, 1.0)[:, None]
-    ys = (y - y_mean[:, None]) / np.where(y_scale > 0, y_scale, 1.0)[:, None]
+    Xs /= np.where(x_scale > 0, x_scale, 1.0)[:, None]
+    ys /= np.where(y_scale > 0, y_scale, 1.0)[:, None]
     gram_root = np.linalg.qr(Xs, mode="r")
-    singular_values = np.linalg.svd(gram_root, compute_uv=False)
-    tolerance = singular_values.max(axis=1) * max(X.shape[1:]) * np.finfo(float).eps
-    rank = (singular_values > tolerance[:, None]).sum(axis=1)
+    tolerance = max(X.shape[1:]) * np.finfo(float).eps
+    invertible = (np.diagonal(gram_root, axis1=1, axis2=2) != 0).all(axis=1)
+    root = np.where(invertible[:, None, None], gram_root, np.eye(X.shape[2]))
+    inverse = np.linalg.inv(root)
+    bound = np.linalg.norm(root, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+    full_rank = invertible & (bound * (_RANK_MARGIN * tolerance) < 1.0)
+    rank = np.full(len(X), X.shape[2])
+    if not full_rank.all():
+        singular_values = np.linalg.svd(gram_root[~full_rank], compute_uv=False)
+        cut = singular_values.max(axis=1) * tolerance
+        rank[~full_rank] = (singular_values > cut[:, None]).sum(axis=1)
     xy = np.einsum("bnk,bn->bk", Xs, ys)
     return _Autoscaled(x_mean, x_scale, y_mean, y_scale, gram_root, xy, rank)
 
@@ -318,11 +329,6 @@ def _pls_kernel(scaled: _Autoscaled, m: int):
     return beta_std, coef, intercept, kept
 
 
-def _check_factor_count(m: int, rank: int) -> None:
-    if m < 0 or m > rank:
-        raise RankExceeded(f"{m} factors requested, predictor rank is {rank}")
-
-
 def pls_fit(design: Design, m: int) -> PlsModel:
     """Extract ``m`` latent factors by the kernel algorithm on autoscaled data.
 
@@ -340,7 +346,8 @@ def pls_fit(design: Design, m: int) -> PlsModel:
     """
     _check_response(design.y)
     scaled = _autoscale(design.X[None], design.y[None])
-    _check_factor_count(m, int(scaled.rank[0]))
+    if not 0 <= m <= scaled.rank[0]:
+        raise RankExceeded(f"{m} factors requested, predictor rank is {scaled.rank[0]}")
     beta_std, coef, intercept, kept = _pls_kernel(scaled, m)
     truncated = bool(kept[0] < m)
     if truncated:
@@ -376,41 +383,26 @@ class CvReport:
     r2_cv: float
 
 
-def _fold_stacks(permutation: np.ndarray, folds: int):
-    """Split a permutation into ``folds`` parts as ``np.array_split`` does.
+def _fold_stacks(permutations: np.ndarray, folds: int):
+    """Split each permutation row into ``folds`` parts as ``np.array_split`` does.
 
     The first n % folds parts hold one row more than the rest, so the
     parts come in at most two sizes.  Yields, per size, the index of its
-    first fold, the held-out rows (B, size) and the training rows
-    (B, n - size), these in ascending order as a boolean mask gives them.
+    first fold, its fold count per repeat, and the held-out rows (B, size)
+    and training rows (B, n - size) of its folds in (repeat, fold) order,
+    the training rows ascending as a boolean mask gives them.
     """
-    n = len(permutation)
+    n = permutations.shape[1]
     size, extra = divmod(n, folds)
     start = 0
     for first, count, rows in ((0, extra, size + 1), (extra, folds - extra, size)):
         if count == 0:
             continue
-        held_out = permutation[start : start + count * rows].reshape(count, rows)
+        held_out = permutations[:, start : start + count * rows].reshape(-1, rows)
         start += count * rows
-        keep = np.ones((count, n), dtype=bool)
-        keep[np.arange(count)[:, None], held_out] = False
-        yield first, held_out, np.nonzero(keep)[1].reshape(count, n - rows)
-
-
-def _check_training_fold(
-    design: Design, train: np.ndarray, method: str, m: Optional[int], screened: float
-) -> None:
-    """Raise a flagged training fold's domain error, in a per-fold refit's order.
-
-    ``screened`` is the fold's value from its stack: for OLS the least
-    eigenvalue of its PRESS block, for PLS the rank of its design.
-    """
-    _check_rows_and_predictors(design.X[train], design.names)
-    if method == "ols" and screened < _RANK_RTOL:
-        raise RankDeficient("training design is rank deficient")
-    _check_response(design.y[train])
-    if method == "pls":
-        _check_factor_count(m, int(screened))
+        keep = np.ones((len(held_out), n), dtype=bool)
+        keep[np.arange(len(held_out))[:, None], held_out] = False
+        yield first, count, held_out, np.nonzero(keep)[1].reshape(-1, n - rows)
 
 
 def repeated_kfold_cv(
@@ -429,27 +421,31 @@ def repeated_kfold_cv(
     1 - MSE / Var(y), with the population variance of the full response.
     Identical inputs and seed give bit-identical results.
 
-    A repeat stacks its training folds by size, so it makes at most two
-    batched solves per method, and its held-out errors equal those of
-    per-fold refits up to rounding.  OLS takes them from one full-data
-    fit: they are (I - Q_F Q_F')^-1 r_F, the block PRESS identity (Hastie,
-    Tibshirani & Friedman, ESL 7.10), from one batched ``eigh``.  The
-    block's determinant is det(X_tr'X_tr) / det(X'X), singular exactly when
-    the training design is.  PLS autoscales the stacked training rows and
-    runs the kernel of :func:`pls_fit` on the whole stack.  Each stack is
-    screened for degenerate training folds first; the first one in loop
-    order raises its domain error with a message that names the repeat and
-    the fold.  Folds whose PLS models truncate are counted in one warning.
+    The training folds of as many repeats as fit in ``_CV_STACK_VALUES``
+    design values, and at least one, are stacked by size for at most two
+    batched solves per method.  No bit depends on the stacking, and the
+    held-out errors equal those of per-fold refits up to rounding.  OLS
+    takes them from one full-data fit: they are (I - Q_F Q_F')^-1 r_F, the
+    block PRESS identity (Hastie, Tibshirani & Friedman, ESL 7.10), from one
+    batched ``eigh``.  The block's determinant is det(X_tr'X_tr) / det(X'X),
+    singular exactly when the training design is.  PLS autoscales the
+    stacked training rows and runs the kernel of :func:`pls_fit` on the
+    whole stack.  A factor count outside 0..k is an argument error.  The
+    first degenerate training fold in (repeat, fold) order raises its domain
+    error with a message that names the repeat and the fold.  Folds whose
+    PLS models truncate are counted in one warning.
     """
     if method not in ("ols", "pls"):
         raise ValueError(f"unknown method {method!r}")
     if method == "pls" and m is None:
         raise ValueError("pls needs a factor count")
+    if method == "pls" and not 0 <= m <= design.k:
+        raise RankExceeded(f"{m} factors requested, the design has {design.k} predictors")
     if folds < 2:
         raise ValueError("at least two folds are required")
     if repeats < 1:
         raise ValueError("at least one repeat is required")
-    n = design.n
+    n, k = design.n, design.k
     if n < 2 * folds:
         raise TooFewRows(f"{n} rows cannot fill {folds} folds")
     X, y = design.X, design.y
@@ -460,36 +456,47 @@ def repeated_kfold_cv(
         X1 = np.column_stack([np.ones(n), X])
         coef, q, _ = _qr_solve(X1, y)
         resid = y - X1 @ coef
+    fewest = n - -(-n // folds)  # fold 1 holds out the most rows
+    if fewest <= k + 1:
+        raise TooFewRows(f"repeat 1 of {repeats}, fold 1 of {folds}: {fewest} rows cannot"
+                         f" support {k} predictors")
+    per_stack = max(1, _CV_STACK_VALUES // ((folds - 1) * n * k))
     mse_per_repeat = []
     truncated = 0
-    for repeat in range(repeats):
-        squared_errors = np.empty(n)
-        for first, held_out, train in _fold_stacks(rng.permutation(n), folds):
+    for start in range(0, repeats, per_stack):
+        stack = range(start, min(start + per_stack, repeats))  # the stack's repeats
+        permutations = np.array([rng.permutation(n) for _ in stack])
+        squared_errors = np.empty(permutations.shape)
+        failures = []
+        for first, count, held_out, train in _fold_stacks(permutations, folds):
             X_train, y_train = X[train], y[train]
+            spans = np.ptp(X_train, axis=1)
+            constant_column = (spans == 0).any(axis=1)
+            constant_response = np.ptp(y_train, axis=1) == 0
             if method == "ols":
                 q_f = q[held_out]
                 block = np.eye(held_out.shape[1]) - np.einsum("bik,bjk->bij", q_f, q_f)
                 eigenvalues, vectors = np.linalg.eigh(block)
-                screened = eigenvalues[:, 0]
-                flagged = screened < _RANK_RTOL
+                singular = eigenvalues[:, 0] < _RANK_RTOL
             else:
                 scaled = _autoscale(X_train, y_train)
-                screened = scaled.rank
-                flagged = (m < 0) | (scaled.rank < m)
-            flagged |= (
-                (train.shape[1] <= design.k + 1)
-                | (np.ptp(X_train, axis=1) == 0).any(axis=1)
-                | (np.ptp(y_train, axis=1) == 0)
-            )
+                singular = scaled.rank < m
+            flagged = constant_column | singular | constant_response
             if flagged.any():
-                fold = int(np.argmax(flagged))
-                try:
-                    _check_training_fold(design, train[fold], method, m, screened[fold])
-                except (TooFewRows, RankDeficient, RankExceeded, ConstantResponse) as err:
-                    raise type(err)(
-                        f"repeat {repeat + 1} of {repeats}, fold {first + fold + 1} of {folds}:"
-                        f" {err}"
-                    ) from err
+                # Each fold's checks in a per-fold refit's order.
+                b = int(np.argmax(flagged))
+                if constant_column[b]:
+                    name = design.names[int(np.argmin(spans[b]))]
+                    error = RankDeficient(f"predictor {name!r} is constant")
+                elif singular[b] and method == "ols":
+                    error = RankDeficient("training design is rank deficient")
+                elif constant_response[b]:
+                    error = ConstantResponse("response does not vary")
+                else:
+                    rank = scaled.rank[b]
+                    error = RankExceeded(f"{m} factors requested, predictor rank is {rank}")
+                failures.append((b // count, first + b % count, error))
+                continue
             if method == "ols":
                 rotated = np.einsum("bji,bj->bi", vectors, resid[held_out]) / eigenvalues
                 errors = np.einsum("bij,bj->bi", vectors, rotated)
@@ -498,8 +505,12 @@ def repeated_kfold_cv(
                 truncated += int((kept < m).sum())
                 fitted = intercept[:, None] + np.einsum("bsk,bk->bs", X[held_out], coef)
                 errors = y[held_out] - fitted
-            squared_errors[held_out] = errors ** 2
-        mse_per_repeat.append(float(squared_errors.mean()))
+            squared_errors[np.arange(len(held_out))[:, None] // count, held_out] = errors ** 2
+        if failures:
+            repeat, fold, error = min(failures)
+            raise type(error)(f"repeat {stack[repeat] + 1} of {repeats},"
+                              f" fold {fold + 1} of {folds}: {error}")
+        mse_per_repeat.extend(float(row.mean()) for row in squared_errors)
     if truncated:
         warnings.warn(
             f"deflation degenerate in {truncated} of {repeats * folds} training folds;"

@@ -12,12 +12,14 @@ quadrature oracle integrates the t density numerically as an independent
 check on the closed-form tail probabilities.  The rater-pair oracle walks
 the pairs of a Pearson matrix one by one.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
-``perfeat.regress``.  The single-frame spectral descriptors describe one
-magnitude spectrum at a time, and the flux oracle one pair of consecutive
-spectra; ``extract_audio_features`` must equal their mean over a clip's
-non-silent frames.  The whole-array zero-crossing and RMS forms are the
-oracle of the piecewise ``time_domain_features``.  The channel-sum downmix
-adds each WAV frame's codes one by one in Python floats.
+``perfeat.regress``, and the singular-value rank count checks the
+full-rank certificate of ``perfeat.regress._autoscale``.  The single-frame
+spectral descriptors describe one magnitude spectrum at a time, and the
+flux oracle one pair of consecutive spectra; ``extract_audio_features``
+must equal their mean over a clip's non-silent frames.  The whole-array
+zero-crossing and RMS forms are the oracle of the piecewise
+``time_domain_features``.  The channel-sum downmix adds each WAV frame's
+codes one by one in Python floats.
 """
 
 from __future__ import annotations
@@ -503,6 +505,18 @@ def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float
     area = float(np.sum((integrand[1:] + integrand[:-1]) * np.diff(theta))) / 2.0
     tail = constant * math.sqrt(df) * area
     return float(2.0 * tail)
+
+
+def svd_rank(gram_root: np.ndarray, n: int) -> np.ndarray:
+    """The rank of each n x k design of a stack, from the singular values of its R.
+
+    The R factor of a QR has the design's singular values.  They count
+    above ``matrix_rank``'s tolerance for an n x k shape: the largest
+    singular value times max(n, k) times eps.
+    """
+    singular_values = np.linalg.svd(gram_root, compute_uv=False)
+    cut = singular_values.max(axis=1) * max(n, gram_root.shape[2]) * np.finfo(float).eps
+    return (singular_values > cut[:, None]).sum(axis=1)
 
 
 class NipalsPls:

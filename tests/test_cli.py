@@ -675,6 +675,16 @@ class TestCv:
         assert "at least one repeat is required" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_components_names_no_fold(self, feature_table, tmp_path, capsys):
+        path, _, _ = feature_table
+        out = tmp_path / "out"
+        assert run("cv", "--table", path, "--target", "y", "--method", "pls",
+                   "--components", "22", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "22 factors requested" in err
+        assert "repeat" not in err and "fold" not in err
+        assert not out.exists()
+
     def test_matches_library(self, feature_table, tmp_path):
         from perfeat.regress import repeated_kfold_cv
 

@@ -2,13 +2,15 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import NipalsPls
+from helpers import NipalsPls, svd_rank
+from perfeat import regress
 from perfeat.regress import (
     ConstantResponse,
     DegenerateDeflationWarning,
@@ -411,6 +413,49 @@ class TestPls:
         with pytest.raises(RankExceeded, match="predictor rank is 2"):
             pls_fit(design, 3)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
+    @example(seed=0, count=1)
+    def test_rank_certificate_equals_svd_count(self, seed, count):
+        """The stack's ranks are the singular-value counts, with or without an SVD.
+
+        Each design is full rank, exactly collinear in its last column or
+        constant in one column, with an autoscaled condition number up to
+        1e17, column scales 1e-8..1e8 and offsets up to 1e3.
+        """
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 22))
+        n = k + 2 + int(rng.integers(0, 80))
+        designs = []
+        for kind in rng.integers(0, 3, size=count):
+            u = np.linalg.qr(rng.normal(size=(n, k)))[0]
+            v = np.linalg.qr(rng.normal(size=(k, k)))[0]
+            Z = (u * np.logspace(0.0, -rng.uniform(0.0, 17.0), k)) @ v.T
+            if kind == 1 and k > 1:
+                Z[:, -1] = Z[:, 0] * rng.normal()
+            elif kind == 2:
+                Z[:, rng.integers(k)] = rng.normal()
+            scales = 10.0 ** rng.uniform(-8, 8, size=k)
+            designs.append(Z * scales + rng.uniform(-1e3, 1e3, size=k))
+        scaled = regress._autoscale(np.array(designs), rng.normal(size=(count, n)))
+        assert scaled.rank.tolist() == svd_rank(scaled.gram_root, n).tolist()
+
+    def test_full_rank_designs_need_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        rng = np.random.default_rng(81)
+        names = tuple(f"x{j}" for j in range(21))
+        design = Design(rng.normal(size=(100, 21)), rng.normal(size=100), names)
+        repeated_kfold_cv(design, "pls", m=3, folds=10, repeats=5, seed=0)
+        pls_fit(design, 3)
+        assert calls == []
+        # A collinear design cannot be cleared, so its rank is counted.
+        collinear = np.column_stack([design.X[:, :20], design.X[:, 0] + design.X[:, 1]])
+        with pytest.raises(RankExceeded, match="predictor rank is 20"):
+            pls_fit(Design(collinear, design.y, names), 21)
+        assert len(calls) == 1
+
     def test_predict_missing_rows(self):
         rng = np.random.default_rng(68)
         design = random_design(rng, k=3)
@@ -484,6 +529,79 @@ class TestCrossValidation:
         design = random_design(np.random.default_rng(78), n=20, k=2)
         with pytest.raises(ValueError, match="at least one repeat is required"):
             repeated_kfold_cv(design, "ols", folds=4, repeats=repeats)
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_factor_count_outside_the_design_names_no_fold(self, m):
+        design = random_design(np.random.default_rng(82), n=20, k=3)
+        with pytest.raises(RankExceeded) as raised:
+            repeated_kfold_cv(design, "pls", m=m, folds=5, repeats=2)
+        assert str(raised.value) == f"{m} factors requested, the design has 3 predictors"
+
+    @PROPERTY
+    @given(
+        k=st.integers(1, 4),
+        folds=st.integers(2, 7),
+        extra=st.integers(0, 20),
+        repeats=st.integers(2, 7),
+        method=st.sampled_from(["ols", "pls"]),
+        factors=st.integers(0, 4),
+        cv_seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_layout_changes_no_bit(
+        self, k, folds, extra, repeats, method, factors, cv_seed, data_seed
+    ):
+        """One repeat per stack, two, or all of them give the same report.
+
+        n % folds is never 0, so each stack holds folds of two sizes.  The
+        first repeats of a longer run are those of a shorter run.
+        """
+        n = max(2 * folds, 2 * k + 4) + extra
+        n += n % folds == 0
+        design = random_design(np.random.default_rng(data_seed), n=n, k=k)
+        m = factors % (k + 1) if method == "pls" else None
+
+        def run(count):
+            return repeated_kfold_cv(design, method, m, folds, count, seed=cv_seed)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDeflationWarning)
+            report = run(repeats)
+            for values in (1, 2 * (folds - 1) * n * k, 2**62):
+                with mock.patch.object(regress, "_CV_STACK_VALUES", values):
+                    assert run(repeats) == report
+            assert run(repeats - 1).mse_per_repeat == report.mse_per_repeat[:-1]
+
+    @pytest.mark.parametrize("method", ["ols", "pls"])
+    def test_first_degenerate_fold_in_a_stack_names_the_earliest_repeat(self, method):
+        """Repeat 2 of a stack raises, though repeat 3 fails in a lower-numbered fold.
+
+        Rows 0 and 1 are the only ones of 'pair', so a training fold that
+        lacks both holds it constant.  The seed is the first whose repeat 1
+        splits the two rows, whose repeat 2 holds them out together in fold
+        f2 and whose repeat 3 in a fold before f2.
+        """
+        n, folds = 21, 4
+
+        def pair_fold(permutation):
+            parts = np.array_split(permutation, folds)
+            return next((f for f, part in enumerate(parts) if {0, 1} <= set(part)), None)
+
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            f1, f2, f3 = (pair_fold(rng.permutation(n)) for _ in range(3))
+            if f1 is None and f2 is not None and f3 is not None and f3 < f2:
+                break
+        # The three repeats share one stack.
+        assert regress._CV_STACK_VALUES // ((folds - 1) * n * 2) >= 3
+        rng = np.random.default_rng(83)
+        X = np.column_stack([rng.normal(size=n), np.eye(n)[0] + np.eye(n)[1]])
+        design = Design(X, rng.normal(size=n), ("x1", "pair"))
+        with pytest.raises(RankDeficient) as raised:
+            repeated_kfold_cv(design, method, m=1, folds=folds, repeats=3, seed=seed)
+        assert str(raised.value) == (
+            f"repeat 2 of 3, fold {f2 + 1} of {folds}: predictor 'pair' is constant"
+        )
 
     @PROPERTY
     @given(
