@@ -12,8 +12,12 @@ is 0 on success, 1 on data or file errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
 import re
+import signal
 import sys
+import threading
 import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -146,6 +150,68 @@ def _per_file(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, obj
         yield path, result
 
 
+def _per_file_forked(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, object]]:
+    """``_per_file(paths, work)``, with a forked helper process doing the odd positions.
+
+    For work that holds the GIL, so that a thread could not run beside the
+    caller.  Each side stops at its first error.  The helper pickles its
+    outcomes, results and that error, into a pipe once it is done, so it
+    never waits on the pipe while it works, and leaves through ``os._exit``,
+    never returning into the caller's code.  The caller reads the pipe to
+    EOF before it reaps the helper: reaping first would deadlock on a full
+    pipe.  The walk in path order then raises the serial loop's first error;
+    a helper that died without reporting counts as an error at its first
+    file.  One file, no ``os.fork``, or other threads running (a lock one of
+    them holds would stay held in the helper) take the serial loop.
+    """
+    if len(paths) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _per_file(paths, work)
+
+    def outcomes_of(share):
+        for path in share:
+            try:
+                yield path, work(path)
+            except Exception as error:
+                yield path, error
+                return
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(list(outcomes_of(paths[1::2]))))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    outcomes: Dict[Path, object] = {}
+    try:
+        outcomes.update(outcomes_of(paths[::2]))
+    except BaseException:  # an interrupt: the helper's work is no longer wanted
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with os.fdopen(read_end, "rb") as pipe:
+            report = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        outcomes.update(pickle.loads(report))
+    except (EOFError, pickle.UnpicklingError):  # no report, or a cut one
+        how = f"signal {-code}" if code < 0 else f"exit status {code}"
+        outcomes[paths[1]] = ChildProcessError(
+            f"the helper process describing every second file from {paths[1].name} on"
+            f" ended ({how}) before reporting")
+
+    def replay(path: Path):
+        if isinstance(outcomes[path], Exception):
+            raise outcomes[path]
+        return outcomes[path]
+
+    return _per_file(paths, replay)
+
+
 class _Output(NamedTuple):
     """One result: ``stem.csv`` at full precision and, with a report, ``stem.txt``."""
 
@@ -177,6 +243,13 @@ def _cmd_extract_midi(args):
     calibration = (
         load_calibration(args.calibration) if args.calibration else mf.default_calibration
     )
+    paths = _sorted_files(midi_dir, ("*.mid", "*.midi"))
+    # A sidecar row for a song with no file is an error, found before any file is read.
+    stems = {path.stem for path in paths}
+    for sidecar, songs in ((args.annotations, annotations), (args.tempos, tempos)):
+        unmatched = next((song_id for song_id in songs if song_id not in stems), None)
+        if unmatched is not None:
+            raise SchemaError(f"{sidecar}: song {unmatched!r} has no file in {midi_dir}")
 
     def features(path: Path) -> Dict[str, Optional[float]]:
         song = parse_smf(path.read_bytes(), song_id=path.stem)
@@ -186,7 +259,11 @@ def _cmd_extract_midi(args):
             merge_window=args.merge_window,
         )
 
-    vectors = list(_per_file(_sorted_files(midi_dir, ("*.mid", "*.midi")), features))
+    # Parsing and describing a song is per-byte and per-onset Python that
+    # holds the GIL, so a forked helper process takes the odd-numbered files.
+    # One file, no os.fork, or other threads running take the serial loop;
+    # either way the rows and the first error are the serial loop's.
+    vectors = list(_per_file_forked(paths, features))
     return _feature_table(
         "midi_features", vectors,
         {"merge_window": args.merge_window, "annotations": args.annotations or "",

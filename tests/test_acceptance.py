@@ -501,3 +501,57 @@ def test_extract_audio_determinism(tmp_path):
             f"{label} run differs from the first",
         )
     _finish("extract-audio-determinism", failures, started, 60.0)
+
+
+def _random_song(rng):
+    """A melody, a bass and a drum track of random notes and velocities."""
+    tracks = []
+    for channel, keys in ((0, (60, 84)), (1, (36, 52)), (9, (35, 52))):
+        events = []
+        for _ in range(int(rng.integers(40, 80))):
+            key = int(rng.integers(*keys))
+            events += [note_on(int(rng.integers(0, 300)), key, int(rng.integers(20, 127)),
+                               channel=channel),
+                       note_off(int(rng.integers(20, 400)), key, channel=channel)]
+        tracks.append(track(*events))
+    return smf(*tracks, division=480)
+
+
+def test_extract_midi_determinism(tmp_path, monkeypatch):
+    """extract-midi output is byte-identical across runs, with the forked
+    helper or the serial loop, and for a song alone or within its corpus."""
+    from perfeat import cli
+
+    started = time.monotonic()
+    failures = []
+    rng = np.random.default_rng(80)
+    songs = {f"song_{i}": _random_song(rng) for i in range(5)}
+
+    def corpus(name, song_ids):
+        """Runs extract-midi on song_ids with their sidecars; the output's lines."""
+        root = tmp_path / name
+        (root / "midi").mkdir(parents=True)
+        for song_id in song_ids:
+            (root / "midi" / f"{song_id}.mid").write_bytes(songs[song_id])
+        (root / "annotations.csv").write_text("song_id,track_id,category\n" + "".join(
+            f"{s},0,melody\n{s},1,bass\n" for s in song_ids), encoding="utf-8")
+        (root / "tempos.csv").write_text("song_id,beats_per_second\n" + "".join(
+            f"{s},{1.5 + 0.25 * int(s[-1])}\n" for s in song_ids), encoding="utf-8")
+        monkeypatch.chdir(root)
+        status = cli.main(["extract-midi", "--midi-dir", "midi", "--annotations",
+                           "annotations.csv", "--tempos", "tempos.csv"])
+        _expect(failures, status == 0, f"{name} run exited {status}")
+        return (root / "out" / "midi_features.csv").read_bytes().splitlines(keepends=True)
+
+    first = corpus("first", songs)
+    _expect(failures, corpus("second", songs) == first, "second run differs from the first")
+    with monkeypatch.context() as serial:
+        serial.delattr(os, "fork")
+        _expect(failures, corpus("serial", songs) == first,
+                "the serial loop's run differs from the helper's")
+    # song_3 is at an odd position, so the helper described it in the full run.
+    alone = corpus("alone", ["song_3"])
+    rows = [line for line in first if line.startswith(b"song_3,")]
+    _expect(failures, alone == first[: -len(songs)] + rows,
+            "song_3 alone differs from its row in the corpus")
+    _finish("extract-midi-determinism", failures, started, 60.0)

@@ -1,14 +1,23 @@
 """End-to-end command tests on small generated corpora."""
 
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import re
+import signal
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import note_on, note_off, pcm16, set_tempo, smf, track, wav
 import perfeat
@@ -18,6 +27,7 @@ from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, ols_fit
 from perfeat.smf import annotate_tracks, parse_smf
 from perfeat.stats import pearson
+from test_smf import _damage, _valid_files
 
 
 def run(*argv):
@@ -213,6 +223,132 @@ class TestExtractMidi:
         (corpus / "broken.mid").write_bytes(b"MThd\x00\x00\x00\x06garbage")
         assert run("extract-midi", "--midi-dir", corpus, "--out-dir", tmp_path) == 1
         assert "broken.mid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, text, song", [
+        ("--annotations", "song_id,track_id,category\nsong_a,0,melody\nsong_99,0,bass\n",
+         "song_99"),
+        ("--tempos", "song_id,beats_per_second\nsong_0,2.4\n", "song_0"),
+    ], ids=["annotations", "tempos"])
+    def test_sidecar_song_without_a_file_is_named(self, midi_corpus, tmp_path, monkeypatch,
+                                                  capsys, option, text, song):
+        corpus, _, _ = midi_corpus
+        sidecar = tmp_path / "sidecar.csv"
+        sidecar.write_text(text, encoding="utf-8")
+
+        def unread(*args, **kwargs):
+            raise AssertionError("a MIDI file was read")
+
+        monkeypatch.setattr(cli, "parse_smf", unread)
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, option, sidecar,
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sidecar}: song {song!r} has no file in {corpus}\n")
+        assert not out.exists()
+
+
+@pytest.fixture
+def four_songs(midi_corpus):
+    """song_a .. song_d: positions 0 and 2 go to the caller, 1 and 3 to the helper."""
+    corpus, _, raw = midi_corpus
+    (corpus / "song_c.mid").write_bytes(raw["song_a"])
+    (corpus / "song_d.mid").write_bytes(raw["song_b"])
+    return corpus
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestExtractMidiHelperProcess:
+    """extract-midi's forked helper: the serial loop's rows and errors, and no trace left."""
+
+    def test_odd_positions_run_in_one_helper_process(self, tmp_path):
+        paths = [tmp_path / f"f{i}" for i in range(5)]
+        outcomes = dict(cli._per_file_forked(paths, lambda path: os.getpid()))
+        assert list(outcomes) == paths
+        assert {outcomes[path] for path in paths[::2]} == {os.getpid()}
+        assert len({outcomes[path] for path in paths[1::2]} - {os.getpid()}) == 1
+        _no_child_left()
+
+    def test_results_past_the_pipe_buffer(self, tmp_path):
+        # The helper's 500 kB result fills the pipe long before the caller reads it.
+        paths = [tmp_path / f"f{i}" for i in range(3)]
+        results = list(cli._per_file_forked(paths, lambda path: path.name * 250_000))
+        assert results == [(path, path.name * 250_000) for path in paths]
+        _no_child_left()
+
+    def test_an_interrupted_caller_stops_the_helper(self, tmp_path):
+        caller = os.getpid()
+
+        def work(path):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            list(cli._per_file_forked([tmp_path / "f0", tmp_path / "f1"], work))
+        assert time.monotonic() - started < 30
+        _no_child_left()
+
+    def test_another_thread_running_takes_the_serial_loop(self, tmp_path):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            pids = dict(cli._per_file_forked([tmp_path / "f0", tmp_path / "f1"],
+                                             lambda path: os.getpid()))
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert set(pids.values()) == {os.getpid()}
+
+    def test_summary_and_error_are_printed_once(self, four_songs, tmp_path, capfd):
+        assert run("extract-midi", "--midi-dir", four_songs, "--out-dir", tmp_path / "a") == 0
+        out, err = capfd.readouterr()
+        assert out.count("extract-midi: 4 songs") == 1 and err == ""
+        _no_child_left()
+        (four_songs / "song_d.mid").write_bytes(b"MThd\x00\x00\x00\x06garbage")
+        assert run("extract-midi", "--midi-dir", four_songs, "--out-dir", tmp_path / "b") == 1
+        out, err = capfd.readouterr()
+        assert out == "" and err.count("error:") == 1 and "song_d.mid" in err
+        _no_child_left()
+
+    @pytest.mark.parametrize("damaged, first", [
+        (("song_b", "song_c"), "song_b"),
+        (("song_a", "song_d"), "song_a"),
+    ], ids=["helper-first", "caller-first"])
+    def test_first_damaged_file_in_sorted_order_is_named(self, four_songs, tmp_path, capsys,
+                                                         damaged, first):
+        for stem in damaged:
+            (four_songs / f"{stem}.mid").write_bytes(b"MThd\x00\x00\x00\x06garbage")
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", four_songs, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {first}.mid: ") and err.count(".mid") == 1
+        assert not out.exists()
+        _no_child_left()
+
+    def test_a_helper_that_dies_is_named_and_gives_no_table(self, four_songs, tmp_path,
+                                                            monkeypatch, capsys):
+        parse, caller = cli.parse_smf, os.getpid()
+
+        def killed_on_song_b(data, song_id):
+            if song_id == "song_b" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse(data, song_id=song_id)
+
+        monkeypatch.setattr(cli, "parse_smf", killed_on_song_b)
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", four_songs, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            "error: the helper process describing every second file from song_b.mid on"
+            f" ended (signal {int(signal.SIGKILL)}) before reporting\n")
+        assert not out.exists()
+        _no_child_left()
 
 
 class TestExtractAudio:
@@ -494,6 +630,116 @@ class TestAgreement:
         )
         assert run("agreement", "--ratings", path, "--no-scale-check",
                    "--out-dir", tmp_path / "out") == 0
+
+
+def _check_damaged_run(argv, paths, bad, expected):
+    """argv exits 1 naming paths[bad] and no other file, raising expected's class."""
+    sink = io.StringIO()
+    with contextlib.redirect_stderr(sink):
+        assert cli.main(argv) == 1
+    text = sink.getvalue()
+    assert paths[bad].name in text
+    assert not any(path.name in text for path in paths if path != paths[bad])
+    args = cli._build_parser()[0].parse_args(argv)
+    with pytest.raises(ValueError) as raised:
+        args.run(args)
+    # The class the library raised for the file, through _per_file and, for
+    # extract-midi's odd positions, through the helper's pipe.
+    assert type(raised.value) is type(expected)
+    assert str(raised.value) in (str(expected), f"{paths[bad].name}: {expected}")
+    assert text == f"error: {raised.value}\n"
+    _no_child_left()
+
+
+def _library_error(work, path):
+    try:
+        work(path)
+    except ValueError as err:
+        return err
+    return None
+
+
+def _wav_clip(index):
+    t = np.arange(4096) / 8000
+    return 0.5 * np.sin(2 * np.pi * (200.0 + 150.0 * index) * t)
+
+
+def _ratings_text(index, cells=None):
+    rng = np.random.default_rng(index)
+    truth = rng.uniform(2, 8, size=8)
+    rows = np.clip(truth[:, None] + rng.normal(0, 0.5, size=(8, 3)), 1, 9).round(1)
+    text = [[f"{value:g}" for value in row] for row in rows]
+    for (i, j), cell in (cells or {}).items():
+        text[i][j] = cell
+    return "item,r1,r2,r3\n" + "".join(
+        f"item{i},{','.join(row)}\n" for i, row in enumerate(text))
+
+
+class TestOneDamagedFile:
+    """One damaged file among 2-5 valid ones, at any position, so on either side
+    of extract-midi's split: exit 1, that file named alone, its error class kept."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extract_midi(self, data):
+        valid = _valid_files()
+        files = data.draw(st.lists(st.sampled_from(valid), min_size=2, max_size=5))
+        bad = data.draw(st.integers(0, len(files) - 1))
+        files[bad] = _damage(data.draw, files[bad], valid)
+        with tempfile.TemporaryDirectory() as directory:
+            corpus = Path(directory)
+            paths = [corpus / f"s{i}.mid" for i in range(len(files))]
+            for path, body in zip(paths, files):
+                path.write_bytes(body)
+            expected = _library_error(lambda path: extract_midi_features(annotate_tracks(
+                parse_smf(path.read_bytes(), song_id=path.stem), {})), paths[bad])
+            assume(expected is not None)
+            _check_damaged_run(["extract-midi", "--midi-dir", str(corpus),
+                                "--out-dir", str(corpus / "out")], paths, bad, expected)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_extract_audio(self, data):
+        from perfeat.audio_features import extract_audio_features, read_wav
+
+        count = data.draw(st.integers(2, 5))
+        bad = data.draw(st.integers(0, count - 1))
+        files = [wav(pcm16(_wav_clip(i)), 8000) for i in range(count)]
+        if data.draw(st.booleans()):
+            files[bad] = files[bad][: data.draw(st.integers(0, len(files[bad]) - 1))]
+        else:
+            samples = _wav_clip(bad)
+            samples[data.draw(st.integers(0, len(samples) - 1))] = np.nan
+            files[bad] = wav(samples, 8000, fmt=3, bits=32)
+        with tempfile.TemporaryDirectory() as directory:
+            corpus = Path(directory)
+            paths = [corpus / f"c{i}.wav" for i in range(count)]
+            for path, body in zip(paths, files):
+                path.write_bytes(body)
+            expected = _library_error(
+                lambda path: extract_audio_features(read_wav(path.read_bytes())), paths[bad])
+            assert expected is not None
+            _check_damaged_run(["extract-audio", "--wav-dir", str(corpus),
+                                "--out-dir", str(corpus / "out")], paths, bad, expected)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(count=st.integers(2, 5), data=st.data())
+    def test_agreement(self, count, data):
+        from perfeat.io import load_ratings
+
+        bad = data.draw(st.integers(0, count - 1))
+        cell = (data.draw(st.integers(0, 7)), data.draw(st.integers(0, 2)))
+        value = data.draw(st.sampled_from(["0", "9.5", "12", "-3", "x", "nan", "4..5"]))
+        with tempfile.TemporaryDirectory() as directory:
+            folder = Path(directory)
+            paths = [folder / f"f{i}.csv" for i in range(count)]
+            for i, path in enumerate(paths):
+                path.write_text(_ratings_text(i, {cell: value} if i == bad else None),
+                                encoding="utf-8")
+            expected = _library_error(load_ratings, paths[bad])
+            assert expected is not None
+            _check_damaged_run(["agreement", "--ratings", *map(str, paths),
+                                "--out-dir", str(folder / "out")], paths, bad, expected)
 
 
 class TestXcorr:
