@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -360,13 +359,10 @@ def extract_audio_features(
     computed over the subsequence of non-silent frames in order.  Zero
     crossing rate and RMS are whole-clip values on the raw samples.
 
-    The STFT and the descriptors run over blocks of ``BLOCK_FRAMES`` frames,
-    so memory beyond the samples does not grow with the clip.  The calling
-    thread describes the even blocks and one helper thread the odd ones; the
-    helper is joined before this returns, and an error is the first in block
-    order, as a serial loop would raise it.  Only per-frame values are kept,
-    each mean is taken once over all live frames, and no value depends on
-    the block size or on which thread described a block.  The descriptors
+    The STFT and the descriptors run in one pass over blocks of
+    ``BLOCK_FRAMES`` frames, so memory beyond the samples does not grow with
+    the clip.  Only per-frame values are kept, each mean is taken once over
+    all live frames, and no value depends on the block size.  The descriptors
     equal the mean over live frames of the single-frame oracles in the tests
     up to rounding (rolloff exactly).  :func:`check_settings` checks the
     settings before the STFT runs.
@@ -376,54 +372,21 @@ def extract_audio_features(
     x = clip.samples
     n_frames = _frame_count(len(x), frame_length, hop_length)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())
-    starts = range(0, n_frames, BLOCK_FRAMES)
-
-    def block(start):
-        """None for a silent block, else its first and last live frames
-        (copies, so no view keeps the block alive), flux steps and rows."""
+    # Flux carries the last live frame over from the block before.
+    blocks, steps, last = [], [], None
+    for start in range(0, n_frames, BLOCK_FRAMES):
         stop = min(start + BLOCK_FRAMES, n_frames)
         part = AudioClip(x[start * hop_length : (stop - 1) * hop_length + frame_length],
                          clip.sample_rate)
         series = stft_magnitudes(part, frame_length, hop_length, window)
         frames = series.magnitudes[series.magnitudes.any(axis=1)]
         if not len(frames):
-            return None
-        return (frames[:1].copy(), frames[-1:].copy(), _flux_steps(frames),
-                _frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
-
-    # numpy releases the GIL inside the FFT and the descriptor ufuncs, so the
-    # caller takes the even blocks and one helper thread the odd ones.  Each
-    # thread stops at its first error, which stays stored at its block.
-    results = [None] * len(starts)
-
-    def run(first):
-        for index in range(first, len(starts), 2):
-            try:
-                results[index] = block(starts[index])
-            except BaseException as error:
-                results[index] = error
-                return
-
-    helper = threading.Thread(target=run, args=(1,))
-    helper.start()
-    try:
-        run(0)
-    finally:
-        helper.join()
-    # In block order, the first error is the serial loop's, and flux carries
-    # the last live frame over from the block before.
-    blocks, steps, last = [], [], None
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-        if result is None:
             continue
-        head, tail, within, rows = result
         if last is not None:
-            steps.append(_flux_steps(np.concatenate([last, head])))
-        steps.append(within)
-        blocks.append(rows)
-        last = tail
+            steps.append(_flux_steps(np.concatenate([last, frames[:1]])))
+        steps.append(_flux_steps(frames))
+        blocks.append(_frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
+        last = frames[-1:].copy()  # a copy, so no view keeps the block alive
     if last is None:
         raise AllFramesSilent("every frame of the clip is silent")
     steps = np.concatenate(steps)

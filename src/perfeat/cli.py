@@ -153,16 +153,19 @@ def _per_file(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, obj
 def _per_file_forked(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, object]]:
     """``_per_file(paths, work)``, with a forked helper process doing the odd positions.
 
-    For work that holds the GIL, so that a thread could not run beside the
-    caller.  Each side stops at its first error.  The helper pickles its
-    outcomes, results and that error, into a pipe once it is done, so it
-    never waits on the pipe while it works, and leaves through ``os._exit``,
-    never returning into the caller's code.  The caller reads the pipe to
-    EOF before it reaps the helper: reaping first would deadlock on a full
-    pipe.  The walk in path order then raises the serial loop's first error;
-    a helper that died without reporting counts as an error at its first
-    file.  One file, no ``os.fork``, or other threads running (a lock one of
-    them holds would stay held in the helper) take the serial loop.
+    The one way the extract commands use a second core.  A process, not a
+    thread: parsing and describing a MIDI song is per-byte and per-onset
+    Python that holds the GIL, and beside a helper thread ``read_wav`` and
+    the time-domain pass of a clip stayed serial too.  Each side stops at its
+    first error.  The helper pickles its outcomes, results and that error,
+    into a pipe once it is done, so it never waits on the pipe while it
+    works, and leaves through ``os._exit``, never returning into the caller's
+    code.  The caller reads the pipe to EOF before it reaps the helper:
+    reaping first would deadlock on a full pipe.  The walk in path order then
+    raises the serial loop's first error; a helper that died without
+    reporting counts as an error at its first file.  One file, no
+    ``os.fork``, or other threads running (a lock one of them holds would
+    stay held in the helper) take the serial loop.
     """
     if len(paths) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return _per_file(paths, work)
@@ -259,10 +262,6 @@ def _cmd_extract_midi(args):
             merge_window=args.merge_window,
         )
 
-    # Parsing and describing a song is per-byte and per-onset Python that
-    # holds the GIL, so a forked helper process takes the odd-numbered files.
-    # One file, no os.fork, or other threads running take the serial loop;
-    # either way the rows and the first error are the serial loop's.
     vectors = list(_per_file_forked(paths, features))
     return _feature_table(
         "midi_features", vectors,
@@ -288,7 +287,7 @@ def _cmd_extract_audio(args):
             rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
         )
 
-    vectors = list(_per_file(_sorted_files(wav_dir, ("*.wav",)), features))
+    vectors = list(_per_file_forked(_sorted_files(wav_dir, ("*.wav",)), features))
     return _feature_table(
         "audio_features", vectors,
         {"frame_length": args.frame_length, "hop_length": args.hop_length,

@@ -456,8 +456,12 @@ def test_agreement_determinism(tmp_path):
     _finish("agreement-determinism", failures, started, 60.0)
 
 
-def test_extract_audio_determinism(tmp_path):
-    """extract-audio output is byte-identical across runs and thread counts."""
+def test_extract_audio_determinism(tmp_path, monkeypatch):
+    """extract-audio output is byte-identical across runs and BLAS thread counts,
+    with the forked helper or the serial loop, and for a clip alone or within
+    its corpus."""
+    from perfeat import cli
+
     started = time.monotonic()
     failures = []
     rng = np.random.default_rng(79)
@@ -500,6 +504,27 @@ def test_extract_audio_determinism(tmp_path):
             failures, data == outputs[0][1],
             f"{label} run differs from the first",
         )
+
+    def in_process(label, wav_dir):
+        """Runs extract-audio on wav_dir in this process; the output's lines."""
+        out_dir = tmp_path / label
+        status = cli.main(["extract-audio", "--wav-dir", str(wav_dir),
+                           "--out-dir", str(out_dir)])
+        _expect(failures, status == 0, f"{label} run exited {status}")
+        return (out_dir / "audio_features.csv").read_bytes().splitlines(keepends=True)
+
+    first = outputs[0][1].splitlines(keepends=True) if outputs else []
+    with monkeypatch.context() as serial:
+        serial.delattr(os, "fork")
+        _expect(failures, in_process("serial", wavs) == first,
+                "the serial loop's run differs from the helper's")
+    # tones is at an odd position, so the helper described it in the full run.
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "tones.wav").write_bytes((wavs / "tones.wav").read_bytes())
+    rows = [line for line in first if line.startswith(b"tones,")]
+    _expect(failures, in_process("alone", lone) == first[: -len(clips)] + rows,
+            "tones alone differs from its row in the corpus")
     _finish("extract-audio-determinism", failures, started, 60.0)
 
 

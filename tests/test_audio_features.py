@@ -826,9 +826,9 @@ class TestBatchedDescriptors:
 
     @pytest.mark.parametrize("bad_blocks", [(3, 4, 7), (2, 5)])
     def test_first_error_in_block_order(self, bad_blocks):
-        # Blocks of two frames: the caller describes the even blocks and the
-        # helper thread the odd ones.  In each bad block one frame's energy
-        # underflows, and the error raised is the first bad block's.
+        # Blocks of two frames.  In each bad block one frame's energy
+        # underflows, and the error raised is the first bad block's: the
+        # block the pass was on, read off the extractor's own frame.
         rng = np.random.default_rng(16)
         x = rng.normal(size=19 * 1024 + 2048)
         for block in bad_blocks:
@@ -840,14 +840,14 @@ class TestBatchedDescriptors:
                 extract_audio_features(AudioClip(x, 22050))
         starts = [level.f_locals["start"]
                   for level, _ in traceback.walk_tb(raised.value.__traceback__)
-                  if level.f_code.co_name == "block"]
+                  if level.f_code.co_name == "extract_audio_features"]
         assert starts == [2 * bad_blocks[0]]
         assert threading.active_count() == threads
 
     def test_concurrent_calls_agree(self):
-        # Three callers, each with its own helper thread, switching threads
-        # as often as the interpreter allows: a block result stored in the
-        # wrong slot or lost would change a value.
+        # Three caller threads, switching as often as the interpreter
+        # allows: state shared between calls, or a block result carried into
+        # the wrong call, would change a value.
         rng = np.random.default_rng(17)
         clip = AudioClip(rng.normal(size=40 * 1024 + 2048), 22050)
         vectors = [None] * 3

@@ -256,13 +256,24 @@ def four_songs(midi_corpus):
     return corpus
 
 
+@pytest.fixture
+def four_clips(tmp_path):
+    """clip_a .. clip_d: positions 0 and 2 go to the caller, 1 and 3 to the helper."""
+    corpus = tmp_path / "clips"
+    corpus.mkdir()
+    for index, stem in enumerate(("clip_a", "clip_b", "clip_c", "clip_d")):
+        (corpus / f"{stem}.wav").write_bytes(wav(pcm16(_wav_clip(index)), 8000))
+    return corpus
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestExtractMidiHelperProcess:
-    """extract-midi's forked helper: the serial loop's rows and errors, and no trace left."""
+    """The forked helper of extract-midi and extract-audio: the serial loop's rows
+    and errors, and no trace left."""
 
     def test_odd_positions_run_in_one_helper_process(self, tmp_path):
         paths = [tmp_path / f"f{i}" for i in range(5)]
@@ -317,18 +328,23 @@ class TestExtractMidiHelperProcess:
         assert out == "" and err.count("error:") == 1 and "song_d.mid" in err
         _no_child_left()
 
-    @pytest.mark.parametrize("damaged, first", [
-        (("song_b", "song_c"), "song_b"),
-        (("song_a", "song_d"), "song_a"),
-    ], ids=["helper-first", "caller-first"])
-    def test_first_damaged_file_in_sorted_order_is_named(self, four_songs, tmp_path, capsys,
-                                                         damaged, first):
+    @pytest.mark.parametrize("command, option, corpus, damaged, first", [
+        ("extract-midi", "--midi-dir", "four_songs", ("song_b", "song_c"), "song_b.mid"),
+        ("extract-midi", "--midi-dir", "four_songs", ("song_a", "song_d"), "song_a.mid"),
+        ("extract-audio", "--wav-dir", "four_clips", ("clip_b", "clip_c"), "clip_b.wav"),
+        ("extract-audio", "--wav-dir", "four_clips", ("clip_a", "clip_d"), "clip_a.wav"),
+    ], ids=["helper-first", "caller-first", "audio-helper-first", "audio-caller-first"])
+    def test_first_damaged_file_in_sorted_order_is_named(self, request, tmp_path, capsys,
+                                                         command, option, corpus, damaged,
+                                                         first):
+        corpus = request.getfixturevalue(corpus)
+        suffix = first[-4:]
         for stem in damaged:
-            (four_songs / f"{stem}.mid").write_bytes(b"MThd\x00\x00\x00\x06garbage")
+            (corpus / f"{stem}{suffix}").write_bytes(b"MThd\x00\x00\x00\x06garbage")
         out = tmp_path / "out"
-        assert run("extract-midi", "--midi-dir", four_songs, "--out-dir", out) == 1
+        assert run(command, option, corpus, "--out-dir", out) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {first}.mid: ") and err.count(".mid") == 1
+        assert err.startswith(f"error: {first}: ") and err.count(suffix) == 1
         assert not out.exists()
         _no_child_left()
 
@@ -644,7 +660,7 @@ def _check_damaged_run(argv, paths, bad, expected):
     with pytest.raises(ValueError) as raised:
         args.run(args)
     # The class the library raised for the file, through _per_file and, for
-    # extract-midi's odd positions, through the helper's pipe.
+    # the odd positions of the extract commands, through the helper's pipe.
     assert type(raised.value) is type(expected)
     assert str(raised.value) in (str(expected), f"{paths[bad].name}: {expected}")
     assert text == f"error: {raised.value}\n"
@@ -677,7 +693,7 @@ def _ratings_text(index, cells=None):
 
 class TestOneDamagedFile:
     """One damaged file among 2-5 valid ones, at any position, so on either side
-    of extract-midi's split: exit 1, that file named alone, its error class kept."""
+    of the extract commands' split: exit 1, that file named alone, its error class kept."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
