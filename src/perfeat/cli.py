@@ -130,46 +130,39 @@ def _sorted_files(directory: Path, patterns: Sequence[str]) -> List[Path]:
     files = sorted(set(files))
     if not files:
         raise FileNotFoundError(f"no {'/'.join(patterns)} files in {directory}")
+    return _unique_stems(files, "song id")
+
+
+def _unique_stems(files: List[Path], what: str) -> List[Path]:
+    """``files``, unless two share a stem: each stem names one row or column of the output."""
+    first: Dict[str, Path] = {}
+    for path in files:
+        if path.stem in first:
+            raise UsageError(f"{first[path.stem]} and {path} share the {what} {path.stem!r}")
+        first[path.stem] = path
     return files
 
 
-def _per_file(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, object]]:
-    """Yield ``(path, work(path))`` in order; a ValueError from ``work`` names the file once."""
-    for path in paths:
-        try:
-            result = work(path)
-        except ValueError as err:
-            if str(path) in str(err):
-                raise  # the reader already named the file
-            message = f"{path.name}: {err}"
-            try:
-                named = type(err)(message)
-            except TypeError:
-                named = ValueError(message)
-            raise named from err
-        yield path, result
+def _per_file(paths: Sequence[Path], work: Callable, *,
+              helper: bool = False) -> Iterator[Tuple[Path, object]]:
+    """Yield ``(path, work(path))`` in order; a ValueError from ``work`` names the file once.
 
-
-def _per_file_forked(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Path, object]]:
-    """``_per_file(paths, work)``, with a forked helper process doing the odd positions.
-
-    The one way the extract commands use a second core.  A process, not a
-    thread: parsing and describing a MIDI song is per-byte and per-onset
-    Python that holds the GIL, and beside a helper thread ``read_wav`` and
-    the time-domain pass of a clip stayed serial too.  Each side stops at its
-    first error.  The helper pickles its outcomes, results and that error,
-    into a pipe once it is done, so it never waits on the pipe while it
-    works, and leaves through ``os._exit``, never returning into the caller's
-    code.  The caller reads the pipe to EOF before it reaps the helper:
-    reaping first would deadlock on a full pipe.  The walk in path order then
-    raises the serial loop's first error; a helper that died without
-    reporting counts as an error at its first file.  One file, no
+    Every outcome, a result or the first exception, is gathered before the
+    first yield.  With ``helper``, a forked process does the odd positions,
+    each side stopping at its first error: the one way the extract commands
+    use a second core.  A process, not a thread: MIDI parsing and description
+    are per-byte and per-onset Python that holds the GIL, and beside a thread
+    ``read_wav`` and a clip's time-domain pass stayed serial too.
+    ``agreement`` takes no helper: its panels cost about 5 ms each, and
+    forking the 42 MB process for six of them made ``study`` 8-9% slower.  The
+    helper pickles its outcomes into a pipe once done, so it never waits on
+    the pipe while it works, and leaves through ``os._exit``, never returning
+    into the caller's code.  The caller reads the pipe to EOF before it reaps
+    the helper: reaping first would deadlock on a full pipe.  A helper that
+    died without reporting is an error at its first file.  One file, no
     ``os.fork``, or other threads running (a lock one of them holds would
-    stay held in the helper) take the serial loop.
+    stay held in the helper) leave the caller alone.
     """
-    if len(paths) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _per_file(paths, work)
-
     def outcomes_of(share):
         for path in share:
             try:
@@ -178,41 +171,49 @@ def _per_file_forked(paths: Sequence[Path], work: Callable) -> Iterator[Tuple[Pa
                 yield path, error
                 return
 
-    read_end, write_end = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_end)
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(list(outcomes_of(paths[1::2]))))
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_end)
     outcomes: Dict[Path, object] = {}
-    try:
-        outcomes.update(outcomes_of(paths[::2]))
-    except BaseException:  # an interrupt: the helper's work is no longer wanted
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        with os.fdopen(read_end, "rb") as pipe:
-            report = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    try:
-        outcomes.update(pickle.loads(report))
-    except (EOFError, pickle.UnpicklingError):  # no report, or a cut one
-        how = f"signal {-code}" if code < 0 else f"exit status {code}"
-        outcomes[paths[1]] = ChildProcessError(
-            f"the helper process describing every second file from {paths[1].name} on"
-            f" ended ({how}) before reporting")
-
-    def replay(path: Path):
-        if isinstance(outcomes[path], Exception):
-            raise outcomes[path]
-        return outcomes[path]
-
-    return _per_file(paths, replay)
+    if not helper or len(paths) < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        outcomes.update(outcomes_of(paths))
+    else:
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(pickle.dumps(list(outcomes_of(paths[1::2]))))
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(write_end)
+        try:
+            outcomes.update(outcomes_of(paths[::2]))
+        except BaseException:  # an interrupt: the helper's work is no longer wanted
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            with os.fdopen(read_end, "rb") as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            outcomes.update(pickle.loads(report))
+        except (EOFError, pickle.UnpicklingError):  # no report, or a cut one
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            outcomes[paths[1]] = ChildProcessError(
+                f"the helper process describing every second file from {paths[1].name} on"
+                f" ended ({how}) before reporting")
+    for path in paths:
+        outcome = outcomes[path]
+        if isinstance(outcome, ValueError) and str(path) not in str(outcome):
+            message = f"{path.name}: {outcome}"
+            try:
+                named = type(outcome)(message)
+            except TypeError:
+                named = ValueError(message)
+            raise named from outcome
+        if isinstance(outcome, Exception):
+            raise outcome  # not a ValueError, or the reader already named the file
+        yield path, outcome
 
 
 class _Output(NamedTuple):
@@ -262,7 +263,7 @@ def _cmd_extract_midi(args):
             merge_window=args.merge_window,
         )
 
-    vectors = list(_per_file_forked(paths, features))
+    vectors = list(_per_file(paths, features, helper=True))
     return _feature_table(
         "midi_features", vectors,
         {"merge_window": args.merge_window, "annotations": args.annotations or "",
@@ -287,7 +288,7 @@ def _cmd_extract_audio(args):
             rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
         )
 
-    vectors = list(_per_file_forked(_sorted_files(wav_dir, ("*.wav",)), features))
+    vectors = list(_per_file(_sorted_files(wav_dir, ("*.wav",)), features, helper=True))
     return _feature_table(
         "audio_features", vectors,
         {"frame_length": args.frame_length, "hop_length": args.hop_length,
@@ -314,14 +315,7 @@ def _ratings_files(raw) -> List[Path]:
             files.extend(inside)
         else:
             files.append(path)
-    # Each file's stem names its column in item_means.csv.
-    first: Dict[str, Path] = {}
-    for path in files:
-        if path.stem in first:
-            raise UsageError(f"ratings files {first[path.stem]} and {path} share"
-                             f" the feature name {path.stem!r}")
-        first[path.stem] = path
-    return files
+    return _unique_stems(files, "feature name")
 
 
 def _cmd_agreement(args):

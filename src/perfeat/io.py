@@ -84,7 +84,8 @@ def _parse_float(cell: str, path: PathLike, line: int) -> float:
 def _read_grid(path: PathLike):
     """An id column plus named numeric columns, empty cells -> NaN.
 
-    Returns (item ids, column names, values, line number of each row).
+    Returns (item ids, column names, values, line number of each row).  A
+    column name is a lookup key or a rater id, so a repeat raises SchemaError.
     """
     rows = list(_data_rows(path))
     if not rows:
@@ -92,6 +93,9 @@ def _read_grid(path: PathLike):
     header_line, header = rows[0]
     if len(header) < 2:
         raise SchemaError(f"{path}:{header_line}: need an id column and one value column")
+    for index, name in enumerate(header[1:], 1):
+        if name in header[1:index]:
+            raise SchemaError(f"{path}: column {name!r} appears twice in the header")
     lines: List[int] = []
     item_ids: List[str] = []
     values: List[List[float]] = []
@@ -230,13 +234,9 @@ def load_table(path: PathLike) -> Tuple[Tuple[str, ...], Tuple[str, ...], np.nda
 
     Returns (item ids, column names, values).  ``# key=value`` preamble
     lines written by this package's own outputs are skipped.  A column name
-    that appears twice raises SchemaError: columns are looked up by name.
+    that appears twice raises SchemaError.
     """
-    item_ids, names, values, _ = _read_grid(path)
-    for index, name in enumerate(names):
-        if name in names[:index]:
-            raise SchemaError(f"{path}: column {name!r} appears twice in the header")
-    return item_ids, names, values
+    return _read_grid(path)[:3]
 
 
 def format_number(value) -> str:

@@ -152,7 +152,6 @@ class OlsFit(_LinearModel):
     adj_r2: float
     n: int
     k: int
-    df_residual: int
 
 
 def adjusted_r2(r2: float, n: int, k: int) -> float:
@@ -165,8 +164,8 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
 def _qr_solve(X1: np.ndarray, y: np.ndarray):
     """Least squares via thin QR; returns coefficients and the Q and R factors."""
     q, r = np.linalg.qr(X1)
-    diag = np.abs(np.diag(r))
-    if diag.min() < _RANK_RTOL * max(diag.max(), 1.0):
+    # Each |R_jj| is weighed against its own column's norm, so units move no verdict.
+    if np.any(np.abs(np.diag(r)) <= _RANK_RTOL * np.linalg.norm(X1, axis=0)):
         raise RankDeficient("design matrix is rank deficient")
     coef = np.linalg.solve(r, q.T @ y)
     return coef, q, r
@@ -216,7 +215,6 @@ def ols_fit(design: Design) -> OlsFit:
         adj_r2=adjusted_r2(r2, n, k),
         n=n,
         k=k,
-        df_residual=df,
     )
 
 
@@ -469,24 +467,26 @@ def repeated_kfold_cv(
         squared_errors = np.empty(permutations.shape)
         failures = []
         for first, count, held_out, train in _fold_stacks(permutations, folds):
-            X_train, y_train = X[train], y[train]
-            spans = np.ptp(X_train, axis=1)
-            constant_column = (spans == 0).any(axis=1)
+            y_train = y[train]
             constant_response = np.ptp(y_train, axis=1) == 0
             if method == "ols":
+                # A column constant in training makes the block singular too.
                 q_f = q[held_out]
                 block = np.eye(held_out.shape[1]) - np.einsum("bik,bjk->bij", q_f, q_f)
                 eigenvalues, vectors = np.linalg.eigh(block)
                 singular = eigenvalues[:, 0] < _RANK_RTOL
             else:
+                # Autoscaling can leave a constant column a scale of 1e-17 and full rank.
+                X_train = X[train]
                 scaled = _autoscale(X_train, y_train)
-                singular = scaled.rank < m
-            flagged = constant_column | singular | constant_response
+                singular = (scaled.rank < m) | (np.ptp(X_train, axis=1) == 0).any(axis=1)
+            flagged = singular | constant_response
             if flagged.any():
                 # Each fold's checks in a per-fold refit's order.
                 b = int(np.argmax(flagged))
-                if constant_column[b]:
-                    name = design.names[int(np.argmin(spans[b]))]
+                spans = np.ptp(X[train[b]], axis=0)
+                if (spans == 0).any():
+                    name = design.names[int(np.argmin(spans))]
                     error = RankDeficient(f"predictor {name!r} is constant")
                 elif singular[b] and method == "ols":
                     error = RankDeficient("training design is rank deficient")

@@ -246,6 +246,18 @@ class TestExtractMidi:
             f"error: {sidecar}: song {song!r} has no file in {corpus}\n")
         assert not out.exists()
 
+    def test_two_files_with_one_stem_are_usage_error(self, midi_corpus, tmp_path, capsys):
+        # Both would be rows named 'song_a', and a sidecar row would apply to both.
+        corpus, annotations, raw = midi_corpus
+        (corpus / "song_a.midi").write_bytes(raw["song_b"])
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--annotations", annotations,
+                   "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {corpus / 'song_a.mid'} and {corpus / 'song_a.midi'}"
+            " share the song id 'song_a'\n")
+        assert not out.exists()
+
 
 @pytest.fixture
 def four_songs(midi_corpus):
@@ -277,7 +289,7 @@ class TestExtractMidiHelperProcess:
 
     def test_odd_positions_run_in_one_helper_process(self, tmp_path):
         paths = [tmp_path / f"f{i}" for i in range(5)]
-        outcomes = dict(cli._per_file_forked(paths, lambda path: os.getpid()))
+        outcomes = dict(cli._per_file(paths, lambda path: os.getpid(), helper=True))
         assert list(outcomes) == paths
         assert {outcomes[path] for path in paths[::2]} == {os.getpid()}
         assert len({outcomes[path] for path in paths[1::2]} - {os.getpid()}) == 1
@@ -286,7 +298,7 @@ class TestExtractMidiHelperProcess:
     def test_results_past_the_pipe_buffer(self, tmp_path):
         # The helper's 500 kB result fills the pipe long before the caller reads it.
         paths = [tmp_path / f"f{i}" for i in range(3)]
-        results = list(cli._per_file_forked(paths, lambda path: path.name * 250_000))
+        results = list(cli._per_file(paths, lambda path: path.name * 250_000, helper=True))
         assert results == [(path, path.name * 250_000) for path in paths]
         _no_child_left()
 
@@ -300,7 +312,7 @@ class TestExtractMidiHelperProcess:
 
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            list(cli._per_file_forked([tmp_path / "f0", tmp_path / "f1"], work))
+            list(cli._per_file([tmp_path / "f0", tmp_path / "f1"], work, helper=True))
         assert time.monotonic() - started < 30
         _no_child_left()
 
@@ -309,8 +321,8 @@ class TestExtractMidiHelperProcess:
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            pids = dict(cli._per_file_forked([tmp_path / "f0", tmp_path / "f1"],
-                                             lambda path: os.getpid()))
+            pids = dict(cli._per_file([tmp_path / "f0", tmp_path / "f1"],
+                                      lambda path: os.getpid(), helper=True))
         finally:
             release.set()
             other.join(timeout=10)
@@ -611,6 +623,15 @@ class TestAgreement:
         assert "panel.csv" in err and "fewer than two raters" in err
         assert not (out / "agreement.csv").exists()
 
+    def test_repeated_rater_id_is_named(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("item,r1,r2,r1\ns1,3,4,3\ns2,5,5,6\ns3,7,6,7\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: column 'r1' appears twice in the header\n")
+        assert not out.exists()
+
     def test_out_of_scale_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("item,r1,r2\ns1,3,11\n", encoding="utf-8")
@@ -756,6 +777,55 @@ class TestOneDamagedFile:
             assert expected is not None
             _check_damaged_run(["agreement", "--ratings", *map(str, paths),
                                 "--out-dir", str(folder / "out")], paths, bad, expected)
+
+
+_CORPORA = {  # command: (input option, file suffix, the bytes of valid file i)
+    "extract-midi": ("--midi-dir", ".mid", lambda i: _valid_files()[i]),
+    "extract-audio": ("--wav-dir", ".wav", lambda i: wav(pcm16(_wav_clip(i)), 8000)),
+    "agreement": ("--ratings", ".csv", lambda i: _ratings_text(i).encode("utf-8")),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(count=st.integers(2, 3), data=st.data())
+def test_any_bad_argument_names_no_file(count, data):
+    """A bad scale, merge window, rolloff fraction or brightness cutoff beside
+    2-3 valid files: exit 1, and stderr names none of the files.  Argument
+    checks run before the per-file walk, so no file can take the blame."""
+    kind = data.draw(st.sampled_from(["scale", "merge window", "rolloff", "brightness"]))
+    if kind == "scale":
+        low, high = data.draw(st.tuples(st.floats(), st.floats()).filter(
+            lambda bounds: not bounds[0] <= bounds[1]))
+        command, arguments = "agreement", [f"--scale-min={low!r}", f"--scale-max={high!r}"]
+    elif kind == "merge window":
+        window = data.draw(st.floats().filter(lambda w: not (math.isfinite(w) and w >= 0)))
+        command, arguments = "extract-midi", [f"--merge-window={window!r}"]
+    else:
+        flag, valid, bad = (
+            ("--rolloff-fractions", [0.5, 0.85, 0.95],
+             st.floats().filter(lambda f: not 0.0 < f < 1.0))
+            if kind == "rolloff" else
+            ("--brightness-cutoffs", [1000.0, 1500.0, 3000.0],
+             st.sampled_from([math.nan, math.inf, -math.inf])))
+        values = data.draw(st.lists(st.sampled_from(valid), max_size=2, unique=True))
+        values.insert(data.draw(st.integers(0, len(values))), data.draw(bad))
+        command, arguments = "extract-audio", [f"{flag}={','.join(map(repr, values))}"]
+    option, suffix, body = _CORPORA[command]
+    with tempfile.TemporaryDirectory() as directory:
+        corpus = Path(directory)
+        paths = [corpus / f"take_{i}{suffix}" for i in range(count)]
+        for i, path in enumerate(paths):
+            path.write_bytes(body(i))
+        inputs = paths if command == "agreement" else [corpus]
+        sink = io.StringIO()
+        with contextlib.redirect_stderr(sink):
+            assert cli.main([command, option, *map(str, inputs), *arguments,
+                             "--out-dir", str(corpus / "out")]) == 1
+        text = sink.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "take_" not in text and directory not in text
+        assert not (corpus / "out").exists()
+    _no_child_left()
 
 
 class TestXcorr:

@@ -123,6 +123,12 @@ class TestLoadRatings:
         with pytest.raises(SchemaError, match=r"r\.csv:4: item 's1' repeats line 2$"):
             load_ratings(path)
 
+    def test_repeated_rater_id_is_named(self, tmp_path):
+        path = write(tmp_path / "r.csv", "item,r1,r2,r1\ns1,3,4,3\ns2,5,5,6\n")
+        with pytest.raises(SchemaError,
+                           match=r"r\.csv: column 'r1' appears twice in the header$"):
+            load_ratings(path)
+
 
 class TestSidecarLoaders:
     def test_annotations(self, tmp_path):

@@ -184,6 +184,29 @@ class TestOls:
             shifted.predict(design.X + 5.0), fit.predict(design.X), atol=1e-9
         )
 
+    @PROPERTY
+    @given(k=st.integers(1, 5), column=st.integers(0, 4), power=st.integers(-12, 12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=2, column=1, power=-12, seed=0)
+    @example(k=2, column=1, power=12, seed=0)
+    def test_predictor_units_move_no_statistic(self, k, column, power, seed):
+        # The rank test weighs each column against its own norm, so a
+        # predictor in other units fits as before, and a copy still does not.
+        design = random_design(np.random.default_rng(seed), k=k)
+        j = column % k
+        X = design.X.copy()
+        X[:, j] *= 10.0 ** power
+        scaled = Design(X, design.y, design.names)
+        fit, refit = ols_fit(design), ols_fit(scaled)
+        np.testing.assert_allclose(refit.t, fit.t, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(refit.p, fit.p, rtol=1e-12, atol=1e-12)
+        assert refit.r2 == pytest.approx(fit.r2, rel=1e-12, abs=1e-12)
+        cv, recv = (repeated_kfold_cv(d, "ols", folds=5, repeats=2) for d in (design, scaled))
+        assert recv.r2_cv == pytest.approx(cv.r2_cv, rel=1e-12, abs=1e-12)
+        copied = Design(np.column_stack([X, X[:, j]]), design.y, (*design.names, "copy"))
+        with pytest.raises(RankDeficient):
+            ols_fit(copied)
+
     def test_against_scipy_simple_regression(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(56)
