@@ -121,15 +121,18 @@ def _safe_name(name: str) -> str:
     return f"{safe}_{zlib.crc32(name.encode('utf-8')):08x}"
 
 
-def _sorted_files(directory: Path, patterns: Sequence[str]) -> List[Path]:
+def _files_with_suffixes(directory: Path, suffixes: Tuple[str, ...]) -> List[Path]:
+    """The sorted entries of ``directory`` whose names end in one of ``suffixes``
+    in any case, so that ``B.MID`` is read whether or not the file system folds case."""
+    return sorted(path for path in directory.iterdir() if path.name.lower().endswith(suffixes))
+
+
+def _sorted_files(directory: Path, suffixes: Tuple[str, ...]) -> List[Path]:
     if not directory.is_dir():
         raise FileNotFoundError(f"{directory} is not a directory")
-    files: List[Path] = []
-    for pattern in patterns:
-        files.extend(directory.glob(pattern))
-    files = sorted(set(files))
+    files = _files_with_suffixes(directory, suffixes)
     if not files:
-        raise FileNotFoundError(f"no {'/'.join(patterns)} files in {directory}")
+        raise FileNotFoundError(f"no {'/'.join('*' + s for s in suffixes)} files in {directory}")
     return _unique_stems(files, "song id")
 
 
@@ -247,7 +250,7 @@ def _cmd_extract_midi(args):
     calibration = (
         load_calibration(args.calibration) if args.calibration else mf.default_calibration
     )
-    paths = _sorted_files(midi_dir, ("*.mid", "*.midi"))
+    paths = _sorted_files(midi_dir, (".mid", ".midi"))
     # A sidecar row for a song with no file is an error, found before any file is read.
     stems = {path.stem for path in paths}
     for sidecar, songs in ((args.annotations, annotations), (args.tempos, tempos)):
@@ -288,7 +291,7 @@ def _cmd_extract_audio(args):
             rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
         )
 
-    vectors = list(_per_file(_sorted_files(wav_dir, ("*.wav",)), features, helper=True))
+    vectors = list(_per_file(_sorted_files(wav_dir, (".wav",)), features, helper=True))
     return _feature_table(
         "audio_features", vectors,
         {"frame_length": args.frame_length, "hop_length": args.hop_length,
@@ -309,7 +312,7 @@ def _ratings_files(raw) -> List[Path]:
     files: List[Path] = []
     for path in paths:
         if path.is_dir():
-            inside = sorted(path.glob("*.csv"))
+            inside = _files_with_suffixes(path, (".csv",))
             if not inside:
                 raise FileNotFoundError(f"no .csv files in {path}")
             files.extend(inside)

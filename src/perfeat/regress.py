@@ -428,10 +428,13 @@ def repeated_kfold_cv(
     batched ``eigh``.  The block's determinant is det(X_tr'X_tr) / det(X'X),
     singular exactly when the training design is.  PLS autoscales the
     stacked training rows and runs the kernel of :func:`pls_fit` on the
-    whole stack.  A factor count outside 0..k is an argument error.  The
-    first degenerate training fold in (repeat, fold) order raises its domain
-    error with a message that names the repeat and the fold.  Folds whose
-    PLS models truncate are counted in one warning.
+    whole stack.  It looks for a constant training column by exact equality
+    only in the folds where a column's scale does not exceed 8 n eps |mean|,
+    which a constant column's rounding residue never does.  A factor count
+    outside 0..k is an argument error.  The first degenerate training fold
+    in (repeat, fold) order raises its domain error with a message that
+    names the repeat and the fold.  Folds whose PLS models truncate are
+    counted in one warning.
     """
     if method not in ("ols", "pls"):
         raise ValueError(f"unknown method {method!r}")
@@ -477,9 +480,16 @@ def repeated_kfold_cv(
                 singular = eigenvalues[:, 0] < _RANK_RTOL
             else:
                 # Autoscaling can leave a constant column a scale of 1e-17 and full rank.
+                # Constant at v over n rows, a column keeps a scale of at most about
+                # 1.1 n u |v|, so np.ptp judges only the folds with a column whose scale
+                # is not above 8 n eps |mean|, or is inf (the squares of a huge v overflow).
                 X_train = X[train]
                 scaled = _autoscale(X_train, y_train)
-                singular = (scaled.rank < m) | (np.ptp(X_train, axis=1) == 0).any(axis=1)
+                bound = 8.0 * X_train.shape[1] * np.finfo(float).eps * np.abs(scaled.x_mean)
+                clear = (scaled.x_scale > bound) & (scaled.x_scale < np.inf)
+                suspect = ~clear.all(axis=1)
+                singular = scaled.rank < m
+                singular[suspect] |= (np.ptp(X_train[suspect], axis=1) == 0).any(axis=1)
             flagged = singular | constant_response
             if flagged.any():
                 # Each fold's checks in a per-fold refit's order.

@@ -81,10 +81,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise TooFewPairs(f"{n} complete pairs, need {MIN_PAIRS}")
     xs = x[mask]
     ys = y[mask]
-    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+    # The reductions of np.all and ndarray.mean, without their Python wrappers.
+    if (xs == xs[0]).all() or (ys == ys[0]).all():
         raise ConstantInput("correlation of a constant series is undefined")
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
+    xc = xs - xs.sum() / n
+    yc = ys - ys.sum() / n
     r = float(xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)))
     return max(-1.0, min(1.0, r))
 
@@ -204,6 +205,15 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     keeps the cancellation in ``sum x**2 - (sum x)**2 / n`` small: the error in
     r grows with a column's sum of squares about its own mean over the
     pair's joint rows, divided by its sum of squares about their mean.
+
+    The constant test is exact, but it runs only for the columns that a
+    rounding bound cannot clear.  A column constant over the n joint rows
+    has one centred value d there, so its true spread ``squares - sums**2 / n``
+    is 0 and the computed one is at most about 2(n + 1) eps ``squares``,
+    in any summation order (gamma_n = nu / (1 - nu), Higham 2002, 4.2).  A
+    pair whose spread exceeds 8(n + 2) eps ``squares`` is therefore not
+    constant; NaN or inf never clears, and a term in the smallest normal
+    number covers underflow.
     """
     present = np.isfinite(values)
     mask = present.astype(float)
@@ -214,20 +224,20 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     sums = np.einsum("ia,ib->ab", x, mask)
     cross = np.einsum("ia,ib->ab", x, x)
     squares = np.einsum("ia,ib->ab", x * x, mask)
+    n = np.maximum(counts, 1.0)
+    spread = squares - sums * sums / n
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    uncleared = ~(spread > 8.0 * (counts + 2.0) * (eps * squares + tiny))
     constant = np.zeros(counts.shape, dtype=bool)
-    for a in range(values.shape[1]):
+    for a in np.flatnonzero((uncleared & (counts >= MIN_PAIRS)).any(axis=1)):
         rows = present[:, a]
-        if not rows.any():
-            continue
         column = values[rows, a][:, None]
         joint = present[rows]
         # pearson's np.all(xs == xs[0]), where xs[0] is the pair's first joint row
         first = column[joint.argmax(axis=0), 0]
         constant[a] = ~(joint & (column != first)).any(axis=0)
     defined = (counts >= MIN_PAIRS) & ~constant & ~constant.T
-    n = np.where(defined, counts, 1.0)
     covariance = cross - sums * sums.T / n
-    spread = squares - sums * sums / n
     with np.errstate(invalid="ignore", divide="ignore"):
         r = covariance / np.sqrt(spread * spread.T)
     return np.where(defined, np.clip(r, -1.0, 1.0), np.nan)

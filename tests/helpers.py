@@ -10,7 +10,10 @@ that group's notes alone, each with its own sort; ``extract_midi_features``
 computes every group's from one set of per-note arrays per song.  The
 quadrature oracle integrates the t density numerically as an independent
 check on the closed-form tail probabilities.  The rater-pair oracle walks
-the pairs of a Pearson matrix one by one.  The NIPALS oracle fits PLS1 by
+the pairs of a Pearson matrix one by one.  The unscreened pairwise kernel
+runs the exact constant test on every column, and the wrapped ``pearson``
+takes its means and constant test through numpy's ``mean`` and ``np.all``;
+``perfeat.stats`` must match both bit for bit.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
 ``perfeat.regress``, and the singular-value rank count checks the
 full-rank certificate of ``perfeat.regress._autoscale``.  The single-frame
@@ -48,6 +51,7 @@ from perfeat.smf import (
     TruncatedChunk,
     _split_chunks,
 )
+from perfeat.stats import MIN_PAIRS, ConstantInput, TooFewPairs
 
 # ----------------------------------------------------------------- SMF bytes
 
@@ -484,6 +488,58 @@ def agreement_by_pairs(r: np.ndarray, rater_ids):
         return None
     means = {rid: math.fsum(rs) / len(rs) if rs else math.nan for rid, rs in per_rater.items()}
     return math.fsum(defined) / len(defined), means, tuple(skipped)
+
+
+def pairwise_r_unscreened(values: np.ndarray) -> np.ndarray:
+    """``perfeat.stats._pairwise_r`` with the exact constant test run on every column.
+
+    The same sums in the same order, but no rounding bound decides which
+    columns are tested: each column is compared with its first joint row
+    with every partner, as ``pearson``'s ``np.all(xs == xs[0])`` does.
+    """
+    present = np.isfinite(values)
+    mask = present.astype(float)
+    filled = np.where(present, values, 0.0)
+    counts = np.einsum("ia,ib->ab", mask, mask)
+    centre = filled.sum(axis=0) / np.maximum(counts.diagonal(), 1.0)
+    x = np.where(present, filled - centre, 0.0)
+    sums = np.einsum("ia,ib->ab", x, mask)
+    cross = np.einsum("ia,ib->ab", x, x)
+    squares = np.einsum("ia,ib->ab", x * x, mask)
+    constant = np.zeros(counts.shape, dtype=bool)
+    for a in range(values.shape[1]):
+        rows = present[:, a]
+        if not rows.any():
+            continue
+        column = values[rows, a][:, None]
+        joint = present[rows]
+        first = column[joint.argmax(axis=0), 0]
+        constant[a] = ~(joint & (column != first)).any(axis=0)
+    defined = (counts >= MIN_PAIRS) & ~constant & ~constant.T
+    n = np.where(defined, counts, 1.0)
+    covariance = cross - sums * sums.T / n
+    spread = squares - sums * sums / n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = covariance / np.sqrt(spread * spread.T)
+    return np.where(defined, np.clip(r, -1.0, 1.0), np.nan)
+
+
+def pearson_wrapped(x, y) -> float:
+    """``perfeat.stats.pearson`` through ``np.all`` and ``ndarray.mean``, with its errors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    mask = np.isfinite(x) & np.isfinite(y)
+    n = int(mask.sum())
+    if n < MIN_PAIRS:
+        raise TooFewPairs(f"{n} complete pairs, need {MIN_PAIRS}")
+    xs = x[mask]
+    ys = y[mask]
+    if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+        raise ConstantInput("correlation of a constant series is undefined")
+    xc = xs - xs.mean()
+    yc = ys - ys.mean()
+    r = float(xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)))
+    return max(-1.0, min(1.0, r))
 
 
 def t_two_tailed_quadrature(t: float, df: float, points: int = 200_001) -> float:

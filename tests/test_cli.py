@@ -258,6 +258,39 @@ class TestExtractMidi:
             " share the song id 'song_a'\n")
         assert not out.exists()
 
+    def test_suffixes_match_in_any_case(self, midi_corpus, tmp_path):
+        # On a case-sensitive file system a glob for *.mid skipped these two.
+        corpus, _, raw = midi_corpus
+        (corpus / "B.MID").write_bytes(raw["song_b"])
+        (corpus / "c.Midi").write_bytes(raw["song_a"])
+        (corpus / "notes.txt").write_bytes(raw["song_a"])
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out) == 0
+        item_ids, _, values = load_table(out / "midi_features.csv")
+        assert item_ids == ("B", "c", "song_a", "song_b")  # sorted by file name
+        np.testing.assert_array_equal(values[0], values[3])
+        np.testing.assert_array_equal(values[1], values[2])
+
+    def test_stems_that_differ_only_in_suffix_case_clash(self, midi_corpus, tmp_path,
+                                                           capsys):
+        corpus, _, raw = midi_corpus
+        (corpus / "song_a.MID").write_bytes(raw["song_b"])
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {corpus / 'song_a.MID'} and {corpus / 'song_a.mid'}"
+            " share the song id 'song_a'\n")
+        assert not out.exists()
+
+    def test_stems_compare_exactly(self, midi_corpus, tmp_path):
+        # Ids compare as sidecar ids do, so SONG_A is a song of its own.
+        corpus, _, raw = midi_corpus
+        (corpus / "SONG_A.MID").write_bytes(raw["song_b"])
+        out = tmp_path / "out"
+        assert run("extract-midi", "--midi-dir", corpus, "--out-dir", out) == 0
+        item_ids, _, _ = load_table(out / "midi_features.csv")
+        assert item_ids == ("SONG_A", "song_a", "song_b")
+
 
 @pytest.fixture
 def four_songs(midi_corpus):
@@ -380,6 +413,23 @@ class TestExtractMidiHelperProcess:
 
 
 class TestExtractAudio:
+    def test_suffixes_match_in_any_case(self, wav_corpus, tmp_path):
+        (wav_corpus / "clip_low.wav").rename(wav_corpus / "Clip_Low.WAV")
+        (wav_corpus / "clip_mid.Wav").write_bytes((wav_corpus / "clip_high.wav").read_bytes())
+        out = tmp_path / "out"
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", out) == 0
+        item_ids, _, values = load_table(out / "audio_features.csv")
+        assert item_ids == ("Clip_Low", "clip_high", "clip_mid")
+        np.testing.assert_array_equal(values[1], values[2])
+
+    def test_stems_that_differ_only_in_suffix_case_clash(self, wav_corpus, tmp_path,
+                                                           capsys):
+        (wav_corpus / "clip_low.WAV").write_bytes((wav_corpus / "clip_low.wav").read_bytes())
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {wav_corpus / 'clip_low.WAV'} and {wav_corpus / 'clip_low.wav'}"
+            " share the song id 'clip_low'\n")
+
     def test_matches_library(self, wav_corpus, tmp_path):
         from perfeat.audio_features import extract_audio_features, read_wav
 
@@ -446,6 +496,22 @@ class TestExtractAudio:
 
 
 class TestAgreement:
+    def test_directory_suffixes_match_in_any_case(self, ratings_dir, tmp_path):
+        (ratings_dir / "speed.csv").rename(ratings_dir / "Speed.CSV")
+        (ratings_dir / "notes.txt").write_text("not ratings\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", ratings_dir, "--out-dir", out) == 0
+        assert [r["feature"] for r in read_records(out / "agreement.csv")] == \
+            ["Speed", "energy"]
+
+    def test_directory_stems_that_differ_only_in_suffix_case_clash(self, ratings_dir,
+                                                                     tmp_path, capsys):
+        (ratings_dir / "speed.CSV").write_bytes((ratings_dir / "speed.csv").read_bytes())
+        assert run("agreement", "--ratings", ratings_dir, "--out-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"usage error: {ratings_dir / 'speed.CSV'} and {ratings_dir / 'speed.csv'}"
+            " share the feature name 'speed'\n")
+
     def test_reports_per_feature(self, ratings_dir, tmp_path):
         out = tmp_path / "out"
         assert run("agreement", "--ratings", ratings_dir, "--out-dir", out) == 0

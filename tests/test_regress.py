@@ -768,6 +768,84 @@ class TestCrossValidation:
         assert f"repeat 1 of 3, fold {fold + 1} of 10" in message
         assert "'flag' is constant" in message
 
+    @PROPERTY
+    @given(
+        k=st.integers(1, 4),
+        folds=st.integers(2, 8),
+        extra=st.integers(1, 30),
+        repeats=st.integers(1, 4),
+        factors=st.integers(0, 4),
+        constant=st.sampled_from([0.0, 1e8, -1e8, 0.1, -7.3]),
+        larger=st.booleans(),
+        near=st.booleans(),
+        cv_seed=st.integers(0, 2**32 - 1),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pls_column_constant_in_one_training_fold_is_named(
+        self, k, folds, extra, repeats, factors, constant, larger, near, cv_seed, data_seed
+    ):
+        """A column constant in one training fold is named with its repeat and fold.
+
+        The column holds ``constant`` on every row but those one fold holds
+        out, in a fold of the larger or the smaller size.  With ``near`` it
+        holds constant * (1 + 1e-9 z) there instead (1e-9 z for 0), a relative
+        spread that the scale screen clears and no fold may be flagged for.
+        """
+        n = max(2 * folds, 2 * k + 4) + extra
+        n += n % folds == 0  # folds of two sizes
+        rng = np.random.default_rng(data_seed)
+        design = random_design(rng, n=n, k=k)
+        cv_rng = np.random.default_rng(cv_seed)
+        parts = [np.array_split(cv_rng.permutation(n), folds) for _ in range(repeats)]
+        repeat = int(rng.integers(repeats))
+        sizes = (0, n % folds) if larger else (n % folds, folds)
+        fold = int(rng.integers(*sizes))
+        column = int(rng.integers(k))
+        X = design.X.copy()
+        X[:, column] = constant
+        if near:
+            X[:, column] = constant * (1.0 + 1e-9 * rng.normal(size=n)) if constant else \
+                1e-9 * rng.normal(size=n)
+        held = parts[repeat][fold]
+        X[held, column] = constant + max(1.0, abs(constant)) * (1.0 + rng.random(len(held)))
+        design = Design(X, design.y, design.names)
+        m = factors % (k + 1)
+        constant_folds = []
+        for r, split in enumerate(parts):
+            for f, part in enumerate(split):
+                train = np.ones(n, dtype=bool)
+                train[part] = False
+                if np.ptp(X[train], axis=0).min() == 0:
+                    constant_folds.append((r, f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDeflationWarning)
+            if near:
+                assert constant_folds == []
+                report = repeated_kfold_cv(design, "pls", m, folds, repeats, seed=cv_seed)
+                assert len(report.mse_per_repeat) == repeats
+                return
+            assume(constant_folds == [(repeat, fold)])
+            with pytest.raises(RankDeficient) as raised:
+                repeated_kfold_cv(design, "pls", m, folds, repeats, seed=cv_seed)
+        assert str(raised.value) == (f"repeat {repeat + 1} of {repeats}, fold {fold + 1} of"
+                                     f" {folds}: predictor {design.names[column]!r} is constant")
+
+    @pytest.mark.parametrize("value", [1e300, -3e299])
+    def test_pls_column_constant_near_overflow_is_named(self, value):
+        # The training fold's squared deviations from the mean overflow, so
+        # the column's scale is inf although the column is constant there.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(20, 3))
+        held = np.array_split(np.random.default_rng(0).permutation(20), 5)[2]
+        X[:, 1] = value
+        X[held, 1] = 2.0 * value
+        design = Design(X, rng.normal(size=20), ("a", "b", "c"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(RankDeficient) as raised:
+                repeated_kfold_cv(design, "pls", 1, folds=5, repeats=2, seed=0)
+        assert str(raised.value) == "repeat 1 of 2, fold 3 of 5: predictor 'b' is constant"
+
     @pytest.mark.parametrize("method", ["ols", "pls"])
     def test_fold_constant_response_names_repeat_and_fold(self, method):
         rng = np.random.default_rng(79)

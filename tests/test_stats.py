@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import agreement_by_pairs
+from helpers import agreement_by_pairs, pairwise_r_unscreened, pearson_wrapped
 from perfeat.stats import (
     AllDropped,
     ConstantInput,
@@ -87,6 +87,38 @@ class TestPearson:
             assert correlation_p_value(ours, n) == pytest.approx(
                 float(ref.pvalue), abs=1e-10
             )
+
+    @PROPERTY
+    @given(
+        n=st.integers(3, 300),
+        scale=st.floats(1e-5, 1e5),
+        offset=st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e12]),
+        missing=st.floats(0.0, 0.6),
+        levels=st.sampled_from([2, 5, 0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_match_the_numpy_wrapper_form(self, n, scale, offset, missing, levels,
+                                               seed):
+        """``pearson`` is the kernel's oracle, so it must not move: it equals
+        the ``np.all`` / ``ndarray.mean`` form bit for bit, errors included.
+
+        ``levels`` of 2 or 5 draws integer series, which are sometimes
+        constant over the complete pairs; 0 draws continuous ones.
+        """
+        rng = np.random.default_rng(seed)
+        if levels:
+            x, y = (rng.integers(0, levels, size=n) * scale + offset for _ in range(2))
+        else:
+            x, y = (rng.normal(size=n) * scale + offset for _ in range(2))
+        x[rng.random(n) < missing] = np.nan
+        y[rng.random(n) < missing] = np.nan
+        try:
+            expected = pearson_wrapped(x, y)
+        except (TooFewPairs, ConstantInput) as error:
+            with pytest.raises(type(error), match=str(error)):
+                pearson(x, y)
+            return
+        assert pearson(x, y).hex() == expected.hex()
 
 
 class TestCorrelationP:
@@ -380,6 +412,66 @@ class TestPairwiseKernel:
                 assert not integer, (a, b, error)
                 bound = 1e-14 * joint_row_conditioning(values, a, b)
                 assert error <= bound, (a, b, error, bound)
+
+    @PROPERTY
+    @given(
+        n=st.integers(3, 40),
+        k=st.integers(2, 30),
+        missing=st.floats(0.0, 0.6),
+        integer=st.booleans(),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e9, 1e12]),
+        planted=st.lists(st.sampled_from(["own", "zero", "mean"]), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_changes_no_bit(self, n, k, missing, integer, offset, planted, seed):
+        """The rounding screen leaves every bit of the unscreened kernel.
+
+        Each planted column a is constant over the rows it shares with a
+        partner b, but not over all of its own rows.  Its constant is one of
+        its own values ("own", which leaves a rounding residue as its
+        centred spread when the offset is large), 0 ("zero", far from the
+        column's mean when the offset is large), or its own mean exactly
+        ("mean": an integer column whose other rows pair off around the
+        constant, so the centred value and the spread are exactly 0).
+        """
+        rng = np.random.default_rng(seed)
+        if integer:
+            values = rng.integers(1, 10, size=(n, k)).astype(float)
+        else:
+            values = rng.normal(size=(n, k))
+        values += offset * rng.uniform(-1.0, 1.0, size=k)
+        values[rng.random((n, k)) < missing] = np.nan
+        for kind in planted:
+            a, b = rng.choice(k, size=2, replace=False)
+            rows = rng.random(n) < 0.6
+            values[~rows, b] = np.nan
+            held = values[np.isfinite(values[:, a]), a]
+            if kind == "own":
+                values[rows, a] = held[0] if held.size else np.nan
+            elif kind == "zero":
+                values[rows, a] = 0.0
+            else:
+                centre = float(round(offset * rng.uniform(-1.0, 1.0)))
+                others = np.flatnonzero(~rows)
+                steps = np.arange(1, len(others) // 2 + 1, dtype=float)
+                values[rows, a] = centre
+                values[others, a] = centre
+                values[others[: len(steps)], a] = centre + steps
+                values[others[len(steps) : 2 * len(steps)], a] = centre - steps
+        r = _pairwise_r(values)
+        assert r.view(np.uint64).tolist() == pairwise_r_unscreened(values).view(np.uint64).tolist()
+
+    def test_underflowed_spread_is_not_cleared(self):
+        # Column 0 is 0 over the three rows it shares with column 1, and its
+        # centred value there is about 1e-161, whose square is subnormal.
+        # Its spread is then 5e-324, one subnormal step, and a bound
+        # relative to its sum of squares alone underflows to 0.
+        values = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0],
+                           [-3 * 1.4461152882205516e-161, np.nan]])
+        with pytest.raises(ConstantInput):
+            pearson(values[:, 0], values[:, 1])
+        r = _pairwise_r(values)
+        assert math.isnan(r[0, 1]) and math.isnan(r[1, 0])
 
     def test_constant_rater_is_undefined_not_zero_variance(self):
         # Column 0 is constant over the three rows it shares with column 1
