@@ -20,7 +20,7 @@ import numpy as np
 from .tdist import student_t_two_tailed
 
 _RANK_RTOL = 1e-10
-_RANK_MARGIN = 1e3  # the safety factor of _autoscale's full-rank certificate
+_RANK_MARGIN = 1e3  # the safety factor of both rank certificates, PLS's and OLS cv's
 _CV_STACK_VALUES = 1 << 16  # training design values per cross-validation stack
 
 
@@ -247,40 +247,51 @@ class _Autoscaled(NamedTuple):
     y_scale: np.ndarray  # (B,)
     gram_root: np.ndarray  # (B, k, k): R, the triangular QR factor of Xs
     xy: np.ndarray  # (B, k): Xs'ys
-    rank: np.ndarray  # (B,): the rank of Xs
+    rank: np.ndarray  # (B,): the rank of Xs, capped at the factor count asked for
 
 
-def _autoscale(X: np.ndarray, y: np.ndarray) -> _Autoscaled:
+def _autoscale(X: np.ndarray, y: np.ndarray, m: int) -> _Autoscaled:
     """Centre and scale each design of the stack ``X`` (B, n, k), ``y`` (B, n).
 
     Forming X'X would square the condition number; on an ill-conditioned
     design its rounding swamps the later factors.  So X'X is held as R'R,
     from one batched QR of the autoscaled designs (n >= k, so R is square).
-    The rank is ``matrix_rank``'s, with its tolerance for the n x k shape.
-    As sigma_min(R) >= 1/|R^-1|_F and sigma_max(R) <= |R|_F, one batched
-    inverse proves a design full rank when |R|_F |R^-1|_F clears that
-    tolerance by ``_RANK_MARGIN``; only the others have singular values
-    counted.  A constant column or response keeps a scale of 1, so that a
-    degenerate design still gives finite numbers for the caller to reject.
+    A scale whose squares overflow or leave the normal range is measured
+    again on deviations scaled by a power of two, which is exact.  A
+    constant column or response keeps a scale of 1, so that a degenerate
+    design still gives finite numbers for the caller to reject.
+    ``rank`` is min(rank, ``m``), with ``matrix_rank``'s tolerance for the
+    n x k shape.  Singular values interlace, so sigma_m(R) >= sigma_min of
+    R's leading m x m block >= 1/|R[:m, :m]^-1|_F, and sigma_max(R) <= |R|_F:
+    one batched m x m inverse proves the rank at least m when the product
+    of the two norms clears that tolerance by ``_RANK_MARGIN``.  Only the
+    others have singular values counted.
     """
     x_mean, y_mean = X.mean(axis=1), y.mean(axis=1)
     Xs, ys = X - x_mean[:, None], y - y_mean[:, None]
-    x_scale = np.sqrt((Xs * Xs).sum(axis=1) / (X.shape[1] - 1))  # X.std(axis=1, ddof=1)
+    with np.errstate(over="ignore"):  # an overflowed scale is measured again below
+        x_scale = np.sqrt((Xs * Xs).sum(axis=1) / (X.shape[1] - 1))  # X.std(axis=1, ddof=1)
+    remeasure = ~((x_scale >= np.sqrt(np.finfo(float).tiny)) & (x_scale < np.inf))
+    if remeasure.any():
+        exponent = np.where(remeasure, np.frexp(np.abs(Xs).max(axis=1))[1], 0)
+        unit = np.ldexp(Xs, -exponent[:, None])
+        x_scale = np.ldexp(np.sqrt((unit * unit).sum(axis=1) / (X.shape[1] - 1)), exponent)
     y_scale = y.std(axis=1, ddof=1)
     Xs /= np.where(x_scale > 0, x_scale, 1.0)[:, None]
     ys /= np.where(y_scale > 0, y_scale, 1.0)[:, None]
     gram_root = np.linalg.qr(Xs, mode="r")
     tolerance = max(X.shape[1:]) * np.finfo(float).eps
-    invertible = (np.diagonal(gram_root, axis1=1, axis2=2) != 0).all(axis=1)
-    root = np.where(invertible[:, None, None], gram_root, np.eye(X.shape[2]))
-    inverse = np.linalg.inv(root)
-    bound = np.linalg.norm(root, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
-    full_rank = invertible & (bound * (_RANK_MARGIN * tolerance) < 1.0)
-    rank = np.full(len(X), X.shape[2])
-    if not full_rank.all():
-        singular_values = np.linalg.svd(gram_root[~full_rank], compute_uv=False)
-        cut = singular_values.max(axis=1) * tolerance
-        rank[~full_rank] = (singular_values > cut[:, None]).sum(axis=1)
+    rank = np.full(len(X), m)
+    if m > 0:
+        lead = gram_root[:, :m, :m]
+        invertible = (np.diagonal(lead, axis1=1, axis2=2) != 0).all(axis=1)
+        inverse = np.linalg.inv(np.where(invertible[:, None, None], lead, np.eye(m)))
+        bound = np.linalg.norm(gram_root, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+        uncleared = ~(invertible & (bound * (_RANK_MARGIN * tolerance) < 1.0))
+        if uncleared.any():
+            singular_values = np.linalg.svd(gram_root[uncleared], compute_uv=False)
+            cut = singular_values.max(axis=1) * tolerance
+            rank[uncleared] = np.minimum((singular_values > cut[:, None]).sum(axis=1), m)
     xy = np.einsum("bnk,bn->bk", Xs, ys)
     return _Autoscaled(x_mean, x_scale, y_mean, y_scale, gram_root, xy, rank)
 
@@ -340,10 +351,12 @@ def pls_fit(design: Design, m: int) -> PlsModel:
     oracle.  ``m`` = 0 is the null model that predicts the training mean.
     With ``m`` equal to the predictor rank, fitted values match OLS.  If
     ``xy`` or a factor's score energy vanishes early, the model is
-    truncated with a warning.
+    truncated with a warning.  The fit needs a predictor rank of at least
+    ``m`` and proves only that where it can; a ``RankExceeded`` names the
+    rank the singular values count, also for an ``m`` outside 0..k.
     """
     _check_response(design.y)
-    scaled = _autoscale(design.X[None], design.y[None])
+    scaled = _autoscale(design.X[None], design.y[None], m if 0 <= m <= design.k else design.k)
     if not 0 <= m <= scaled.rank[0]:
         raise RankExceeded(f"{m} factors requested, predictor rank is {scaled.rank[0]}")
     beta_std, coef, intercept, kept = _pls_kernel(scaled, m)
@@ -424,9 +437,14 @@ def repeated_kfold_cv(
     batched solves per method.  No bit depends on the stacking, and the
     held-out errors equal those of per-fold refits up to rounding.  OLS
     takes them from one full-data fit: they are (I - Q_F Q_F')^-1 r_F, the
-    block PRESS identity (Hastie, Tibshirani & Friedman, ESL 7.10), from one
-    batched ``eigh``.  The block's determinant is det(X_tr'X_tr) / det(X'X),
-    singular exactly when the training design is.  PLS autoscales the
+    block PRESS identity (Hastie, Tibshirani & Friedman, ESL 7.10).  The
+    block's determinant is det(X_tr'X_tr) / det(X'X), singular exactly when
+    the training design is, which an eigenvalue below ``_RANK_RTOL`` marks.
+    A batched Cholesky of the blocks less ``_RANK_MARGIN * _RANK_RTOL`` I
+    that completes proves every eigenvalue above that shift, up to rounding
+    of order size * eps (Higham 2002, ch. 10), so no fold is singular and
+    one batched solve gives the errors.  Only a stack where it fails is
+    decomposed by ``eigh``, which flags its folds.  PLS autoscales the
     stacked training rows and runs the kernel of :func:`pls_fit` on the
     whole stack.  It looks for a constant training column by exact equality
     only in the folds where a column's scale does not exceed 8 n eps |mean|,
@@ -475,16 +493,22 @@ def repeated_kfold_cv(
             if method == "ols":
                 # A column constant in training makes the block singular too.
                 q_f = q[held_out]
-                block = np.eye(held_out.shape[1]) - np.einsum("bik,bjk->bij", q_f, q_f)
-                eigenvalues, vectors = np.linalg.eigh(block)
-                singular = eigenvalues[:, 0] < _RANK_RTOL
+                eye = np.eye(held_out.shape[1])
+                block = eye - np.einsum("bik,bjk->bij", q_f, q_f)
+                try:
+                    np.linalg.cholesky(block - _RANK_MARGIN * _RANK_RTOL * eye)
+                    eigenvalues = None
+                    singular = np.zeros(len(block), dtype=bool)
+                except np.linalg.LinAlgError:
+                    eigenvalues, vectors = np.linalg.eigh(block)
+                    singular = eigenvalues[:, 0] < _RANK_RTOL
             else:
                 # Autoscaling can leave a constant column a scale of 1e-17 and full rank.
                 # Constant at v over n rows, a column keeps a scale of at most about
                 # 1.1 n u |v|, so np.ptp judges only the folds with a column whose scale
-                # is not above 8 n eps |mean|, or is inf (the squares of a huge v overflow).
+                # is not above 8 n eps |mean|, or is not finite.
                 X_train = X[train]
-                scaled = _autoscale(X_train, y_train)
+                scaled = _autoscale(X_train, y_train, m)
                 bound = 8.0 * X_train.shape[1] * np.finfo(float).eps * np.abs(scaled.x_mean)
                 clear = (scaled.x_scale > bound) & (scaled.x_scale < np.inf)
                 suspect = ~clear.all(axis=1)
@@ -507,7 +531,9 @@ def repeated_kfold_cv(
                     error = RankExceeded(f"{m} factors requested, predictor rank is {rank}")
                 failures.append((b // count, first + b % count, error))
                 continue
-            if method == "ols":
+            if method == "ols" and eigenvalues is None:
+                errors = np.linalg.solve(block, resid[held_out][:, :, None])[:, :, 0]
+            elif method == "ols":
                 rotated = np.einsum("bji,bj->bi", vectors, resid[held_out]) / eigenvalues
                 errors = np.einsum("bij,bj->bi", vectors, rotated)
             else:

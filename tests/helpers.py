@@ -16,7 +16,9 @@ takes its means and constant test through numpy's ``mean`` and ``np.all``;
 ``perfeat.stats`` must match both bit for bit.  The NIPALS oracle fits PLS1 by
 explicit deflation of the data, independently of the kernel form in
 ``perfeat.regress``, and the singular-value rank count checks the
-full-rank certificate of ``perfeat.regress._autoscale``.  The single-frame
+rank certificate of ``perfeat.regress._autoscale``.  The per-fold ``eigh``
+form of OLS cross-validation judges the Cholesky certificate of
+``repeated_kfold_cv``.  The single-frame
 spectral descriptors describe one magnitude spectrum at a time, and the
 flux oracle one pair of consecutive spectra; ``extract_audio_features``
 must equal their mean over a clip's non-silent frames.  The whole-array
@@ -51,6 +53,7 @@ from perfeat.smf import (
     TruncatedChunk,
     _split_chunks,
 )
+from perfeat.regress import ConstantResponse, RankDeficient, _qr_solve
 from perfeat.stats import MIN_PAIRS, ConstantInput, TooFewPairs
 
 # ----------------------------------------------------------------- SMF bytes
@@ -641,3 +644,47 @@ class NipalsPls:
     def beta_std(self) -> np.ndarray:
         """Regression vector on autoscaled data: the identity pushed through."""
         return self._replay(np.eye(len(self.x_mean)))
+
+
+def press_cv_by_eigh(design, folds: int, repeats: int, seed: int):
+    """OLS ``repeated_kfold_cv`` by one eigendecomposition of each fold's PRESS block.
+
+    Fold by fold, in (repeat, fold) order: the block is I - Q_F Q_F' of the
+    full-data fit's Q, a block with an eigenvalue below 1e-10 marks a
+    rank-deficient training design, and the held-out errors are
+    V diag(1/lambda) V' r_F from ``eigh``.  Returns, per repeat, the MSE and
+    the smallest eigenvalue of its folds' blocks; or raises the first
+    degenerate fold's error with ``repeated_kfold_cv``'s message.
+    """
+    X, y, n = design.X, design.y, design.n
+    X1 = np.column_stack([np.ones(n), X])
+    coef, q, _ = _qr_solve(X1, y)
+    resid = y - X1 @ coef
+    rng = np.random.default_rng(seed)
+    mse, smallest = [], []
+    for repeat in range(repeats):
+        squared_errors = np.empty(n)
+        smallest.append(1.0)
+        for fold, held_out in enumerate(np.array_split(rng.permutation(n), folds)):
+            train = np.ones(n, dtype=bool)
+            train[held_out] = False
+            q_f = q[held_out][None]
+            block = np.eye(len(held_out)) - np.einsum("bik,bjk->bij", q_f, q_f)
+            eigenvalues, vectors = np.linalg.eigh(block)
+            singular = eigenvalues[0, 0] < 1e-10
+            smallest[-1] = min(smallest[-1], float(eigenvalues[0, 0]))
+            if singular or np.ptp(y[train]) == 0:
+                spans = np.ptp(X[train], axis=0)
+                if (spans == 0).any():
+                    error = RankDeficient(
+                        f"predictor {design.names[int(np.argmin(spans))]!r} is constant")
+                elif singular:
+                    error = RankDeficient("training design is rank deficient")
+                else:
+                    error = ConstantResponse("response does not vary")
+                raise type(error)(
+                    f"repeat {repeat + 1} of {repeats}, fold {fold + 1} of {folds}: {error}")
+            rotated = np.einsum("bji,bj->bi", vectors, resid[held_out][None]) / eigenvalues
+            squared_errors[held_out] = np.einsum("bij,bj->bi", vectors, rotated)[0] ** 2
+        mse.append(float(squared_errors.mean()))
+    return mse, smallest

@@ -29,6 +29,7 @@ from helpers import (
     track,
     wav,
 )
+from perfeat import regress
 from perfeat.audio_features import AudioClip, extract_audio_features
 from perfeat.midi_features import extract_midi_features
 from perfeat.regress import Design, adjusted_r2, ols_fit, pls_fit, repeated_kfold_cv
@@ -362,19 +363,27 @@ def test_synthetic_study():
 
 
 def test_cv_determinism(tmp_path):
-    """A seeded cv run is byte-identical across runs and thread counts."""
+    """A seeded cv run is byte-identical across runs and thread counts.
+
+    The table has the study's shape, 100 items by 21 predictors in ten
+    folds, and six repeats, so that each stack of training folds holds three
+    repeats and the batched QR, Cholesky, solve and inverse all run on it.
+    """
     started = time.monotonic()
     failures = []
     rng = np.random.default_rng(77)
-    lines = ["song_id,y,a,b,c"]
-    for i in range(24):
-        row = rng.normal(size=3)
-        y = 1.5 * row[0] - row[1] + rng.normal(0.0, 0.5)
-        lines.append(f"s{i:02d}," + ",".join(repr(float(v)) for v in (y, *row)))
+    names = [f"x{j:02d}" for j in range(21)]
+    lines = ["song_id,y," + ",".join(names)]
+    for i in range(100):
+        row = rng.normal(size=21)
+        y = 1.5 * row[0] - row[1] + 0.5 * row[2] + rng.normal(0.0, 0.5)
+        lines.append(f"s{i:03d}," + ",".join(repr(float(v)) for v in (y, *row)))
     table = tmp_path / "features.csv"
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _expect(failures, regress._CV_STACK_VALUES // (9 * 100 * 21) >= 2,
+            "a stack of training folds no longer holds several repeats")
 
-    for method, extra in (("ols", []), ("pls", ["--method", "pls", "--components", "2"])):
+    for method, extra in (("ols", []), ("pls", ["--method", "pls", "--components", "3"])):
         outputs = []
         for label, threads in (("first", "1"), ("second", "1"), ("threaded", "4")):
             out_dir = tmp_path / f"{method}-{label}"
@@ -385,7 +394,7 @@ def test_cv_determinism(tmp_path):
                 [
                     sys.executable, "-m", "perfeat", "cv",
                     "--table", str(table), "--target", "y", *extra,
-                    "--folds", "6", "--repeats", "10", "--seed", "13",
+                    "--folds", "10", "--repeats", "6", "--seed", "13",
                     "--out-dir", str(out_dir),
                 ],
                 capture_output=True, text=True, env=env,

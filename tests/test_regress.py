@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import NipalsPls, svd_rank
+from helpers import NipalsPls, press_cv_by_eigh, svd_rank
 from perfeat import regress
 from perfeat.regress import (
     ConstantResponse,
@@ -440,17 +440,20 @@ class TestPls:
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
     @example(seed=0, count=1)
     def test_rank_certificate_equals_svd_count(self, seed, count):
-        """The stack's ranks are the singular-value counts, with or without an SVD.
+        """For every factor count m, the stack's ranks are the singular-value
+        counts where those are below m, and m elsewhere, with or without an SVD.
 
-        Each design is full rank, exactly collinear in its last column or
-        constant in one column, with an autoscaled condition number up to
-        1e17, column scales 1e-8..1e8 and offsets up to 1e3.
+        Each design is full rank, exactly collinear in its last column,
+        constant in one column, or exactly collinear in its first two columns
+        (rank k - 1, so that every leading block from m = 2 on is singular and
+        only the SVD can show the rank), with an autoscaled condition number
+        up to 1e17, column scales 1e-8..1e8 and offsets up to 1e3.
         """
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 22))
         n = k + 2 + int(rng.integers(0, 80))
         designs = []
-        for kind in rng.integers(0, 3, size=count):
+        for kind in rng.integers(0, 4, size=count):
             u = np.linalg.qr(rng.normal(size=(n, k)))[0]
             v = np.linalg.qr(rng.normal(size=(k, k)))[0]
             Z = (u * np.logspace(0.0, -rng.uniform(0.0, 17.0), k)) @ v.T
@@ -458,10 +461,48 @@ class TestPls:
                 Z[:, -1] = Z[:, 0] * rng.normal()
             elif kind == 2:
                 Z[:, rng.integers(k)] = rng.normal()
+            elif kind == 3 and k > 1:
+                Z[:, 1] = Z[:, 0] * rng.normal()
             scales = 10.0 ** rng.uniform(-8, 8, size=k)
             designs.append(Z * scales + rng.uniform(-1e3, 1e3, size=k))
-        scaled = regress._autoscale(np.array(designs), rng.normal(size=(count, n)))
-        assert scaled.rank.tolist() == svd_rank(scaled.gram_root, n).tolist()
+        X, y = np.array(designs), rng.normal(size=(count, n))
+        for m in range(k + 1):
+            scaled = regress._autoscale(X, y, m)
+            counted = svd_rank(scaled.gram_root, n)
+            assert scaled.rank.tolist() == np.minimum(counted, m).tolist(), m
+
+    @pytest.mark.parametrize("power", [-540, 540])
+    def test_power_of_two_column_scaling_moves_no_bit(self, power):
+        # The squared deviations of a column scaled by 2**540 overflow, and
+        # those of one scaled by 2**-540 fall below the normal range.
+        design = random_design(np.random.default_rng(84), n=30, k=3)
+        X = design.X.copy()
+        X[:, 1] = np.ldexp(X[:, 1], power)
+        scaled = Design(X, design.y, design.names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = pls_fit(scaled, 3)
+            report = repeated_kfold_cv(scaled, "pls", 2, folds=5, repeats=3, seed=1)
+        reference = pls_fit(design, 3)
+        assert model.beta_std.tolist() == reference.beta_std.tolist()
+        assert model.coef[1] == np.ldexp(reference.coef[1], -power)
+        assert model.predict(X).tolist() == reference.predict(design.X).tolist()
+        assert report == repeated_kfold_cv(design, "pls", 2, folds=5, repeats=3, seed=1)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_huge_or_tiny_column_keeps_its_rank(self, scale):
+        # At 1e160 the column's squared deviations overflowed, and at
+        # 1e-170 they underflowed to 0, so its scale read inf or 1 and the
+        # design rank 1.
+        rng = np.random.default_rng(85)
+        X = rng.normal(size=(30, 2))
+        y = X @ np.array([1.0, 2.0]) + 0.1 * rng.normal(size=30)
+        reference = pls_fit(Design(X, y, ("a", "b")), 2)
+        X[:, 1] *= scale
+        design = Design(X, y, ("a", "b"))
+        assert pls_fit(design, 2).r2 == pytest.approx(reference.r2, abs=1e-12)
+        report = repeated_kfold_cv(design, "pls", 2, folds=5, repeats=2, seed=0)
+        assert report.r2_cv > 0.99
 
     def test_full_rank_designs_need_no_svd(self, monkeypatch):
         calls = []
@@ -487,6 +528,22 @@ class TestPls:
         X_new[1, 0] = np.nan
         out = model.predict(X_new)
         assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+
+
+def test_stacked_cholesky_raises_when_one_matrix_is_not_positive_definite():
+    """The numpy behaviour OLS ``cv``'s certificate relies on: one LinAlgError
+    for the whole stack, from any matrix of it, and none for a definite stack.
+
+    A NaN pivot need not raise, but a PRESS block of a finite
+    design is finite.
+    """
+    stack = np.tile(np.eye(4), (5, 1, 1))
+    np.linalg.cholesky(stack)
+    for b, value in ((0, -1e-12), (2, 0.0), (4, -1.0)):
+        broken = stack.copy()
+        broken[b, 3, 3] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(broken)
 
 
 class TestCrossValidation:
@@ -594,6 +651,96 @@ class TestCrossValidation:
                 with mock.patch.object(regress, "_CV_STACK_VALUES", values):
                     assert run(repeats) == report
             assert run(repeats - 1).mse_per_repeat == report.mse_per_repeat[:-1]
+
+    @staticmethod
+    def _near_singular_fold(seed, k, folds, extra, repeats, collinear, larger, log_delta):
+        """A design whose training fold (r, f) holds one column near-constant
+        or near-collinear with another: within 10**log_delta of it, exactly
+        for log_delta = None.  n % folds is never 0, and ``larger`` puts the
+        fold among the larger ones.  Returns the design and the cv seed.
+        """
+        rng = np.random.default_rng(seed)
+        n = max(2 * folds, 2 * k + 4) + extra
+        n += n % folds == 0
+        design = random_design(rng, n=n, k=k)
+        cv_seed = int(rng.integers(2**32))
+        cv_rng = np.random.default_rng(cv_seed)
+        parts = [np.array_split(cv_rng.permutation(n), folds) for _ in range(repeats)]
+        fold = int(rng.integers(*((0, n % folds) if larger else (n % folds, folds))))
+        train = np.ones(n, dtype=bool)
+        train[parts[int(rng.integers(repeats))][fold]] = False
+        delta = 0.0 if log_delta is None else 10.0 ** log_delta
+        X = design.X.copy()
+        column = int(rng.integers(k))
+        base = X[train, (column + 1) % k] * rng.normal() if collinear and k > 1 else 3.0
+        X[train, column] = base + delta * rng.normal(size=int(train.sum()))
+        return Design(X, design.y, design.names), cv_seed
+
+    def _assert_ols_cv_matches_eigh(self, design, folds, repeats, cv_seed):
+        """The Cholesky certificate flags the folds the per-fold eigh flags, and
+        its errors are eigh's up to what a block's conditioning allows.
+
+        Both forms are backward stable, so their errors may differ by about
+        eps / lambda_min relative; in 1,500 random draws the largest gap was
+        5.4 eps / lambda_min.  Returns the smallest PRESS eigenvalue of the
+        run, or 0 where a fold is degenerate.
+        """
+        try:
+            expected, smallest = press_cv_by_eigh(design, folds, repeats, cv_seed)
+        except (RankDeficient, ConstantResponse) as error:
+            with pytest.raises(type(error)) as raised:
+                repeated_kfold_cv(design, "ols", folds=folds, repeats=repeats, seed=cv_seed)
+            assert str(raised.value) == str(error)
+            return 0.0
+        report = repeated_kfold_cv(design, "ols", folds=folds, repeats=repeats, seed=cv_seed)
+        eps = np.finfo(float).eps
+        gap = np.abs(np.array(report.mse_per_repeat) - expected)
+        assert np.all(gap <= (1e-12 + 100 * eps / np.array(smallest)) * np.array(expected))
+        return min(smallest)
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        folds=st.integers(3, 8),
+        extra=st.integers(1, 20),
+        repeats=st.integers(1, 4),
+        collinear=st.booleans(),
+        larger=st.booleans(),
+        log_delta=st.one_of(st.none(), st.floats(-8.0, -1.0)),
+    )
+    @example(seed=1, k=3, folds=5, extra=4, repeats=2, collinear=False, larger=True,
+             log_delta=None)
+    @example(seed=2, k=3, folds=5, extra=4, repeats=2, collinear=True, larger=False,
+             log_delta=-7.0)
+    @example(seed=3, k=4, folds=7, extra=9, repeats=3, collinear=True, larger=True,
+             log_delta=-4.5)
+    @example(seed=4, k=2, folds=4, extra=3, repeats=2, collinear=False, larger=False,
+             log_delta=-3.0)
+    def test_ols_certificate_flags_what_eigh_flags(
+        self, seed, k, folds, extra, repeats, collinear, larger, log_delta
+    ):
+        """Near-singular training folds, at PRESS eigenvalues from about 1e-16
+        to 1e-2, in a fold of either size: the same verdict, repeat, fold and
+        message as the per-fold eigh, and the same errors."""
+        design, cv_seed = self._near_singular_fold(
+            seed, k, folds, extra, repeats, collinear, larger, log_delta)
+        self._assert_ols_cv_matches_eigh(design, folds, repeats, cv_seed)
+
+    @pytest.mark.parametrize("larger", [True, False])
+    @pytest.mark.parametrize("collinear", [True, False])
+    def test_ols_certificate_sweep_crosses_both_thresholds(self, collinear, larger):
+        """One design, its fold made ever closer to singular: the sweep passes
+        the certificate's shift (1e-7) and the eigh threshold (1e-10)."""
+        seen = []
+        for log_delta in np.linspace(-8.0, -1.0, 29):
+            design, cv_seed = self._near_singular_fold(
+                11, 3, 6, 5, 2, collinear, larger, float(log_delta))
+            seen.append(self._assert_ols_cv_matches_eigh(design, 6, 2, cv_seed))
+        seen = np.array(seen)
+        assert (seen == 0.0).any()
+        assert ((seen > 1e-10) & (seen < 1e-7)).any()
+        assert ((seen > 1e-7) & (seen < 1e-5)).any()
 
     @pytest.mark.parametrize("method", ["ols", "pls"])
     def test_first_degenerate_fold_in_a_stack_names_the_earliest_repeat(self, method):

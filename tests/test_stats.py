@@ -1,6 +1,7 @@
 """Agreement statistics against hand-computed fixtures and invariances."""
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -119,6 +120,48 @@ class TestPearson:
                 pearson(x, y)
             return
         assert pearson(x, y).hex() == expected.hex()
+
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 2.0**540, 2.0**-540])
+    def test_huge_or_tiny_series_keep_their_r_without_a_warning(self, scale):
+        # Squared deviations overflow (1e160, 2**540), underflow (1e-170,
+        # 2**-540) or centre near the largest float (1e300).
+        x = np.array([1.0, 2.0, 3.0, 4.0]) * scale
+        y = np.array([4.0, 1.0, 3.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson(x, y)
+            kernel = _pairwise_r(np.column_stack([x, y]))[0, 1]
+        assert r == pytest.approx(-0.4, abs=1e-15)
+        assert kernel == pytest.approx(-0.4, abs=1e-15)
+
+    @PROPERTY
+    @given(
+        n=st.integers(3, 300),
+        x_power=st.sampled_from([-500, 0, 500]),
+        y_power=st.sampled_from([-500, 0, 500]),
+        offset=st.sampled_from([0.0, 1.0, -1e3, 1e6]),
+        missing=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_moves_no_bit(self, n, x_power, y_power, offset, missing,
+                                               seed):
+        """r of x 2**a and y 2**b is r of x and y, bit for bit, for a, b in
+        {-500, 0, 500}: where the sums of squares leave the normal range, both
+        series are scaled back by powers of two, which is exact."""
+        rng = np.random.default_rng(seed)
+        x, y = (rng.normal(size=n) + offset for _ in range(2))
+        x[rng.random(n) < missing] = np.nan
+        y[rng.random(n) < missing] = np.nan
+        try:
+            expected = pearson(x, y)
+        except (TooFewPairs, ConstantInput) as error:
+            with pytest.raises(type(error)):
+                pearson(np.ldexp(x, x_power), np.ldexp(y, y_power))
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson(np.ldexp(x, x_power), np.ldexp(y, y_power)).hex() == expected.hex()
 
 
 class TestCorrelationP:
@@ -460,6 +503,29 @@ class TestPairwiseKernel:
                 values[others[len(steps) : 2 * len(steps)], a] = centre - steps
         r = _pairwise_r(values)
         assert r.view(np.uint64).tolist() == pairwise_r_unscreened(values).view(np.uint64).tolist()
+
+    @PROPERTY
+    @given(
+        n=st.integers(3, 300),
+        k=st.integers(2, 8),
+        missing=st.floats(0.0, 0.5),
+        offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_moves_no_bit(self, n, k, missing, offset, seed):
+        """Each column scaled by 2**-500, 1 or 2**500 leaves every r as it is.
+
+        A column whose own sum of squares leaves [2**-511, 2**511) is scaled
+        back by a power of two before any product is formed.
+        """
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, k)) + offset * rng.uniform(-1.0, 1.0, size=k)
+        values[rng.random((n, k)) < missing] = np.nan
+        scaled = np.ldexp(values, rng.choice([-500, 0, 500], size=k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = _pairwise_r(scaled)
+        assert r.view(np.uint64).tolist() == _pairwise_r(values).view(np.uint64).tolist()
 
     def test_underflowed_spread_is_not_cleared(self):
         # Column 0 is 0 over the three rows it shares with column 1, and its
