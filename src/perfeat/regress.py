@@ -442,9 +442,10 @@ def repeated_kfold_cv(
     the training design is, which an eigenvalue below ``_RANK_RTOL`` marks.
     A batched Cholesky of the blocks less ``_RANK_MARGIN * _RANK_RTOL`` I
     that completes proves every eigenvalue above that shift, up to rounding
-    of order size * eps (Higham 2002, ch. 10), so no fold is singular and
-    one batched solve gives the errors.  Only a stack where it fails is
-    decomposed by ``eigh``, which flags its folds.  PLS autoscales the
+    of order size * eps (Higham 2002, ch. 10), so no fold is singular.
+    Only a stack where it fails is decomposed by ``eigh``, which flags its
+    folds.  Every fold that passes takes its errors from one batched solve,
+    whichever way its stack was judged.  PLS autoscales the
     stacked training rows and runs the kernel of :func:`pls_fit` on the
     whole stack.  It looks for a constant training column by exact equality
     only in the folds where a column's scale does not exceed 8 n eps |mean|,
@@ -497,11 +498,10 @@ def repeated_kfold_cv(
                 block = eye - np.einsum("bik,bjk->bij", q_f, q_f)
                 try:
                     np.linalg.cholesky(block - _RANK_MARGIN * _RANK_RTOL * eye)
-                    eigenvalues = None
                     singular = np.zeros(len(block), dtype=bool)
                 except np.linalg.LinAlgError:
-                    eigenvalues, vectors = np.linalg.eigh(block)
-                    singular = eigenvalues[:, 0] < _RANK_RTOL
+                    # eigh's eigenvalues define the verdict; eigvalsh's differ in the last bits.
+                    singular = np.linalg.eigh(block)[0][:, 0] < _RANK_RTOL
             else:
                 # Autoscaling can leave a constant column a scale of 1e-17 and full rank.
                 # Constant at v over n rows, a column keeps a scale of at most about
@@ -531,11 +531,8 @@ def repeated_kfold_cv(
                     error = RankExceeded(f"{m} factors requested, predictor rank is {rank}")
                 failures.append((b // count, first + b % count, error))
                 continue
-            if method == "ols" and eigenvalues is None:
+            if method == "ols":
                 errors = np.linalg.solve(block, resid[held_out][:, :, None])[:, :, 0]
-            elif method == "ols":
-                rotated = np.einsum("bji,bj->bi", vectors, resid[held_out]) / eigenvalues
-                errors = np.einsum("bij,bj->bi", vectors, rotated)
             else:
                 _, coef, intercept, kept = _pls_kernel(scaled, m)
                 truncated += int((kept < m).sum())

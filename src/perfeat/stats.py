@@ -29,7 +29,6 @@ OUTLIER_SD_FACTOR = 2.5
 
 STAR_THRESHOLDS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
 
-_EPS = sys.float_info.epsilon
 _NORMAL = sys.float_info.min  # the smallest normal float
 
 
@@ -80,25 +79,21 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("inputs must be one-dimensional and equally long")
     mask = np.isfinite(x) & np.isfinite(y)
-    n = int(np.count_nonzero(mask))
+    n = int(mask.sum())
     if n < MIN_PAIRS:
         raise TooFewPairs(f"{n} complete pairs, need {MIN_PAIRS}")
     xs = x[mask]
     ys = y[mask]
-    with np.errstate(over="ignore"):  # sums out of range are taken again below
-        x_mean, y_mean = float(xs.sum()) / n, float(ys.sum()) / n
-        xc, yc = xs - x_mean, ys - y_mean
+    # The reductions of np.all and ndarray.mean, without their Python wrappers.
+    if (xs == xs[0]).all() or (ys == ys[0]).all():
+        raise ConstantInput("correlation of a constant series is undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # sums out of range are taken again
+        xc = xs - xs.sum() / n
+        yc = ys - ys.sum() / n
         sxx, syy = float(xc @ xc), float(yc @ yc)
-    # Constant at v, a series has a computed mean v(1 + t) with |t| <= (n + 1) u and a
-    # sum of squares of at most about n ((n + 1) u v)^2 (Higham 2002, 4.2), so only a
-    # series whose sum does not clear n ((n + 2) eps mean)^2 is compared value by value.
-    bound = n * ((n + 2) * _EPS) ** 2
-    if not (sxx > bound * x_mean * x_mean + _NORMAL and syy > bound * y_mean * y_mean + _NORMAL):
-        if (xs == xs[0]).all() or (ys == ys[0]).all():
-            raise ConstantInput("correlation of a constant series is undefined")
     if not (sxx >= _NORMAL and syy >= _NORMAL and _NORMAL <= sxx * syy < math.inf):
-        # Sums of squares that overflow or leave the normal range: r again from both
-        # series scaled by powers of two, which is exact and leaves r as it is.
+        # Sums or sums of squares that overflow or leave the normal range: r again from
+        # both series scaled by powers of two, which is exact and leaves r as it is.
         xs = np.ldexp(xs, -np.frexp(np.abs(xs).max())[1])
         ys = np.ldexp(ys, -np.frexp(np.abs(ys).max())[1])
         xc, yc = xs - xs.sum() / n, ys - ys.sum() / n
@@ -232,22 +227,25 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     constant; NaN or inf never clears, and a term in the smallest normal
     number covers underflow.
 
-    A column whose own sum of squares leaves [2**-511, 2**511), where its
-    squares or their product with another column's would overflow or lose
-    bits below the normal range, is first scaled by a power of two.  That
-    is exact, and r does not depend on it.
+    A column whose sum overflows, or whose own sum of squares leaves
+    [2**-511, 2**511), where its squares or their product with another
+    column's would overflow or lose bits below the normal range, is centred
+    again after its values are scaled by a power of two.  That is exact,
+    and r does not depend on it.
     """
     present = np.isfinite(values)
     mask = present.astype(float)
     filled = np.where(present, values, 0.0)
     counts = np.einsum("ia,ib->ab", mask, mask)
-    centre = filled.sum(axis=0) / np.maximum(counts.diagonal(), 1.0)
-    x = np.where(present, filled - centre, 0.0)
-    own = np.einsum("ia,ia->a", x, x)
+    rows = np.maximum(counts.diagonal(), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: centred again below
+        x = np.where(present, filled - filled.sum(axis=0) / rows, 0.0)
+        own = np.einsum("ia,ia->a", x, x)
     rescale = ~((own >= 2.0**-511) & (own < 2.0**511))
     if rescale.any():
-        peaks = np.abs(x[:, rescale]).max(axis=0)
-        x[:, rescale] = np.ldexp(x[:, rescale], -np.frexp(peaks)[1])
+        # The whole array again, so that every column is summed in the same order.
+        filled = np.ldexp(filled, -np.frexp(np.where(rescale, np.abs(filled).max(axis=0), 0.0))[1])
+        x = np.where(present, filled - filled.sum(axis=0) / rows, 0.0)
     sums = np.einsum("ia,ib->ab", x, mask)
     cross = np.einsum("ia,ib->ab", x, x)
     squares = np.einsum("ia,ib->ab", x * x, mask)

@@ -627,18 +627,29 @@ class TestCrossValidation:
         factors=st.integers(0, 4),
         cv_seed=st.integers(0, 2**32 - 1),
         data_seed=st.integers(0, 2**32 - 1),
+        log_delta=st.one_of(st.none(), st.floats(-4.0, -3.4)),
     )
+    @example(k=3, folds=5, extra=4, repeats=3, method="ols", factors=0, cv_seed=0,
+             data_seed=0, log_delta=-4.0)
     def test_stack_layout_changes_no_bit(
-        self, k, folds, extra, repeats, method, factors, cv_seed, data_seed
+        self, k, folds, extra, repeats, method, factors, cv_seed, data_seed, log_delta
     ):
         """One repeat per stack, two, or all of them give the same report.
 
         n % folds is never 0, so each stack holds folds of two sizes.  The
-        first repeats of a longer run are those of a shorter run.
+        first repeats of a longer run are those of a shorter run.  Where
+        ``log_delta`` is drawn, a training fold of the last repeat holds a
+        column within 10**log_delta of constant: its PRESS block is near
+        singular but not singular, so a Cholesky of its stack can fail while
+        no fold is flagged.
         """
         n = max(2 * folds, 2 * k + 4) + extra
         n += n % folds == 0
-        design = random_design(np.random.default_rng(data_seed), n=n, k=k)
+        if log_delta is None:
+            design = random_design(np.random.default_rng(data_seed), n=n, k=k)
+        else:
+            design, cv_seed = self._near_singular_fold(
+                data_seed, k, folds, extra, repeats, False, True, log_delta, repeat=repeats - 1)
         m = factors % (k + 1) if method == "pls" else None
 
         def run(count):
@@ -653,11 +664,13 @@ class TestCrossValidation:
             assert run(repeats - 1).mse_per_repeat == report.mse_per_repeat[:-1]
 
     @staticmethod
-    def _near_singular_fold(seed, k, folds, extra, repeats, collinear, larger, log_delta):
+    def _near_singular_fold(seed, k, folds, extra, repeats, collinear, larger, log_delta,
+                            repeat=None):
         """A design whose training fold (r, f) holds one column near-constant
         or near-collinear with another: within 10**log_delta of it, exactly
         for log_delta = None.  n % folds is never 0, and ``larger`` puts the
-        fold among the larger ones.  Returns the design and the cv seed.
+        fold among the larger ones.  r is ``repeat``, or drawn where that is
+        None.  Returns the design and the cv seed.
         """
         rng = np.random.default_rng(seed)
         n = max(2 * folds, 2 * k + 4) + extra
@@ -668,7 +681,7 @@ class TestCrossValidation:
         parts = [np.array_split(cv_rng.permutation(n), folds) for _ in range(repeats)]
         fold = int(rng.integers(*((0, n % folds) if larger else (n % folds, folds))))
         train = np.ones(n, dtype=bool)
-        train[parts[int(rng.integers(repeats))][fold]] = False
+        train[parts[int(rng.integers(repeats)) if repeat is None else repeat][fold]] = False
         delta = 0.0 if log_delta is None else 10.0 ** log_delta
         X = design.X.copy()
         column = int(rng.integers(k))

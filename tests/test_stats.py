@@ -122,10 +122,11 @@ class TestPearson:
         assert pearson(x, y).hex() == expected.hex()
 
 
-    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 2.0**540, 2.0**-540])
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e300, 4e307, 2.0**540, 2.0**-540])
     def test_huge_or_tiny_series_keep_their_r_without_a_warning(self, scale):
         # Squared deviations overflow (1e160, 2**540), underflow (1e-170,
-        # 2**-540) or centre near the largest float (1e300).
+        # 2**-540) or centre near the largest float (1e300); the sum
+        # overflows (4e307).
         x = np.array([1.0, 2.0, 3.0, 4.0]) * scale
         y = np.array([4.0, 1.0, 3.0, 2.0])
         with warnings.catch_warnings():
