@@ -181,6 +181,10 @@ def ols_fit(design: Design) -> OlsFit:
     """
     X, y = design.X, design.y
     n, k = design.n, design.k
+    # y over the power of two of its peak, which is exact, so that no sum of squares leaves
+    # the normal range; coef, intercept and se are scaled back, and nothing else scales.
+    exponent = np.frexp(np.abs(y).max())[1]
+    y = np.ldexp(y, -exponent)
     X1 = np.column_stack([np.ones(n), X])
     coef, _, r_factor = _qr_solve(X1, y)
     fitted = X1 @ coef
@@ -204,11 +208,11 @@ def ols_fit(design: Design) -> OlsFit:
     sr = slopes / np.sqrt(unscaled[1:] * sst)
     return OlsFit(
         names=design.names,
-        intercept=float(coef[0]),
-        coef=slopes,
+        intercept=float(np.ldexp(coef[0], exponent)),
+        coef=np.ldexp(slopes, exponent),
         beta_std=beta_std,
         sr=sr,
-        se=se,
+        se=np.ldexp(se, exponent),
         t=t,
         p=p,
         r2=r2,
@@ -256,8 +260,9 @@ def _autoscale(X: np.ndarray, y: np.ndarray, m: int) -> _Autoscaled:
     Forming X'X would square the condition number; on an ill-conditioned
     design its rounding swamps the later factors.  So X'X is held as R'R,
     from one batched QR of the autoscaled designs (n >= k, so R is square).
-    A scale whose squares overflow or leave the normal range is measured
-    again on deviations scaled by a power of two, which is exact.  A
+    A column whose mean or scale overflows or whose scale leaves the normal
+    range is centred again after its values are divided by the power of two
+    of its peak, which is exact, and its mean and scale are scaled back.  A
     constant column or response keeps a scale of 1, so that a degenerate
     design still gives finite numbers for the caller to reject.
     ``rank`` is min(rank, ``m``), with ``matrix_rank``'s tolerance for the
@@ -267,17 +272,21 @@ def _autoscale(X: np.ndarray, y: np.ndarray, m: int) -> _Autoscaled:
     of the two norms clears that tolerance by ``_RANK_MARGIN``.  Only the
     others have singular values counted.
     """
-    x_mean, y_mean = X.mean(axis=1), y.mean(axis=1)
-    Xs, ys = X - x_mean[:, None], y - y_mean[:, None]
-    with np.errstate(over="ignore"):  # an overflowed scale is measured again below
-        x_scale = np.sqrt((Xs * Xs).sum(axis=1) / (X.shape[1] - 1))  # X.std(axis=1, ddof=1)
+    def centre(values):  # the means, deviations and sample SDs along each design's rows
+        mean = values.mean(axis=1)
+        deviations = values - mean[:, None]
+        return mean, deviations, np.sqrt((deviations**2).sum(axis=1) / (values.shape[1] - 1))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: centred again below
+        x_mean, Xs, x_scale = centre(X)
+    unit_scale = x_scale
     remeasure = ~((x_scale >= np.sqrt(np.finfo(float).tiny)) & (x_scale < np.inf))
     if remeasure.any():
-        exponent = np.where(remeasure, np.frexp(np.abs(Xs).max(axis=1))[1], 0)
-        unit = np.ldexp(Xs, -exponent[:, None])
-        x_scale = np.ldexp(np.sqrt((unit * unit).sum(axis=1) / (X.shape[1] - 1)), exponent)
-    y_scale = y.std(axis=1, ddof=1)
-    Xs /= np.where(x_scale > 0, x_scale, 1.0)[:, None]
+        exponent = np.where(remeasure, np.frexp(np.abs(X).max(axis=1))[1], 0)
+        x_mean, Xs, unit_scale = centre(np.ldexp(X, -exponent[:, None]))
+        x_mean, x_scale = np.ldexp(x_mean, exponent), np.ldexp(unit_scale, exponent)
+    y_mean, ys, y_scale = centre(y)
+    Xs /= np.where(unit_scale > 0, unit_scale, 1.0)[:, None]
     ys /= np.where(y_scale > 0, y_scale, 1.0)[:, None]
     gram_root = np.linalg.qr(Xs, mode="r")
     tolerance = max(X.shape[1:]) * np.finfo(float).eps
@@ -356,7 +365,9 @@ def pls_fit(design: Design, m: int) -> PlsModel:
     rank the singular values count, also for an ``m`` outside 0..k.
     """
     _check_response(design.y)
-    scaled = _autoscale(design.X[None], design.y[None], m if 0 <= m <= design.k else design.k)
+    exponent = np.frexp(np.abs(design.y).max())[1]  # scaled as in ols_fit
+    y = np.ldexp(design.y, -exponent)
+    scaled = _autoscale(design.X[None], y[None], m if 0 <= m <= design.k else design.k)
     if not 0 <= m <= scaled.rank[0]:
         raise RankExceeded(f"{m} factors requested, predictor rank is {scaled.rank[0]}")
     beta_std, coef, intercept, kept = _pls_kernel(scaled, m)
@@ -367,14 +378,14 @@ def pls_fit(design: Design, m: int) -> PlsModel:
             DegenerateDeflationWarning,
             stacklevel=2,
         )
-    residual = design.y - (float(intercept[0]) + design.X @ coef[0])
-    sst = float(((design.y - design.y.mean()) ** 2).sum())
+    residual = y - (float(intercept[0]) + design.X @ coef[0])
+    sst = float(((y - y.mean()) ** 2).sum())
     return PlsModel(
         names=design.names,
         m=int(kept[0]),
         beta_std=beta_std[0],
-        coef=coef[0],
-        intercept=float(intercept[0]),
+        coef=np.ldexp(coef[0], exponent),
+        intercept=float(np.ldexp(intercept[0], exponent)),
         truncated=truncated,
         r2=1.0 - float(residual @ residual) / sst,
     )
@@ -516,20 +527,18 @@ def repeated_kfold_cv(
                 singular[suspect] |= (np.ptp(X_train[suspect], axis=1) == 0).any(axis=1)
             flagged = singular | constant_response
             if flagged.any():
-                # Each fold's checks in a per-fold refit's order.
+                # The first flagged fold's checks in a per-fold refit's order; its
+                # TooFewRows cannot fire, as every fold has more than k + 1 rows.
                 b = int(np.argmax(flagged))
-                spans = np.ptp(X[train[b]], axis=0)
-                if (spans == 0).any():
-                    name = design.names[int(np.argmin(spans))]
-                    error = RankDeficient(f"predictor {name!r} is constant")
-                elif singular[b] and method == "ols":
-                    error = RankDeficient("training design is rank deficient")
-                elif constant_response[b]:
-                    error = ConstantResponse("response does not vary")
-                else:
+                try:
+                    _check_rows_and_predictors(X[train[b]], design.names)
+                    if singular[b] and method == "ols":
+                        raise RankDeficient("training design is rank deficient")
+                    _check_response(y[train[b]])
                     rank = scaled.rank[b]
-                    error = RankExceeded(f"{m} factors requested, predictor rank is {rank}")
-                failures.append((b // count, first + b % count, error))
+                    raise RankExceeded(f"{m} factors requested, predictor rank is {rank}")
+                except (RankDeficient, ConstantResponse, RankExceeded) as error:
+                    failures.append((b // count, first + b % count, error))
                 continue
             if method == "ols":
                 errors = np.linalg.solve(block, resid[held_out][:, :, None])[:, :, 0]

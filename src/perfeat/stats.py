@@ -9,7 +9,6 @@ silently removed: trimming is the caller's explicit decision.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,8 +27,6 @@ OUTLIER_SD_FACTOR = 2.5
 """Raters this many sample SDs below the mean agreement level are flagged."""
 
 STAR_THRESHOLDS = ((0.001, "***"), (0.01, "**"), (0.05, "*"))
-
-_NORMAL = sys.float_info.min  # the smallest normal float
 
 
 class TooFewPairs(ValueError):
@@ -84,21 +81,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise TooFewPairs(f"{n} complete pairs, need {MIN_PAIRS}")
     xs = x[mask]
     ys = y[mask]
-    # The reductions of np.all and ndarray.mean, without their Python wrappers.
-    if (xs == xs[0]).all() or (ys == ys[0]).all():
+    x_max, x_min, y_max, y_min = xs.max(), xs.min(), ys.max(), ys.min()
+    if x_max == x_min or y_max == y_min:
         raise ConstantInput("correlation of a constant series is undefined")
-    with np.errstate(over="ignore", invalid="ignore"):  # sums out of range are taken again
-        xc = xs - xs.sum() / n
-        yc = ys - ys.sum() / n
-        sxx, syy = float(xc @ xc), float(yc @ yc)
-    if not (sxx >= _NORMAL and syy >= _NORMAL and _NORMAL <= sxx * syy < math.inf):
-        # Sums or sums of squares that overflow or leave the normal range: r again from
-        # both series scaled by powers of two, which is exact and leaves r as it is.
-        xs = np.ldexp(xs, -np.frexp(np.abs(xs).max())[1])
-        ys = np.ldexp(ys, -np.frexp(np.abs(ys).max())[1])
-        xc, yc = xs - xs.sum() / n, ys - ys.sum() / n
-        sxx, syy = float(xc @ xc), float(yc @ yc)
-    r = float(xc @ yc / math.sqrt(sxx * syy))
+    # Each series divided by the power of two of its peak, which is exact and leaves r as
+    # it is, so that no sum or sum of squares leaves the normal range.
+    xs = np.ldexp(xs, -math.frexp(max(x_max, -x_min))[1])
+    ys = np.ldexp(ys, -math.frexp(max(y_max, -y_min))[1])
+    xc = xs - xs.sum() / n
+    yc = ys - ys.sum() / n
+    r = float(xc @ yc / math.sqrt(float(xc @ xc) * float(yc @ yc)))
     return max(-1.0, min(1.0, r))
 
 
@@ -212,11 +204,13 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     :data:`MIN_PAIRS` joint rows, or a column constant (by exact equality)
     over the joint rows.  Every pair comes from k x k products of n x k
     arrays, taken with ``einsum`` rather than BLAS so that the result does
-    not depend on the BLAS thread count.  Each column is first centred by
-    its own mean over its present rows, which Pearson's r ignores but which
-    keeps the cancellation in ``sum x**2 - (sum x)**2 / n`` small: the error in
-    r grows with a column's sum of squares about its own mean over the
-    pair's joint rows, divided by its sum of squares about their mean.
+    not depend on the BLAS thread count.  Each column is first divided by
+    the power of two of its peak, which is exact and leaves r as it is, so
+    that no sum or product overflows.  It is then centred by its own mean
+    over its present rows, which Pearson's r ignores but which keeps the
+    cancellation in ``sum x**2 - (sum x)**2 / n`` small: the error in r
+    grows with a column's sum of squares about its own mean over the pair's
+    joint rows, divided by its sum of squares about their mean.
 
     The constant test is exact, but it runs only for the columns that a
     rounding bound cannot clear.  A column constant over the n joint rows
@@ -224,28 +218,14 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     is 0 and the computed one is at most about 2(n + 1) eps ``squares``,
     in any summation order (gamma_n = nu / (1 - nu), Higham 2002, 4.2).  A
     pair whose spread exceeds 8(n + 2) eps ``squares`` is therefore not
-    constant; NaN or inf never clears, and a term in the smallest normal
-    number covers underflow.
-
-    A column whose sum overflows, or whose own sum of squares leaves
-    [2**-511, 2**511), where its squares or their product with another
-    column's would overflow or lose bits below the normal range, is centred
-    again after its values are scaled by a power of two.  That is exact,
-    and r does not depend on it.
+    constant, and a term in the smallest normal number covers underflow.
     """
     present = np.isfinite(values)
     mask = present.astype(float)
     filled = np.where(present, values, 0.0)
+    filled = np.ldexp(filled, -np.frexp(np.abs(filled).max(axis=0))[1])
     counts = np.einsum("ia,ib->ab", mask, mask)
-    rows = np.maximum(counts.diagonal(), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: centred again below
-        x = np.where(present, filled - filled.sum(axis=0) / rows, 0.0)
-        own = np.einsum("ia,ia->a", x, x)
-    rescale = ~((own >= 2.0**-511) & (own < 2.0**511))
-    if rescale.any():
-        # The whole array again, so that every column is summed in the same order.
-        filled = np.ldexp(filled, -np.frexp(np.where(rescale, np.abs(filled).max(axis=0), 0.0))[1])
-        x = np.where(present, filled - filled.sum(axis=0) / rows, 0.0)
+    x = np.where(present, filled - filled.sum(axis=0) / np.maximum(counts.diagonal(), 1.0), 0.0)
     sums = np.einsum("ia,ib->ab", x, mask)
     cross = np.einsum("ia,ib->ab", x, x)
     squares = np.einsum("ia,ib->ab", x * x, mask)
@@ -258,7 +238,7 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
         rows = present[:, a]
         column = values[rows, a][:, None]
         joint = present[rows]
-        # pearson's np.all(xs == xs[0]), where xs[0] is the pair's first joint row
+        # pearson's equal extremes: every joint row equals the pair's first
         first = column[joint.argmax(axis=0), 0]
         constant[a] = ~(joint & (column != first)).any(axis=0)
     defined = (counts >= MIN_PAIRS) & ~constant & ~constant.T

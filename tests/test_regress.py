@@ -174,6 +174,25 @@ class TestOls:
         np.testing.assert_allclose(scaled.p, fit.p, atol=1e-10)
         np.testing.assert_allclose(scaled.coef, 3.0 * fit.coef, atol=1e-10)
 
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_power_of_two_response_scaling_moves_no_bit(self, power):
+        # At 2**600 the response's sums of squares overflow, and at 2**-600
+        # they fall below the normal range.
+        design = random_design(np.random.default_rng(57), n=30, k=3)
+        scaled = Design(design.X, np.ldexp(design.y, power), design.names)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit, model = ols_fit(scaled), pls_fit(scaled, 2)
+        reference, reference_model = ols_fit(design), pls_fit(design, 2)
+        for name in ("r2", "adj_r2", "t", "p", "beta_std", "sr"):
+            assert np.array_equal(getattr(fit, name), getattr(reference, name)), name
+        for name in ("coef", "intercept", "se"):
+            assert np.array_equal(getattr(fit, name), np.ldexp(getattr(reference, name), power))
+        assert model.r2 == reference_model.r2
+        assert model.beta_std.tolist() == reference_model.beta_std.tolist()
+        assert model.coef.tolist() == np.ldexp(reference_model.coef, power).tolist()
+        assert model.intercept == np.ldexp(reference_model.intercept, power)
+
     def test_predictor_shift_moves_intercept_only(self):
         rng = np.random.default_rng(55)
         design = random_design(rng)
@@ -471,11 +490,17 @@ class TestPls:
             counted = svd_rank(scaled.gram_root, n)
             assert scaled.rank.tolist() == np.minimum(counted, m).tolist(), m
 
-    @pytest.mark.parametrize("power", [-540, 540])
-    def test_power_of_two_column_scaling_moves_no_bit(self, power):
+    @pytest.mark.parametrize("power, offset", [
+        pytest.param(-540, 0.0, id="-540"),
+        pytest.param(540, 0.0, id="540"),
+        pytest.param(1018, 5.0, id="1018"),
+    ])
+    def test_power_of_two_column_scaling_moves_no_bit(self, power, offset):
         # The squared deviations of a column scaled by 2**540 overflow, and
-        # those of one scaled by 2**-540 fall below the normal range.
+        # those of one scaled by 2**-540 fall below the normal range.  At
+        # 2**1018, about 1e307 per value, the column's sum overflows too.
         design = random_design(np.random.default_rng(84), n=30, k=3)
+        design = Design(design.X + [0.0, offset, 0.0], design.y, design.names)
         X = design.X.copy()
         X[:, 1] = np.ldexp(X[:, 1], power)
         scaled = Design(X, design.y, design.names)

@@ -59,12 +59,21 @@ class TestPearson:
             pearson([1.0, 2.0, math.nan], [1.0, 2.0, 3.0])
 
     def test_constant_series(self):
-        with pytest.raises(ConstantInput):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        # 0.0 and -0.0 are equal, as they are to np.all(xs == xs[0]).
+        for x in ([1.0, 1.0, 1.0], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]):
+            with pytest.raises(ConstantInput):
+                pearson(x, [1.0, 2.0, 3.0])
+            with pytest.raises(ConstantInput):
+                pearson([1.0, 2.0, 3.0], x)
 
     def test_constant_after_deletion(self):
-        with pytest.raises(ConstantInput):
-            pearson([1.0, 1.0, 1.0, 5.0], [1.0, 2.0, 3.0, math.nan])
+        # Constant over the complete pairs only: the extremes of the whole
+        # series (5 and -5, or 7) lie in rows the other series is missing.
+        for x, y in (([1.0, 1.0, 1.0, 5.0], [1.0, 2.0, 3.0, math.nan]),
+                     ([-5.0, 1.0, 1.0, 1.0, 5.0], [math.nan, 1.0, 2.0, 3.0, math.nan]),
+                     ([math.nan, 1.0, 2.0, 3.0, 4.0], [7.0, -2.0, -2.0, -2.0, math.nan])):
+            with pytest.raises(ConstantInput):
+                pearson(x, y)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(7)
@@ -148,8 +157,8 @@ class TestPearson:
     def test_power_of_two_scaling_moves_no_bit(self, n, x_power, y_power, offset, missing,
                                                seed):
         """r of x 2**a and y 2**b is r of x and y, bit for bit, for a, b in
-        {-500, 0, 500}: where the sums of squares leave the normal range, both
-        series are scaled back by powers of two, which is exact."""
+        {-500, 0, 500}: each series is divided by the power of two of its
+        peak before any sum, which is exact."""
         rng = np.random.default_rng(seed)
         x, y = (rng.normal(size=n) + offset for _ in range(2))
         x[rng.random(n) < missing] = np.nan
@@ -516,8 +525,8 @@ class TestPairwiseKernel:
     def test_power_of_two_scaling_moves_no_bit(self, n, k, missing, offset, seed):
         """Each column scaled by 2**-500, 1 or 2**500 leaves every r as it is.
 
-        A column whose own sum of squares leaves [2**-511, 2**511) is scaled
-        back by a power of two before any product is formed.
+        Each column is divided by the power of two of its peak before any
+        sum or product is formed.
         """
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(n, k)) + offset * rng.uniform(-1.0, 1.0, size=k)
