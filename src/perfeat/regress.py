@@ -6,7 +6,8 @@ t-based two-tailed p-values.  PLS1 runs the kernel algorithm on autoscaled
 data: its factors come from the k x k cross-products, and the fitted model is
 one regression vector.  Both model types predict with the same affine map.
 Cross-validation averages the pooled mean-squared error over repeated random
-fold splits and is fully determined by its seed.
+fold splits and is fully determined by its seed.  Each of them first divides
+every predictor column and the response by the power of two of its peak.
 """
 
 from __future__ import annotations
@@ -161,14 +162,25 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
 
-def _qr_solve(X1: np.ndarray, y: np.ndarray):
-    """Least squares via thin QR; returns coefficients and the Q and R factors."""
+def _unit_scaled(values: np.ndarray):
+    """``values`` over the power of two of its peak, column by column, and the exponents.
+
+    That division is exact (Higham 2002, 2.1), so a fit keeps every bit while no sum of
+    squares leaves the normal range; only what carries units is scaled back.
+    """
+    exponent = np.frexp(np.abs(values).max(axis=0))[1]
+    return np.ldexp(values, -exponent), exponent
+
+
+def _qr_solve(X: np.ndarray, y: np.ndarray):
+    """Least squares of y on [1, X] by thin QR: coefficients, residuals, Q and R."""
+    X1 = np.column_stack([np.ones(len(X)), X])
     q, r = np.linalg.qr(X1)
     # Each |R_jj| is weighed against its own column's norm, so units move no verdict.
     if np.any(np.abs(np.diag(r)) <= _RANK_RTOL * np.linalg.norm(X1, axis=0)):
         raise RankDeficient("design matrix is rank deficient")
     coef = np.linalg.solve(r, q.T @ y)
-    return coef, q, r
+    return coef, y - X1 @ coef, q, r
 
 
 def ols_fit(design: Design) -> OlsFit:
@@ -177,18 +189,12 @@ def ols_fit(design: Design) -> OlsFit:
     Returns raw and standardized coefficients, signed semipartial
     correlations, standard errors, t statistics and two-tailed p-values.
     An exact fit has zero standard errors; its t statistics are signed
-    infinity and its p-values 0, or 0 and 1 for a zero coefficient.
+    infinity and its p-values 0, or 0 and 1 for a zero coefficient.  The fit
+    runs on :func:`_unit_scaled` values; only ``coef``, ``intercept`` and ``se`` are scaled back.
     """
-    X, y = design.X, design.y
     n, k = design.n, design.k
-    # y over the power of two of its peak, which is exact, so that no sum of squares leaves
-    # the normal range; coef, intercept and se are scaled back, and nothing else scales.
-    exponent = np.frexp(np.abs(y).max())[1]
-    y = np.ldexp(y, -exponent)
-    X1 = np.column_stack([np.ones(n), X])
-    coef, _, r_factor = _qr_solve(X1, y)
-    fitted = X1 @ coef
-    resid = y - fitted
+    (X, x_exponent), (y, y_exponent) = _unit_scaled(design.X), _unit_scaled(design.y)
+    coef, resid, _, r_factor = _qr_solve(X, y)
     sse = float(resid @ resid)
     _check_response(y)
     sst = float(((y - y.mean()) ** 2).sum())
@@ -208,11 +214,11 @@ def ols_fit(design: Design) -> OlsFit:
     sr = slopes / np.sqrt(unscaled[1:] * sst)
     return OlsFit(
         names=design.names,
-        intercept=float(np.ldexp(coef[0], exponent)),
-        coef=np.ldexp(slopes, exponent),
+        intercept=float(np.ldexp(coef[0], y_exponent)),
+        coef=np.ldexp(slopes, y_exponent - x_exponent),
         beta_std=beta_std,
         sr=sr,
-        se=np.ldexp(se, exponent),
+        se=np.ldexp(se, y_exponent - x_exponent),
         t=t,
         p=p,
         r2=r2,
@@ -260,33 +266,25 @@ def _autoscale(X: np.ndarray, y: np.ndarray, m: int) -> _Autoscaled:
     Forming X'X would square the condition number; on an ill-conditioned
     design its rounding swamps the later factors.  So X'X is held as R'R,
     from one batched QR of the autoscaled designs (n >= k, so R is square).
-    A column whose mean or scale overflows or whose scale leaves the normal
-    range is centred again after its values are divided by the power of two
-    of its peak, which is exact, and its mean and scale are scaled back.  A
-    constant column or response keeps a scale of 1, so that a degenerate
-    design still gives finite numbers for the caller to reject.
+    The callers pass :func:`_unit_scaled` values, so no mean or scale
+    overflows.  A column or response whose scale reads 0 (constant, or with
+    squared deviations that all underflow) is divided by 1, so that a
+    degenerate design still gives finite numbers for the caller to reject.
     ``rank`` is min(rank, ``m``), with ``matrix_rank``'s tolerance for the
     n x k shape.  Singular values interlace, so sigma_m(R) >= sigma_min of
     R's leading m x m block >= 1/|R[:m, :m]^-1|_F, and sigma_max(R) <= |R|_F:
     one batched m x m inverse proves the rank at least m when the product
     of the two norms clears that tolerance by ``_RANK_MARGIN``.  Only the
-    others have singular values counted.
+    others, an overflowing product among them, have singular values counted.
     """
     def centre(values):  # the means, deviations and sample SDs along each design's rows
         mean = values.mean(axis=1)
         deviations = values - mean[:, None]
         return mean, deviations, np.sqrt((deviations**2).sum(axis=1) / (values.shape[1] - 1))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: centred again below
-        x_mean, Xs, x_scale = centre(X)
-    unit_scale = x_scale
-    remeasure = ~((x_scale >= np.sqrt(np.finfo(float).tiny)) & (x_scale < np.inf))
-    if remeasure.any():
-        exponent = np.where(remeasure, np.frexp(np.abs(X).max(axis=1))[1], 0)
-        x_mean, Xs, unit_scale = centre(np.ldexp(X, -exponent[:, None]))
-        x_mean, x_scale = np.ldexp(x_mean, exponent), np.ldexp(unit_scale, exponent)
+    x_mean, Xs, x_scale = centre(X)
     y_mean, ys, y_scale = centre(y)
-    Xs /= np.where(unit_scale > 0, unit_scale, 1.0)[:, None]
+    Xs /= np.where(x_scale > 0, x_scale, 1.0)[:, None]
     ys /= np.where(y_scale > 0, y_scale, 1.0)[:, None]
     gram_root = np.linalg.qr(Xs, mode="r")
     tolerance = max(X.shape[1:]) * np.finfo(float).eps
@@ -295,7 +293,8 @@ def _autoscale(X: np.ndarray, y: np.ndarray, m: int) -> _Autoscaled:
         lead = gram_root[:, :m, :m]
         invertible = (np.diagonal(lead, axis1=1, axis2=2) != 0).all(axis=1)
         inverse = np.linalg.inv(np.where(invertible[:, None, None], lead, np.eye(m)))
-        bound = np.linalg.norm(gram_root, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
+        with np.errstate(over="ignore"):  # an overflowing bound clears nothing
+            bound = np.linalg.norm(gram_root, axis=(1, 2)) * np.linalg.norm(inverse, axis=(1, 2))
         uncleared = ~(invertible & (bound * (_RANK_MARGIN * tolerance) < 1.0))
         if uncleared.any():
             singular_values = np.linalg.svd(gram_root[uncleared], compute_uv=False)
@@ -342,7 +341,7 @@ def _pls_kernel(scaled: _Autoscaled, m: int):
         rotations[:, :, a] = r
         loadings[:, :, a] = gram_r / energy[:, None]
         kept += active
-    coef = beta_std * scaled.y_scale[:, None] / scaled.x_scale
+    coef = beta_std * scaled.y_scale[:, None] / np.where(scaled.x_scale > 0, scaled.x_scale, 1.0)
     intercept = scaled.y_mean - np.einsum("bk,bk->b", coef, scaled.x_mean)
     return beta_std, coef, intercept, kept
 
@@ -362,30 +361,27 @@ def pls_fit(design: Design, m: int) -> PlsModel:
     ``xy`` or a factor's score energy vanishes early, the model is
     truncated with a warning.  The fit needs a predictor rank of at least
     ``m`` and proves only that where it can; a ``RankExceeded`` names the
-    rank the singular values count, also for an ``m`` outside 0..k.
+    rank the singular values count, also for an ``m`` outside 0..k.  The
+    fit runs on :func:`_unit_scaled` values, as :func:`ols_fit` does.
     """
     _check_response(design.y)
-    exponent = np.frexp(np.abs(design.y).max())[1]  # scaled as in ols_fit
-    y = np.ldexp(design.y, -exponent)
-    scaled = _autoscale(design.X[None], y[None], m if 0 <= m <= design.k else design.k)
+    (X, x_exponent), (y, y_exponent) = _unit_scaled(design.X), _unit_scaled(design.y)
+    scaled = _autoscale(X[None], y[None], m if 0 <= m <= design.k else design.k)
     if not 0 <= m <= scaled.rank[0]:
         raise RankExceeded(f"{m} factors requested, predictor rank is {scaled.rank[0]}")
     beta_std, coef, intercept, kept = _pls_kernel(scaled, m)
     truncated = bool(kept[0] < m)
     if truncated:
-        warnings.warn(
-            f"deflation degenerate after {kept[0]} of {m} factors; model truncated",
-            DegenerateDeflationWarning,
-            stacklevel=2,
-        )
-    residual = y - (float(intercept[0]) + design.X @ coef[0])
+        warnings.warn(f"deflation degenerate after {kept[0]} of {m} factors; model truncated",
+                      DegenerateDeflationWarning, stacklevel=2)
+    residual = y - (float(intercept[0]) + X @ coef[0])
     sst = float(((y - y.mean()) ** 2).sum())
     return PlsModel(
         names=design.names,
         m=int(kept[0]),
         beta_std=beta_std[0],
-        coef=np.ldexp(coef[0], exponent),
-        intercept=float(np.ldexp(intercept[0], exponent)),
+        coef=np.ldexp(coef[0], y_exponent - x_exponent),
+        intercept=float(np.ldexp(intercept[0], y_exponent)),
         truncated=truncated,
         r2=1.0 - float(residual @ residual) / sst,
     )
@@ -393,7 +389,11 @@ def pls_fit(design: Design, m: int) -> PlsModel:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Repeated k-fold cross-validation summary."""
+    """Repeated k-fold cross-validation summary.
+
+    ``mse_per_repeat`` is in the response's units squared, so it reads inf
+    or 0.0 where the true MSE lies outside the float range; ``r2_cv`` does not.
+    """
 
     method: str
     m: Optional[int]
@@ -441,7 +441,8 @@ def repeated_kfold_cv(
     nearly equal parts (sizes differ by at most one), and pools the held-out
     squared errors into one MSE.  The summary is the mean over repeats of
     1 - MSE / Var(y), with the population variance of the full response.
-    Identical inputs and seed give bit-identical results.
+    Identical inputs and seed give bit-identical results.  Both methods run
+    on :func:`_unit_scaled` values; only ``mse_per_repeat`` is scaled back.
 
     The training folds of as many repeats as fit in ``_CV_STACK_VALUES``
     design values, and at least one, are stacked by size for at most two
@@ -479,14 +480,12 @@ def repeated_kfold_cv(
     n, k = design.n, design.k
     if n < 2 * folds:
         raise TooFewRows(f"{n} rows cannot fill {folds} folds")
-    X, y = design.X, design.y
+    (X, _), (y, y_exponent) = _unit_scaled(design.X), _unit_scaled(design.y)
     _check_response(y)
     y_variance = float(y.var())
     rng = np.random.default_rng(seed)
     if method == "ols":
-        X1 = np.column_stack([np.ones(n), X])
-        coef, q, _ = _qr_solve(X1, y)
-        resid = y - X1 @ coef
+        _, resid, q, _ = _qr_solve(X, y)
     fewest = n - -(-n // folds)  # fold 1 holds out the most rows
     if fewest <= k + 1:
         raise TooFewRows(f"repeat 1 of {repeats}, fold 1 of {folds}: {fewest} rows cannot"
@@ -517,12 +516,11 @@ def repeated_kfold_cv(
                 # Autoscaling can leave a constant column a scale of 1e-17 and full rank.
                 # Constant at v over n rows, a column keeps a scale of at most about
                 # 1.1 n u |v|, so np.ptp judges only the folds with a column whose scale
-                # is not above 8 n eps |mean|, or is not finite.
+                # is not above 8 n eps |mean|.
                 X_train = X[train]
                 scaled = _autoscale(X_train, y_train, m)
                 bound = 8.0 * X_train.shape[1] * np.finfo(float).eps * np.abs(scaled.x_mean)
-                clear = (scaled.x_scale > bound) & (scaled.x_scale < np.inf)
-                suspect = ~clear.all(axis=1)
+                suspect = (scaled.x_scale <= bound).any(axis=1)
                 singular = scaled.rank < m
                 singular[suspect] |= (np.ptp(X_train[suspect], axis=1) == 0).any(axis=1)
             flagged = singular | constant_response
@@ -554,13 +552,11 @@ def repeated_kfold_cv(
                               f" fold {fold + 1} of {folds}: {error}")
         mse_per_repeat.extend(float(row.mean()) for row in squared_errors)
     if truncated:
-        warnings.warn(
-            f"deflation degenerate in {truncated} of {repeats * folds} training folds;"
-            " models truncated",
-            DegenerateDeflationWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"deflation degenerate in {truncated} of {repeats * folds} training folds;"
+                      " models truncated", DegenerateDeflationWarning, stacklevel=2)
     r2_cv = float(np.mean([1.0 - mse / y_variance for mse in mse_per_repeat]))
+    with np.errstate(over="ignore", under="ignore"):
+        mse_per_repeat = np.ldexp(mse_per_repeat, 2 * y_exponent).tolist()
     return CvReport(
         method=method,
         m=m if method == "pls" else None,

@@ -657,9 +657,7 @@ def press_cv_by_eigh(design, folds: int, repeats: int, seed: int):
     degenerate fold's error with ``repeated_kfold_cv``'s message.
     """
     X, y, n = design.X, design.y, design.n
-    X1 = np.column_stack([np.ones(n), X])
-    coef, q, _ = _qr_solve(X1, y)
-    resid = y - X1 @ coef
+    _, resid, q, _ = _qr_solve(X, y)
     rng = np.random.default_rng(seed)
     mse, smallest = [], []
     for repeat in range(repeats):

@@ -177,13 +177,23 @@ class TestOls:
     @pytest.mark.parametrize("power", [-600, 600])
     def test_power_of_two_response_scaling_moves_no_bit(self, power):
         # At 2**600 the response's sums of squares overflow, and at 2**-600
-        # they fall below the normal range.
+        # they fall below the normal range.  So do cv's squared errors: its
+        # per-repeat MSEs read inf or 0.0, but r2_cv keeps every bit.
         design = random_design(np.random.default_rng(57), n=30, k=3)
         scaled = Design(design.X, np.ldexp(design.y, power), design.names)
+        runs = [("ols", None), ("pls", 2)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit, model = ols_fit(scaled), pls_fit(scaled, 2)
+            reports = [repeated_kfold_cv(scaled, *run, folds=5, repeats=3) for run in runs]
         reference, reference_model = ols_fit(design), pls_fit(design, 2)
+        for report, run in zip(reports, runs):
+            expected = repeated_kfold_cv(design, *run, folds=5, repeats=3)
+            assert report.r2_cv == expected.r2_cv
+            with np.errstate(over="ignore", under="ignore"):
+                mse = np.ldexp(expected.mse_per_repeat, 2 * power)
+            assert report.mse_per_repeat == tuple(mse.tolist())
+            assert set(report.mse_per_repeat) == {np.inf if power > 0 else 0.0}
         for name in ("r2", "adj_r2", "t", "p", "beta_std", "sr"):
             assert np.array_equal(getattr(fit, name), getattr(reference, name)), name
         for name in ("coef", "intercept", "se"):
@@ -504,15 +514,35 @@ class TestPls:
         X = design.X.copy()
         X[:, 1] = np.ldexp(X[:, 1], power)
         scaled = Design(X, design.y, design.names)
+        runs = [("pls", 2), ("ols", None)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = pls_fit(scaled, 3)
-            report = repeated_kfold_cv(scaled, "pls", 2, folds=5, repeats=3, seed=1)
-        reference = pls_fit(design, 3)
+            model, fit = pls_fit(scaled, 3), ols_fit(scaled)
+            reports = [repeated_kfold_cv(scaled, *run, folds=5, repeats=3, seed=1) for run in runs]
+        reference, reference_fit = pls_fit(design, 3), ols_fit(design)
         assert model.beta_std.tolist() == reference.beta_std.tolist()
         assert model.coef[1] == np.ldexp(reference.coef[1], -power)
         assert model.predict(X).tolist() == reference.predict(design.X).tolist()
-        assert report == repeated_kfold_cv(design, "pls", 2, folds=5, repeats=3, seed=1)
+        for name in ("t", "p", "r2", "sr", "beta_std"):
+            assert np.array_equal(getattr(fit, name), getattr(reference_fit, name)), name
+        for name in ("coef", "se"):
+            expected = getattr(reference_fit, name).copy()
+            expected[1] = np.ldexp(expected[1], -power)
+            assert getattr(fit, name).tolist() == expected.tolist(), name
+        for report, run in zip(reports, runs):
+            assert report == repeated_kfold_cv(design, *run, folds=5, repeats=3, seed=1)
+
+    def test_column_near_the_largest_double_fits_by_ols_too(self):
+        # The squares of 1e307 overflowed the OLS rank test's column norms,
+        # and the fit ended in "t statistic is NaN".
+        rng = np.random.default_rng(86)
+        X = np.column_stack([rng.normal(size=30), 1e307 * (5.0 + rng.uniform(size=30))])
+        design = Design(X, X[:, 0] + 0.5 * rng.normal(size=30), ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit, model = ols_fit(design), pls_fit(design, 2)
+        assert fit.r2 == pytest.approx(model.r2, abs=1e-12)
+        assert np.isfinite(fit.p).all()
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_huge_or_tiny_column_keeps_its_rank(self, scale):
@@ -572,6 +602,39 @@ def test_stacked_cholesky_raises_when_one_matrix_is_not_positive_definite():
 
 
 class TestCrossValidation:
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_huge_or_tiny_response_keeps_r2_cv(self, scale):
+        # The squared errors of a response at 1e160 overflowed, and those of
+        # one at 1e-170 underflowed, so r2_cv read NaN or divided by zero.
+        design = random_design(np.random.default_rng(88), n=30, k=2)
+        scaled = Design(design.X, scale * design.y, design.names)
+        for run in (("ols", None), ("pls", 1), ("pls", 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = repeated_kfold_cv(scaled, *run, folds=5, repeats=3)
+            expected = repeated_kfold_cv(design, *run, folds=5, repeats=3)
+            assert report.r2_cv == pytest.approx(expected.r2_cv, abs=1e-12), run
+
+    def test_column_with_a_tiny_spread_in_one_training_fold(self):
+        # Without its one row at 1.0, column b spreads over 1e-170: its
+        # training-fold squared deviations underflow to 0, so its scale reads
+        # 0 and its factor of R is far below the rank tolerance.
+        rng = np.random.default_rng(87)
+        X = np.column_stack([rng.normal(size=30), 1e-170 * rng.normal(size=30)])
+        X[7, 1] = 1.0
+        design = Design(X, X[:, 0] + 0.1 * rng.normal(size=30), ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankExceeded) as pls_error:
+                repeated_kfold_cv(design, "pls", 2, folds=5, repeats=3)
+            with pytest.raises(RankDeficient) as ols_error:
+                repeated_kfold_cv(design, "ols", folds=5, repeats=3)
+            report = repeated_kfold_cv(design, "pls", 1, folds=5, repeats=3)
+        where = "repeat 1 of 3, fold 4 of 5: "
+        assert str(pls_error.value) == where + "2 factors requested, predictor rank is 1"
+        assert str(ols_error.value) == where + "training design is rank deficient"
+        assert 0.9 < report.r2_cv < 1.0
+
     def test_deterministic(self):
         rng = np.random.default_rng(71)
         design = random_design(rng, n=60, k=4)
