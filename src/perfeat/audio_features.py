@@ -10,10 +10,11 @@ frames only, so leading or trailing digital silence does not dilute them.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import BinaryIO, Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,15 +24,20 @@ ROLLOFF_FRACTIONS = (0.85, 0.95)
 BRIGHTNESS_CUTOFFS = (1000.0, 1500.0, 3000.0)
 
 # Frames per STFT block.  Memory beyond the samples grows with the block, not
-# the clip.  Measured 2026-10-19 on a 2-vCPU x86 VM, in four rotating 30 s
-# perfbench audio_corpus runs each (seed 0): 64, 128 and 256 gave median
-# wall_cal 14.47, 14.67 and 14.72 cal with quartile spreads of 0.2-0.4 cal,
-# and peak RSS within 0.15 MB of each other (68.47, 68.34 and 68.34 MB).
+# the clip: with 2048-sample frames, one block's windowed frames, complex
+# spectrum and descriptor work arrays peak at about 3.7 MB (tracemalloc, a
+# 30 s 44.1 kHz clip, whose samples take 10.6 MB).  64 was no slower than
+# 128 or 256 when chosen, before extract-audio forked its helper process,
+# and has not been timed against them since.
 BLOCK_FRAMES = 64
 
 # Samples per piece of the zero-crossing count and the sum of squares, so the
 # time-domain pass holds no whole-clip temporary.
 _TIME_PIECE = 1 << 16
+
+# Bytes of the WAV payload that read_wav reads and decodes at a time, rounded
+# down to whole frames: the one buffer it holds beside the samples.
+_DECODE_PIECE = 1 << 19
 
 _DEGENERATE_SPREAD_RTOL = 1e-9  # of Nyquist; below this the spectrum is a line
 
@@ -96,33 +102,47 @@ class AudioClip:
         return len(self.samples) / self.sample_rate
 
 
-def read_wav(data: bytes) -> AudioClip:
-    """Decode a RIFF/WAVE byte string to a mono clip.
+def read_wav(source: Union[bytes, BinaryIO]) -> AudioClip:
+    """Decode RIFF/WAVE bytes, or a stream of them read from its start, to a mono clip.
+
+    ``source`` is a seekable binary stream, such as a file opened with
+    ``open(path, "rb")``, or bytes, read through ``io.BytesIO``.  After the
+    chunk headers, the sample payload is read into one reused buffer of
+    about ``_DECODE_PIECE`` bytes and decoded a piece at a time, so the
+    stream's bytes are never held beside the samples: decoding peaks at
+    the samples plus one piece.
 
     16-bit PCM is scaled by 1/32768; 32-bit float is taken as is and must be
-    finite, else NonFiniteSample.  Other codecs raise UnsupportedCodec.
-    Multichannel audio is averaged to mono: the channels of each frame are
-    summed in channel order in float64, then divided by the channel count.
-    Up to seven channels this is numpy's mean to the bit; from eight on,
-    where that mean sums pairwise, it may differ in the last bits.
+    finite, else NonFiniteSample naming the first such frame.  Other codecs
+    raise UnsupportedCodec.  Multichannel audio is averaged to mono: the
+    channels of each frame are summed in channel order in float64, then
+    divided by the channel count.  Up to seven channels this is numpy's
+    mean to the bit; from eight on, where that mean sums pairwise, it may
+    differ in the last bits.  Every step is elementwise, so no sample
+    depends on where the pieces split.
     """
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        source = io.BytesIO(source)
+    length = source.seek(0, io.SEEK_END)
+    source.seek(0)
+    header = source.read(12)
+    if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
         raise NotRiff("not a RIFF/WAVE stream")
     fmt = None
-    payload = None
+    payload = None  # (offset, size) of the data chunk's body
     pos = 12
-    while pos + 8 <= len(data):
-        tag = data[pos : pos + 4]
-        size = struct.unpack("<I", data[pos + 4 : pos + 8])[0]
-        body = memoryview(data)[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise TruncatedData(f"chunk {tag!r} declares {size} bytes, has {len(body)}")
+    while pos + 8 <= length:
+        source.seek(pos)
+        tag, size = struct.unpack("<4sI", source.read(8))
+        held = min(size, length - pos - 8)
+        if held < size:
+            raise TruncatedData(f"chunk {tag!r} declares {size} bytes, has {held}")
         if tag == b"fmt ":
             if size < 16:
                 raise TruncatedData("fmt chunk shorter than 16 bytes")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = struct.unpack("<HHIIHH", source.read(16))
         elif tag == b"data":
-            payload = body
+            payload = pos + 8, size
         pos += 8 + size + (size & 1)  # chunks are word aligned
     if fmt is None:
         raise TruncatedData("missing fmt chunk")
@@ -139,22 +159,34 @@ def read_wav(data: bytes) -> AudioClip:
         raise UnsupportedCodec(
             f"format tag {audio_format} with {bits}-bit samples is not supported"
         )
+    offset, size = payload
     frame_bytes = channels * (bits // 8)
-    if len(payload) % frame_bytes:
+    if size % frame_bytes:
         raise TruncatedData("sample payload is not a whole number of frames")
-    codes = np.frombuffer(payload, dtype=sample_type)
-    if audio_format == 3 and not np.isfinite(codes).all():
-        first = int(np.argmin(np.isfinite(codes))) // channels
-        raise NonFiniteSample(f"sample frame {first} is NaN or infinite")
-    # Summed in place, not through mean's float32-to-float64 casting
-    # reduction, which is several times slower.  Scaling after the division
-    # gives the bits of scaling every code, as the scale is a power of two.
-    samples = codes[0::channels].astype(np.float64)
-    for channel in range(1, channels):
-        samples += codes[channel::channels]
-    samples /= channels
-    if scale != 1.0:
-        samples *= scale
+    samples = np.empty(size // frame_bytes)
+    piece_frames = max(1, _DECODE_PIECE // frame_bytes)
+    buffer = memoryview(bytearray(piece_frames * frame_bytes))
+    source.seek(offset)
+    for first in range(0, len(samples), piece_frames):
+        out = samples[first : first + piece_frames]
+        piece = buffer[: len(out) * frame_bytes]
+        if source.readinto(piece) != len(piece):
+            raise TruncatedData("sample payload ended before its declared size")
+        codes = np.frombuffer(piece, dtype=sample_type)
+        if audio_format == 3 and not np.isfinite(codes).all():
+            bad = first + int(np.argmin(np.isfinite(codes))) // channels
+            raise NonFiniteSample(f"sample frame {bad} is NaN or infinite")
+        # Summed in place, not through mean's float32-to-float64 casting
+        # reduction, which is several times slower.  Scaling after the
+        # division gives the bits of scaling every code, as the scale is a
+        # power of two.
+        out[:] = codes[0::channels]
+        for channel in range(1, channels):
+            out += codes[channel::channels]
+        if channels > 1:
+            out /= channels
+        if scale != 1.0:
+            out *= scale
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 

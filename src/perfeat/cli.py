@@ -285,8 +285,10 @@ def _cmd_extract_audio(args):
     af.check_settings(args.frame_length, args.hop_length, fractions, cutoffs)
 
     def features(path: Path) -> Dict[str, float]:
+        with open(path, "rb") as stream:
+            clip = af.read_wav(stream)
         return af.extract_audio_features(
-            af.read_wav(path.read_bytes()), frame_length=args.frame_length,
+            clip, frame_length=args.frame_length,
             hop_length=args.hop_length, window=args.window,
             rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
         )

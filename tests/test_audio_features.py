@@ -2,7 +2,10 @@
 
 import io as std_io
 import math
+import re
+import struct
 import sys
+import tempfile
 import threading
 import traceback
 import tracemalloc
@@ -29,6 +32,7 @@ from perfeat.audio_features import (
     BLOCK_FRAMES,
     BRIGHTNESS_CUTOFFS,
     ROLLOFF_FRACTIONS,
+    _DECODE_PIECE,
     _TIME_PIECE,
     AllFramesSilent,
     AudioClip,
@@ -68,6 +72,57 @@ def interleaved_codes(draw):
         dtype, values = "<f4", st.floats(width=32, allow_nan=False, allow_infinity=False)
     size = channels * draw(st.integers(0, 40))
     return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype), channels
+
+
+def _chunk(tag, size):
+    """A chunk of ``size`` zero bytes, with the pad byte an odd size takes."""
+    return tag + struct.pack("<I", size) + bytes(size + (size & 1))
+
+
+@st.composite
+def pieced_wavs(draw, kinds):
+    """(RIFF bytes, piece bytes, expected): a payload over several decode pieces.
+
+    ``expected`` is the channel-sum decode of a "whole" payload, or (error
+    class, message) for one that is "cut" short or holds a "non-finite"
+    code in a later piece.  Chunks of odd size, padded, may sit before the
+    data chunk and, unless it is cut, after it.
+    """
+    kind = draw(st.sampled_from(kinds))
+    channels = draw(st.integers(1, 12))
+    if kind != "non-finite" and draw(st.booleans()):
+        fmt, bits, dtype, scale = 1, 16, "<i2", 1.0 / 32768.0
+        values = st.integers(-32768, 32767)
+    else:
+        fmt, bits, dtype, scale = 3, 32, "<f4", 1.0
+        values = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    frame_bytes = channels * bits // 8
+    piece = draw(st.integers(1, 3 * frame_bytes + 1))  # whole frames, at least one
+    piece_frames = max(1, piece // frame_bytes)
+    frames = draw(st.integers(0, 5)) * piece_frames + draw(st.integers(0, piece_frames - 1))
+    if kind != "whole":
+        frames += piece_frames + 1  # a later piece to hold the fault
+    size = channels * frames
+    codes = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=dtype)
+    expected = channel_sum_mono(codes, channels, scale)
+    if kind == "non-finite":
+        later = range(piece_frames * channels, size)
+        for _ in range(draw(st.integers(1, 3))):
+            codes[draw(st.sampled_from(later))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        first = int(np.argmin(np.isfinite(codes))) // channels
+        expected = NonFiniteSample, f"sample frame {first} is NaN or infinite"
+    cut = draw(st.integers(1, codes.nbytes)) if kind == "cut" else 0
+    data = wav(codes, 8000, fmt=fmt, bits=bits, channels=channels, truncate_payload=cut)
+    if cut:
+        expected = TruncatedData, f"chunk b'data' declares {codes.nbytes} bytes"
+    else:
+        after = draw(st.none() | st.integers(0, 5))
+        if after is not None:
+            data += _chunk(b"junk", after)
+    before = draw(st.none() | st.integers(0, 5))
+    if before is not None:
+        data = data[:36] + _chunk(b"LIST", before) + data[36:]  # after the fmt chunk
+    return b"RIFF" + struct.pack("<I", len(data) - 8) + data[8:], piece, expected
 
 
 class TestWavReader:
@@ -120,6 +175,58 @@ class TestWavReader:
         bound = channels * np.finfo(np.float64).eps * magnitude
         assert (np.abs(clip.samples - expected) <= bound).all()
 
+    @PROPERTY
+    @given(case=pieced_wavs(["whole"]))
+    def test_pieces_decode_as_one_payload(self, case):
+        # From a file and from bytes, piece by piece, the samples keep the
+        # bits of the channel sum.
+        data, piece, expected = case
+        with mock.patch("perfeat.audio_features._DECODE_PIECE", piece), \
+                tempfile.TemporaryFile() as stream:
+            stream.write(data)
+            for source in (stream, data):
+                assert np.array_equal(read_wav(source).samples, expected)
+
+    @PROPERTY
+    @given(case=pieced_wavs(["non-finite", "cut"]))
+    def test_fault_in_a_later_piece_is_named_as_in_one_payload(self, case):
+        # The first non-finite frame, or the cut chunk, is named as a
+        # whole-payload decode names it.
+        data, piece, (error, message) = case
+        with mock.patch("perfeat.audio_features._DECODE_PIECE", piece), \
+                tempfile.TemporaryFile() as stream:
+            stream.write(data)
+            for source in (stream, data):
+                with pytest.raises(error, match=re.escape(message)):
+                    read_wav(source)
+
+    def test_stream_that_ends_early(self):
+        # A stream shorter than its length said, as a file cut while it is
+        # read, fails; no sample is left unwritten.
+        class Short(std_io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:-1])
+
+        with pytest.raises(TruncatedData, match="ended before its declared size"):
+            read_wav(Short(wav([0, 1, 2], 8000)))
+
+    def test_memory_is_the_samples_and_one_piece(self, tmp_path):
+        # A stereo float32 file's bytes are as large as its float64 mono
+        # samples; decoding from the open file must not hold both.  The
+        # slack covers one piece's finiteness mask (128 KiB).
+        path = tmp_path / "clip.wav"
+        rate = 44100
+        codes = np.random.default_rng(13).normal(scale=0.1, size=2 * 10 * rate)
+        path.write_bytes(wav(codes, rate, fmt=3, bits=32, channels=2))
+        with open(path, "rb") as stream:
+            tracemalloc.start()
+            try:
+                clip = read_wav(stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= clip.samples.nbytes + _DECODE_PIECE + (1 << 18)
+
     def test_unknown_chunks_skipped(self):
         clip = read_wav(wav([0, 100, -100], 8000, extra_chunk=True))
         assert len(clip.samples) == 3
@@ -162,8 +269,6 @@ class TestWavReader:
             read_wav(wav(x, 8000, fmt=3, bits=32, channels=2))
 
     def test_missing_data_chunk(self):
-        import struct
-
         fmt_chunk = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
         body = b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
         data = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
