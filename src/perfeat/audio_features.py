@@ -14,7 +14,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,20 +23,23 @@ HOP_LENGTH = 1024
 ROLLOFF_FRACTIONS = (0.85, 0.95)
 BRIGHTNESS_CUTOFFS = (1000.0, 1500.0, 3000.0)
 
-# Frames per STFT block.  Memory beyond the samples grows with the block, not
-# the clip: with 2048-sample frames, one block's windowed frames, complex
-# spectrum and descriptor work arrays peak at about 3.7 MB (tracemalloc, a
-# 30 s 44.1 kHz clip, whose samples take 10.6 MB).  64 was no slower than
-# 128 or 256 when chosen, before extract-audio forked its helper process,
-# and has not been timed against them since.
+# Frames per STFT block.  Memory beyond the per-frame values grows with the
+# block, not the clip: with 2048-sample frames, one block's samples, windowed
+# frames, complex spectrum and descriptor work arrays peak at about 4.5 MB
+# (tracemalloc, extract_audio_features on an open 30 s 44.1 kHz WAV, whose
+# float64 samples would take 10.6 MB).  On that path a 30 s clip took 75 / 58
+# / 50 / 47 / 51 ms at 8 / 16 / 32 / 64 / 128 frames (medians of 24, 2-vCPU
+# VM, BLAS at one thread).
 BLOCK_FRAMES = 64
 
-# Samples per piece of the zero-crossing count and the sum of squares, so the
-# time-domain pass holds no whole-clip temporary.
+# Samples per leaf of the pairwise sum of squares, and at most per piece of
+# the zero-crossing count: the time-domain pass holds one such leaf.
 _TIME_PIECE = 1 << 16
 
 # Bytes of the WAV payload that read_wav reads and decodes at a time, rounded
-# down to whole frames: the one buffer it holds beside the samples.
+# down to whole frames and capped at the range asked for: the one buffer it
+# holds beside the samples.  One STFT block at the default frame and hop is
+# 66,560 frames, a single piece up to 16-bit stereo.
 _DECODE_PIECE = 1 << 19
 
 _DEGENERATE_SPREAD_RTOL = 1e-9  # of Nyquist; below this the spectrum is a line
@@ -97,32 +100,9 @@ class AudioClip:
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
-
-def read_wav(source: Union[bytes, BinaryIO]) -> AudioClip:
-    """Decode RIFF/WAVE bytes, or a stream of them read from its start, to a mono clip.
-
-    ``source`` is a seekable binary stream, such as a file opened with
-    ``open(path, "rb")``, or bytes, read through ``io.BytesIO``.  After the
-    chunk headers, the sample payload is read into one reused buffer of
-    about ``_DECODE_PIECE`` bytes and decoded a piece at a time, so the
-    stream's bytes are never held beside the samples: decoding peaks at
-    the samples plus one piece.
-
-    16-bit PCM is scaled by 1/32768; 32-bit float is taken as is and must be
-    finite, else NonFiniteSample naming the first such frame.  Other codecs
-    raise UnsupportedCodec.  Multichannel audio is averaged to mono: the
-    channels of each frame are summed in channel order in float64, then
-    divided by the channel count.  Up to seven channels this is numpy's
-    mean to the bit; from eight on, where that mean sums pairwise, it may
-    differ in the last bits.  Every step is elementwise, so no sample
-    depends on where the pieces split.
-    """
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        source = io.BytesIO(source)
+def _wav_layout(source: BinaryIO) -> Tuple[int, int, int, np.dtype, float, int]:
+    """(payload offset, frames, channels, code type, scale, rate) from a WAV stream's headers."""
     length = source.seek(0, io.SEEK_END)
     source.seek(0)
     header = source.read(12)
@@ -160,21 +140,54 @@ def read_wav(source: Union[bytes, BinaryIO]) -> AudioClip:
             f"format tag {audio_format} with {bits}-bit samples is not supported"
         )
     offset, size = payload
-    frame_bytes = channels * (bits // 8)
+    frame_bytes = channels * sample_type.itemsize
     if size % frame_bytes:
         raise TruncatedData("sample payload is not a whole number of frames")
-    samples = np.empty(size // frame_bytes)
-    piece_frames = max(1, _DECODE_PIECE // frame_bytes)
+    return offset, size // frame_bytes, channels, sample_type, scale, sample_rate
+
+
+def read_wav(source: Union[bytes, BinaryIO], start: int = 0,
+             stop: Optional[int] = None) -> AudioClip:
+    """Decode sample frames ``[start, stop)`` of RIFF/WAVE bytes or a stream to a mono clip.
+
+    ``source`` is a seekable binary stream, such as a file opened with
+    ``open(path, "rb")``, or bytes, read through ``io.BytesIO``.  ``stop``
+    defaults to the payload's frame count, so ``read_wav(source)`` decodes
+    the whole clip; a range outside ``[0, frames]``, or reversed, raises
+    ValueError.  After the chunk headers, the range is read into one reused
+    buffer of at most ``_DECODE_PIECE`` bytes and decoded a piece at a
+    time, so the stream's bytes are never held beside the samples: decoding
+    peaks at the samples plus one piece.
+
+    16-bit PCM is scaled by 1/32768; 32-bit float is taken as is and must be
+    finite, else NonFiniteSample naming the first such frame of the range,
+    counted from the start of the payload.  Other codecs raise
+    UnsupportedCodec.  Multichannel audio is averaged to mono: the channels
+    of each frame are summed in channel order in float64, then divided by
+    the channel count.  Up to seven channels this is numpy's mean to the
+    bit; from eight on, where that mean sums pairwise, it may differ in the
+    last bits.  Every step is elementwise, so no sample depends on where the
+    pieces or the range split.
+    """
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        source = io.BytesIO(source)
+    offset, frames, channels, sample_type, scale, sample_rate = _wav_layout(source)
+    stop = frames if stop is None else stop
+    if not 0 <= start <= stop <= frames:
+        raise ValueError(f"sample frames [{start}, {stop}) are not a range of the {frames}")
+    frame_bytes = channels * sample_type.itemsize
+    samples = np.empty(stop - start)
+    piece_frames = max(1, min(_DECODE_PIECE // frame_bytes, len(samples)))
     buffer = memoryview(bytearray(piece_frames * frame_bytes))
-    source.seek(offset)
+    source.seek(offset + start * frame_bytes)
     for first in range(0, len(samples), piece_frames):
         out = samples[first : first + piece_frames]
         piece = buffer[: len(out) * frame_bytes]
         if source.readinto(piece) != len(piece):
             raise TruncatedData("sample payload ended before its declared size")
         codes = np.frombuffer(piece, dtype=sample_type)
-        if audio_format == 3 and not np.isfinite(codes).all():
-            bad = first + int(np.argmin(np.isfinite(codes))) // channels
+        if sample_type.kind == "f" and not np.isfinite(codes).all():
+            bad = start + first + int(np.argmin(np.isfinite(codes))) // channels
             raise NonFiniteSample(f"sample frame {bad} is NaN or infinite")
         # Summed in place, not through mean's float32-to-float64 casting
         # reduction, which is several times slower.  Scaling after the
@@ -247,37 +260,94 @@ def _flux_steps(magnitudes: np.ndarray) -> np.ndarray:
     return np.sqrt((np.diff(magnitudes, axis=0) ** 2).sum(axis=1))
 
 
-def _sum_of_squares(x: np.ndarray) -> float:
-    """``np.add.reduce(x * x)`` to the bit, squaring one piece at a time.
+def _pairwise(n: int, leaf: Callable[[int], float]) -> float:
+    """numpy's pairwise sum of ``n`` values, given ``leaf(size)``, the sum of the next leaf.
 
-    Above ``_TIME_PIECE`` samples, split where numpy's pairwise sum splits
+    Above ``_TIME_PIECE`` values, split where numpy's pairwise sum splits
     (half the length, rounded down to a multiple of 8) and add the halves.
     """
-    n = len(x)
     if n <= _TIME_PIECE:
-        return np.add.reduce(x * x)
+        return leaf(n)
     half = n // 2 - (n // 2) % 8
-    return _sum_of_squares(x[:half]) + _sum_of_squares(x[half:])
+    return _pairwise(half, leaf) + _pairwise(n - half, leaf)
+
+
+class _TimeDomain:
+    """Zero crossings and the sum of squares of ``n`` samples, fed in order in any pieces.
+
+    A zero sample counts as positive, and the sign of the last sample fed
+    is carried to the next piece.  The squares are summed one leaf of
+    :func:`_pairwise` at a time, in a buffer of at most ``_TIME_PIECE``
+    samples, so the sum is ``np.add.reduce(x * x)`` to the bit.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.sizes, self.sums = n, [], []
+        _pairwise(n, lambda size: self.sizes.append(size) or 0.0)  # records the leaf sizes
+        self.leaf = np.empty(min(n, _TIME_PIECE))
+        self.filled = self.crossings = 0
+        self.last = None  # whether the last sample fed was positive
+
+    def feed(self, x: np.ndarray) -> None:
+        while len(x):
+            size = self.sizes[len(self.sums)]
+            chunk, x = x[: size - self.filled], x[size - self.filled :]
+            positive = chunk >= 0
+            self.crossings += int(np.count_nonzero(positive[1:] != positive[:-1]))
+            self.crossings += int(self.last is not None and self.last != positive[0])
+            self.last = positive[-1]
+            self.leaf[self.filled : self.filled + len(chunk)] = chunk
+            self.filled += len(chunk)
+            if self.filled == size:
+                leaf = self.leaf[:size]
+                self.sums.append(np.add.reduce(np.square(leaf, out=leaf)))
+                self.filled = 0
+
+    def features(self, sample_rate: int) -> Tuple[float, float]:
+        """(zero crossing rate in crossings per second, RMS), once all samples are fed."""
+        sums = iter(self.sums)
+        total = _pairwise(self.n, lambda size: next(sums))
+        return self.crossings / (self.n / sample_rate), float(np.sqrt(total / self.n))
 
 
 def time_domain_features(clip: AudioClip) -> Tuple[float, float]:
     """(zero crossing rate in crossings per second, RMS) over the whole clip.
 
     A zero sample counts as positive, so silence has no crossings.  Both
-    run over pieces of ``_TIME_PIECE`` samples and equal the whole-array
-    forms bit for bit: crossings are counted on pieces that share their
-    edge sample, and the sum of squares follows numpy's pairwise split.
+    run over pieces of at most ``_TIME_PIECE`` samples and equal the
+    whole-array forms bit for bit: see :class:`_TimeDomain`.
     """
-    x = clip.samples
-    if len(x) == 0:
+    if len(clip.samples) == 0:
         raise ClipTooShort("empty clip")
-    crossings = 0
-    for start in range(0, len(x) - 1, _TIME_PIECE):
-        positive = x[start : start + _TIME_PIECE + 1] >= 0
-        crossings += int(np.count_nonzero(positive[1:] != positive[:-1]))
-    zcr = crossings / clip.duration
-    rms = float(np.sqrt(_sum_of_squares(x) / len(x)))
-    return zcr, rms
+    time = _TimeDomain(len(clip.samples))
+    time.feed(clip.samples)
+    return time.features(clip.sample_rate)
+
+
+def _blocks(source: Union[AudioClip, BinaryIO], n: int, frame_length: int,
+            hop_length: int, time: _TimeDomain):
+    """(first frame, samples) of each block of ``BLOCK_FRAMES`` frames, in order.
+
+    From a stream, each block is one :func:`read_wav` call.  Every sample of
+    the clip, those after its last frame too, is decoded and fed to ``time``
+    once, in order, so a decode error surfaces where a whole-clip decode
+    would raise it.
+    """
+    def read(first, stop):
+        if isinstance(source, AudioClip):
+            return source.samples[first:stop]
+        return read_wav(source, first, stop).samples
+
+    n_frames = max(0, (n - frame_length) // hop_length + 1)  # none in a clip under a frame
+    fed = 0
+    for start in range(0, n_frames, BLOCK_FRAMES):
+        stop = min(start + BLOCK_FRAMES, n_frames)
+        first = min(start * hop_length, fed)  # below the block's first sample for hops over a frame
+        x = read(first, (stop - 1) * hop_length + frame_length)
+        time.feed(x[fed - first :])
+        fed = first + len(x)
+        yield start, x[start * hop_length - first :]
+    time.feed(read(fed, n))
 
 
 def _add_column(columns: Dict[str, float], column: str, value: float, kind: str) -> None:
@@ -375,57 +445,66 @@ def check_settings(
 
 
 def extract_audio_features(
-    clip: AudioClip,
+    source: Union[AudioClip, BinaryIO],
     frame_length: int = FRAME_LENGTH,
     hop_length: int = HOP_LENGTH,
     window: str = "hann",
     rolloff_fractions: Sequence[float] = ROLLOFF_FRACTIONS,
     brightness_cutoffs: Sequence[float] = BRIGHTNESS_CUTOFFS,
 ) -> Dict[str, float]:
-    """Frame the clip and average per-frame descriptors over non-silent frames.
+    """Frame a clip and average per-frame descriptors over non-silent frames.
 
-    Keys are column names in order: ``zcr`` ... ``flatness``, ``rolloff85``
-    per fraction, ``flux``, ``bright1000`` per cutoff.
+    ``source`` is an :class:`AudioClip` or a seekable binary WAV stream,
+    such as a file opened with ``open(path, "rb")``.  Keys are column names
+    in order: ``zcr`` ... ``flatness``, ``rolloff85`` per fraction,
+    ``flux``, ``bright1000`` per cutoff.
 
     A frame is silent when its magnitude spectrum is all zero.  Flux is
     computed over the subsequence of non-silent frames in order.  Zero
     crossing rate and RMS are whole-clip values on the raw samples.
 
-    The STFT and the descriptors run in one pass over blocks of
-    ``BLOCK_FRAMES`` frames, so memory beyond the samples does not grow with
-    the clip.  Only per-frame values are kept, each mean is taken once over
-    all live frames, and no value depends on the block size.  The descriptors
-    equal the mean over live frames of the single-frame oracles in the tests
-    up to rounding (rolloff exactly).  :func:`check_settings` checks the
-    settings before the STFT runs.
+    The decode, the STFT and the descriptors run in one pass over blocks of
+    ``BLOCK_FRAMES`` frames, so a stream's clip is never held whole and
+    memory does not grow with the clip beyond the per-frame values.  Each
+    mean is taken once over all live frames, and no value depends on the
+    block size: a stream gives what :func:`read_wav` of it gives.  The
+    descriptors equal the mean over live frames of the single-frame oracles
+    in the tests up to rounding (rolloff exactly).  :func:`check_settings`
+    checks the settings before anything is decoded, and a decode error
+    anywhere in the stream wins over a description error.
     """
     rolloff_columns, bright_columns = check_settings(
         frame_length, hop_length, rolloff_fractions, brightness_cutoffs)
-    x = clip.samples
-    n_frames = _frame_count(len(x), frame_length, hop_length)
+    if isinstance(source, AudioClip):
+        n, sample_rate = len(source.samples), source.sample_rate
+    else:
+        _, n, _, _, _, sample_rate = _wav_layout(source)
+    time = _TimeDomain(n)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())
     # Flux carries the last live frame over from the block before.
-    blocks, steps, last = [], [], None
-    for start in range(0, n_frames, BLOCK_FRAMES):
-        stop = min(start + BLOCK_FRAMES, n_frames)
-        part = AudioClip(x[start * hop_length : (stop - 1) * hop_length + frame_length],
-                         clip.sample_rate)
-        series = stft_magnitudes(part, frame_length, hop_length, window)
-        frames = series.magnitudes[series.magnitudes.any(axis=1)]
+    descriptors, steps, last = [], [], None
+    for start, samples in _blocks(source, n, frame_length, hop_length, time):
+        series = stft_magnitudes(AudioClip(samples, sample_rate), frame_length, hop_length,
+                                 window)
+        live = series.magnitudes.any(axis=1)
+        frames = series.magnitudes if live.all() else series.magnitudes[live]
         if not len(frames):
             continue
         if last is not None:
             steps.append(_flux_steps(np.concatenate([last, frames[:1]])))
         steps.append(_flux_steps(frames))
-        blocks.append(_frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
+        descriptors.append(_frame_descriptors(frames, series.bin_frequencies, fractions, cutoffs))
         last = frames[-1:].copy()  # a copy, so no view keeps the block alive
+    # Every sample is decoded by now.  SilentFrame alone comes from a block,
+    # and no 16-bit or float32 sample is small enough to raise it.
+    _frame_count(n, frame_length, hop_length)
     if last is None:
         raise AllFramesSilent("every frame of the clip is silent")
     steps = np.concatenate(steps)
     if not len(steps):
         raise TooFewFrames("flux needs at least two frames")
-    zcr, rms = time_domain_features(clip)
-    means = [float(row.mean()) for row in np.concatenate(blocks, axis=1)]
+    zcr, rms = time.features(sample_rate)
+    means = [float(row.mean()) for row in np.concatenate(descriptors, axis=1)]
     split = 5 + len(rolloff_columns)
     names = ["zcr", "rms", "centroid", "spread", "skewness", "kurtosis", "flatness",
              *rolloff_columns, "flux", *bright_columns]

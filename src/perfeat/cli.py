@@ -286,12 +286,11 @@ def _cmd_extract_audio(args):
 
     def features(path: Path) -> Dict[str, float]:
         with open(path, "rb") as stream:
-            clip = af.read_wav(stream)
-        return af.extract_audio_features(
-            clip, frame_length=args.frame_length,
-            hop_length=args.hop_length, window=args.window,
-            rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
-        )
+            return af.extract_audio_features(
+                stream, frame_length=args.frame_length,
+                hop_length=args.hop_length, window=args.window,
+                rolloff_fractions=fractions, brightness_cutoffs=cutoffs,
+            )
 
     vectors = list(_per_file(_sorted_files(wav_dir, (".wav",)), features, helper=True))
     return _feature_table(

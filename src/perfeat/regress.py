@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .stats import _unit_scaled
 from .tdist import student_t_two_tailed
 
 _RANK_RTOL = 1e-10
@@ -160,16 +161,6 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
     if n - k - 1 <= 0:
         raise TooFewRows("adjustment needs n > k + 1")
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
-
-
-def _unit_scaled(values: np.ndarray):
-    """``values`` over the power of two of its peak, column by column, and the exponents.
-
-    That division is exact (Higham 2002, 2.1), so a fit keeps every bit while no sum of
-    squares leaves the normal range; only what carries units is scaled back.
-    """
-    exponent = np.frexp(np.abs(values).max(axis=0))[1]
-    return np.ldexp(values, -exponent), exponent
 
 
 def _qr_solve(X: np.ndarray, y: np.ndarray):

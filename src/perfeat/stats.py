@@ -45,6 +45,19 @@ class AllDropped(ValueError):
     """Trimming would leave fewer than two raters."""
 
 
+def _unit_scaled(values: np.ndarray, axis: Optional[int] = 0):
+    """``values`` over the power of two of its peak along ``axis``, and the exponents.
+
+    ``axis=0`` scales each column, ``axis=1`` each row and ``axis=None`` the
+    whole array by one factor; an empty array is left as it is.  That
+    division is exact (Higham 2002, 2.1), so a statistic keeps every bit
+    while no sum of squares leaves the normal range; only what carries units
+    is scaled back.
+    """
+    exponent = np.frexp(np.abs(values).max(axis=axis, initial=0.0, keepdims=True))[1]
+    return np.ldexp(values, -exponent), exponent.squeeze(axis)
+
+
 def stars_for_p(p: float) -> str:
     """Significance marker: strictly below .05, .01, .001."""
     for threshold, marker in STAR_THRESHOLDS:
@@ -159,9 +172,11 @@ def cronbach_alpha(matrix: RatingMatrix) -> float:
     sums), with sample variances (ddof = 1) over rows where every rater is
     present.  Not clamped: strongly disagreeing panels go negative.  Fewer
     than :data:`MIN_COMPLETE_ITEMS` such rows raise :class:`TooFewItems`.
+    Alpha is a ratio of variances across raters, so the panel is divided by
+    one power of two, :func:`_unit_scaled` with ``axis=None``.
     """
     values = matrix.values
-    complete = values[np.isfinite(values).all(axis=1)]
+    complete = _unit_scaled(values[np.isfinite(values).all(axis=1)], axis=None)[0]
     if complete.shape[0] < MIN_COMPLETE_ITEMS:
         raise TooFewItems(
             f"{complete.shape[0]} complete items, need {MIN_COMPLETE_ITEMS}"
@@ -223,7 +238,7 @@ def _pairwise_r(values: np.ndarray) -> np.ndarray:
     present = np.isfinite(values)
     mask = present.astype(float)
     filled = np.where(present, values, 0.0)
-    filled = np.ldexp(filled, -np.frexp(np.abs(filled).max(axis=0))[1])
+    filled = _unit_scaled(filled)[0]
     counts = np.einsum("ia,ib->ab", mask, mask)
     x = np.where(present, filled - filled.sum(axis=0) / np.maximum(counts.diagonal(), 1.0), 0.0)
     sums = np.einsum("ia,ib->ab", x, mask)
@@ -317,13 +332,16 @@ def item_mean_ratings(
     """Per-item mean over the raters present for that item.
 
     ``drop_raters`` removes flagged raters before averaging; at least two
-    must remain.  Items no remaining rater scored come back as NaN.
+    must remain.  Items no remaining rater scored come back as NaN.  Each
+    item's sum runs on its ratings over one power of two, and its mean is
+    scaled back, so no sum overflows.
     """
     sub = matrix.drop_raters(drop_raters) if drop_raters else matrix
     present = np.isfinite(sub.values)
     counts = present.sum(axis=1)
-    sums = np.where(present, sub.values, 0.0).sum(axis=1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    filled, exponent = _unit_scaled(np.where(present, sub.values, 0.0), axis=1)
+    means = np.ldexp(filled.sum(axis=1) / np.maximum(counts, 1), exponent)
+    return np.where(counts > 0, means, np.nan)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,24 @@ def pieced_wavs(draw, kinds):
     return b"RIFF" + struct.pack("<I", len(data) - 8) + data[8:], piece, expected
 
 
+@st.composite
+def wav_ranges(draw):
+    """(RIFF bytes, piece bytes, start, stop): 1 to 3 channels of either
+    codec, a decode piece of a few frames, and a range of the payload's
+    frames that may start, end or lie inside a piece."""
+    channels = draw(st.integers(1, 3))
+    frames = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        codes, fmt, bits = rng.integers(-32768, 32768, channels * frames), 1, 16
+    else:
+        codes, fmt, bits = rng.normal(size=channels * frames), 3, 32
+    piece = draw(st.integers(1, 4 * channels * bits // 8))
+    start = draw(st.integers(0, frames))
+    stop = draw(st.integers(start, frames))
+    return wav(codes, 8000, fmt=fmt, bits=bits, channels=channels), piece, start, stop
+
+
 class TestWavReader:
     def test_int16_code_mapping(self):
         clip = read_wav(wav([32767, -32768, 0, 16384], 8000))
@@ -226,6 +244,23 @@ class TestWavReader:
             finally:
                 tracemalloc.stop()
         assert peak <= clip.samples.nbytes + _DECODE_PIECE + (1 << 18)
+
+    @PROPERTY
+    @given(case=wav_ranges())
+    def test_range_is_a_slice_of_the_whole_decode(self, case):
+        data, piece, start, stop = case
+        with mock.patch("perfeat.audio_features._DECODE_PIECE", piece), \
+                tempfile.TemporaryFile() as stream:
+            stream.write(data)
+            whole = read_wav(stream)
+            part = read_wav(stream, start, stop)
+        assert part.sample_rate == whole.sample_rate
+        assert part.samples.tobytes() == whole.samples[start:stop].tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 2), (0, 5), (5, None), (2, -1)])
+    def test_range_outside_the_payload(self, start, stop):
+        with pytest.raises(ValueError, match=r"not a range of the 4"):
+            read_wav(wav([0, 1, 2, 3], 8000), start, stop)
 
     def test_unknown_chunks_skipped(self):
         clip = read_wav(wav([0, 100, -100], 8000, extra_chunk=True))
@@ -671,6 +706,107 @@ class TestExtract:
         x = 1e-170 * np.random.default_rng(10).normal(size=4096)
         with pytest.raises(SilentFrame):
             extract_audio_features(AudioClip(x, 8000))
+
+
+@st.composite
+def streamed_wavs(draw):
+    """(RIFF bytes, frame length, hop) for 4-frame blocks and 256-sample pieces.
+
+    The length is at or next to a block edge or a piece edge, or under one
+    frame; the hop may leave gaps between frames.  Samples are noise after
+    an optional silent lead-in, mono or stereo, in either codec.
+    """
+    frame_length = draw(st.sampled_from([16, 64]))
+    hop = draw(st.sampled_from([frame_length // 2, frame_length, 3 * frame_length // 2]))
+    edge = draw(st.sampled_from(["block", "piece", "short"]))
+    if edge == "block":
+        frames = 4 * draw(st.integers(1, 5)) + draw(st.integers(-1, 1))
+        n = (frames - 1) * hop + frame_length + draw(st.sampled_from([0, 1, hop - 1]))
+    elif edge == "piece":
+        n = 256 * draw(st.integers(1, 6)) + draw(st.integers(-1, 1))
+    else:
+        n = draw(st.integers(0, frame_length - 1))
+    channels = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(scale=0.2, size=n * channels)
+    x[: channels * draw(st.integers(0, n))] = 0.0
+    if draw(st.booleans()):
+        return wav(pcm16(x), 8000, channels=channels), frame_length, hop
+    return wav(x, 8000, fmt=3, bits=32, channels=channels), frame_length, hop
+
+
+def _outcome(call):
+    """A call's result, or the class and text of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as error:
+        return type(error), str(error)
+
+
+class TestStreamedExtract:
+    """A WAV stream is decoded and described block by block."""
+
+    @PROPERTY
+    @given(case=streamed_wavs())
+    def test_stream_gives_what_its_decoded_clip_gives(self, case):
+        data, frame_length, hop_length = case
+        options = {"frame_length": frame_length, "hop_length": hop_length}
+        with mock.patch("perfeat.audio_features.BLOCK_FRAMES", 4), \
+                mock.patch("perfeat.audio_features._TIME_PIECE", 256), \
+                tempfile.TemporaryFile() as stream:
+            stream.write(data)
+            clip = read_wav(stream)
+            streamed = _outcome(lambda: extract_audio_features(stream, **options))
+            held = _outcome(lambda: extract_audio_features(clip, **options))
+        assert streamed == held
+        if isinstance(streamed, dict):
+            expected = whole_array_time_domain(clip.samples, clip.sample_rate)
+            assert (streamed["zcr"], streamed["rms"]) == expected
+
+    @pytest.mark.parametrize("n, bad", [
+        (20 * 1024, 19 * 1024 + 5),  # in the last block
+        (20 * 1024 + 700, 20 * 1024 + 600),  # after the last frame
+        (1500, 1400),  # in a clip shorter than one frame
+    ])
+    @pytest.mark.parametrize("lead", ["noise", "silence"])
+    def test_decode_error_wins_over_a_description_error(self, tmp_path, n, bad, lead):
+        # Before the bad sample the clip is noise, or silence that would
+        # raise AllFramesSilent; either way the stream raises the error
+        # that decoding it whole raises.
+        rng = np.random.default_rng(22)
+        x = rng.normal(scale=0.1, size=n) if lead == "noise" else np.zeros(n)
+        x[bad] = np.nan
+        path = tmp_path / "clip.wav"
+        path.write_bytes(wav(x, 22050, fmt=3, bits=32))
+        with open(path, "rb") as stream:
+            with pytest.raises(NonFiniteSample) as whole:
+                read_wav(stream)
+            assert str(whole.value) == f"sample frame {bad} is NaN or infinite"
+            with mock.patch("perfeat.audio_features.BLOCK_FRAMES", 4), \
+                    pytest.raises(NonFiniteSample, match=re.escape(str(whole.value))):
+                extract_audio_features(stream)
+
+    def test_memory_is_one_block_not_the_clip(self, tmp_path):
+        # At 30 s, the clip's float64 samples take 10.6 MB; the stream path
+        # holds one block's samples and arrays and one piece of the sum of
+        # squares.  What grows with the clip is the per-frame values, 88
+        # bytes a frame of 1024 samples.
+        rate = 44100
+        rng = np.random.default_rng(23)
+        peaks = {}
+        for seconds in (30, 120):
+            path = tmp_path / f"clip{seconds}.wav"
+            path.write_bytes(wav(rng.integers(-3000, 3000, seconds * rate), rate))
+            with open(path, "rb") as stream:
+                tracemalloc.start()
+                try:
+                    extract_audio_features(stream)
+                    peaks[seconds] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            path.unlink()
+        assert peaks[30] < 30 * rate * 8 / 2
+        assert (peaks[120] - peaks[30]) / (90 * rate) <= 0.1
 
 
 class TestDescriptorArguments:

@@ -254,6 +254,75 @@ class TestAlpha:
         with pytest.raises(TooFewItems):
             cronbach_alpha(matrix(values))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_huge_or_tiny_panel_keeps_its_alpha_without_a_warning(self, scale):
+        # Variances of the raw panel overflow at 1e160; at 1e-170 they
+        # underflow to zero, which read as constant row sums.
+        rng = np.random.default_rng(21)
+        values = rng.normal(size=(30, 1)) + rng.normal(scale=0.8, size=(30, 4))
+        expected = cronbach_alpha(matrix(values))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cronbach_alpha(matrix(values * scale)) == pytest.approx(expected, abs=1e-12)
+
+
+def _agreement_cells(values, power):
+    """Everything agreement.csv and item_means.csv are built from, for ``values`` times 2**power."""
+    m = matrix(np.ldexp(values, power))
+    report = inter_rater_agreement(m)
+    flagged = flag_outlier_raters(report) if report.n_raters >= 3 else []
+    drop = [rid for rid, _ in flagged]
+    trimmed = inter_rater_agreement(m.drop_raters(drop)) if len(drop) <= m.n_raters - 2 else None
+    means = item_mean_ratings(m, drop if trimmed else [])
+    return report, flagged, trimmed, np.ldexp(means, -power)
+
+
+class TestAgreementUnderScaling:
+    @PROPERTY
+    @given(
+        n=st.integers(2, 60),
+        k=st.integers(2, 6),
+        missing=st.floats(0.0, 0.3),
+        offset=st.sampled_from([0.0, 5.0, 1e3]),
+        power=st.sampled_from([-600, 600]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_of_two_scaling_moves_no_bit(self, n, k, missing, offset, power, seed):
+        """A panel times 2**-600 or 2**600 gives every agreement cell bit for
+        bit, and every item mean once scaled back: the panel is divided by
+        one power of two of its peak before any sum."""
+        rng = np.random.default_rng(seed)
+        values = offset + rng.normal(size=(n, 1)) + rng.normal(size=(n, k))
+        values[rng.random((n, k)) < missing] = np.nan
+        values[0, 0] = offset  # so no panel is all missing
+        try:
+            expected = _agreement_cells(values, 0)
+        except ConstantInput:
+            with pytest.raises(ConstantInput):
+                _agreement_cells(values, power)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, flagged, trimmed, means = _agreement_cells(values, power)
+        assert repr((report, flagged, trimmed)) == repr(expected[:3])
+        assert means.tobytes() == expected[3].tobytes()
+
+    def test_item_means_near_the_largest_float_stay_finite(self):
+        values = np.full((4, 3), 1.5e308)
+        values[1] = [1.2e308, 1.6e308, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = item_mean_ratings(matrix(values))
+        assert means.tolist() == pytest.approx([1.5e308, 1.5e308, 1.5e308, 1.5e308], rel=1e-15)
+
+    def test_items_far_apart_in_magnitude_keep_their_means(self):
+        # One factor for the whole panel would flush the 1e-300 item to zero.
+        values = np.array([[1e300, 2e300, 3e300], [1e-300, 2e-300, 6e-300], [1.0, 2.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = item_mean_ratings(matrix(values))
+        assert means.tolist() == [values[i].sum() / 3 for i in range(3)]
+
 
 class TestAgreementReport:
     def test_identical_panel(self):
