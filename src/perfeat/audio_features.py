@@ -10,6 +10,7 @@ frames only, so leading or trailing digital silence does not dilute them.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
@@ -25,11 +26,11 @@ BRIGHTNESS_CUTOFFS = (1000.0, 1500.0, 3000.0)
 
 # Frames per STFT block.  Memory beyond the per-frame values grows with the
 # block, not the clip: with 2048-sample frames, one block's samples, windowed
-# frames, complex spectrum and descriptor work arrays peak at about 4.5 MB
+# frames, complex spectrum and descriptor work arrays peak at about 4.6 MB
 # (tracemalloc, extract_audio_features on an open 30 s 44.1 kHz WAV, whose
-# float64 samples would take 10.6 MB).  On that path a 30 s clip took 75 / 58
-# / 50 / 47 / 51 ms at 8 / 16 / 32 / 64 / 128 frames (medians of 24, 2-vCPU
-# VM, BLAS at one thread).
+# float64 samples would take 10.6 MB).  On that path a 30 s clip of the
+# benchmark corpus took 67 / 54 / 46 / 42 / 43 ms at 8 / 16 / 32 / 64 / 128
+# frames (medians of 24, 2-vCPU VM, BLAS at one thread).
 BLOCK_FRAMES = 64
 
 # Samples per leaf of the pairwise sum of squares, and at most per piece of
@@ -43,6 +44,11 @@ _TIME_PIECE = 1 << 16
 _DECODE_PIECE = 1 << 19
 
 _DEGENERATE_SPREAD_RTOL = 1e-9  # of Nyquist; below this the spectrum is a line
+
+# Bins of the first chunk of the rolloff's running energy sum; each later
+# chunk adds twice the bins of the one before, so the chunks cover bins
+# [0, 64), [63, 192), [191, 448), [447, 960) ...
+_ROLLOFF_CHUNK = 64
 
 
 class WavError(ValueError):
@@ -164,7 +170,9 @@ def read_wav(source: Union[bytes, BinaryIO], start: int = 0,
     counted from the start of the payload.  Other codecs raise
     UnsupportedCodec.  Multichannel audio is averaged to mono: the channels
     of each frame are summed in channel order in float64, then divided by
-    the channel count.  Up to seven channels this is numpy's mean to the
+    the channel count, or multiplied by its reciprocal when that is a power
+    of two: the same correctly rounded value, subnormals included, at a
+    fraction of the cost.  Up to seven channels this is numpy's mean to the
     bit; from eight on, where that mean sums pairwise, it may differ in the
     last bits.  Every step is elementwise, so no sample depends on where the
     pieces or the range split.
@@ -196,19 +204,38 @@ def read_wav(source: Union[bytes, BinaryIO], start: int = 0,
         out[:] = codes[0::channels]
         for channel in range(1, channels):
             out += codes[channel::channels]
-        if channels > 1:
+        if channels & (channels - 1):
             out /= channels
+        elif channels > 1:
+            out *= 1.0 / channels
         if scale != 1.0:
             out *= scale
     return AudioClip(samples=samples, sample_rate=int(sample_rate))
 
 
+def _check_window(name: str) -> None:
+    if name not in ("hann", "rect"):
+        raise ValueError(f"unknown window {name!r}")
+
+
+@functools.lru_cache(maxsize=8)
 def _window(name: str, length: int) -> np.ndarray:
+    """The read-only taper of ``length`` samples, built once per name and length."""
+    _check_window(name)
     if name == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    if name == "rect":
-        return np.ones(length)
-    raise ValueError(f"unknown window {name!r}")
+        taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    else:
+        taper = np.ones(length)
+    taper.flags.writeable = False
+    return taper
+
+
+@functools.lru_cache(maxsize=8)
+def _bin_frequencies(length: int, sample_rate: int) -> np.ndarray:
+    """The read-only rfft bin frequencies of ``length``-sample frames at ``sample_rate``."""
+    frequencies = np.fft.rfftfreq(length, 1.0 / sample_rate)
+    frequencies.flags.writeable = False
+    return frequencies
 
 
 @dataclass(frozen=True)
@@ -216,7 +243,9 @@ class SpectralFrameSeries:
     """Magnitude spectra of consecutive frames.
 
     ``magnitudes`` is frames x bins; ``bin_frequencies`` runs from 0 to the
-    Nyquist frequency inclusive.
+    Nyquist frequency inclusive.  ``stft_magnitudes`` shares one read-only
+    ``bin_frequencies`` array among all series of the same frame length and
+    sample rate.
     """
 
     magnitudes: np.ndarray
@@ -251,13 +280,14 @@ def stft_magnitudes(
     taper = _window(window, frame_length)
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[::hop_length] * taper
     magnitudes = np.abs(np.fft.rfft(frames, axis=1))
-    bin_frequencies = np.fft.rfftfreq(frame_length, 1.0 / clip.sample_rate)
-    return SpectralFrameSeries(magnitudes=magnitudes, bin_frequencies=bin_frequencies)
+    return SpectralFrameSeries(magnitudes=magnitudes,
+                               bin_frequencies=_bin_frequencies(frame_length, clip.sample_rate))
 
 
 def _flux_steps(magnitudes: np.ndarray) -> np.ndarray:
     """Euclidean distance between each pair of consecutive magnitude spectra."""
-    return np.sqrt((np.diff(magnitudes, axis=0) ** 2).sum(axis=1))
+    steps = np.diff(magnitudes, axis=0)
+    return np.sqrt(np.square(steps, out=steps).sum(axis=1))
 
 
 def _pairwise(n: int, leaf: Callable[[int], float]) -> float:
@@ -366,7 +396,10 @@ def _frame_descriptors(
     The rows are centroid, spread, skewness, kurtosis, flatness, a rolloff
     frequency per fraction and a high-band energy share per cutoff.  Each is
     a row reduction, never a BLAS product, so no bit depends on the other
-    rows.  SilentFrame when a frame's energy underflows to zero.
+    rows.  The rolloffs share one running energy sum per frame, which stops
+    at the end of the chunk where every frame of the block has crossed its
+    largest fraction, so a block whose energy sits low skips the bins above.
+    SilentFrame when a frame's energy underflows to zero.
     """
     # Moments, centred on each frame's centroid: expanding raw moments
     # instead cancels on near-line spectra.  Two frames x bins work arrays
@@ -386,51 +419,62 @@ def _frame_descriptors(
     skewness = np.divide(third, spread**3, out=np.zeros_like(third), where=shaped)
     kurtosis = np.divide(fourth, spread**4, out=np.zeros_like(fourth), where=shaped)
 
-    # Flatness over the non-DC bins; a frame with a zero bin reads zero.
+    # Flatness over the non-DC bins.  A zero bin's log is -inf, which sends
+    # the geometric mean, and the flatness, to +0.0; an all-zero band reads
+    # zero too.
     band = frames[:, 1:]
-    positive = band > 0
     logs = deviations[:, 1:]
-    logs.fill(0.0)
-    np.log(band, out=logs, where=positive)
+    with np.errstate(divide="ignore"):
+        np.log(band, out=logs)
     arithmetic = band.mean(axis=1)
-    flatness = np.divide(
-        np.exp(logs.mean(axis=1)),
-        arithmetic,
-        out=np.zeros_like(arithmetic),
-        where=positive.all(axis=1),
-    )
+    flatness = np.divide(np.exp(logs.mean(axis=1)), arithmetic,
+                         out=np.zeros_like(arithmetic), where=arithmetic > 0.0)
 
     energy = np.multiply(frames, frames, out=deviations)
     energy_total = energy.sum(axis=1)
     if not energy_total.all():
         raise SilentFrame("a non-silent frame's energy underflows to zero")
-    # Cumulative energy never falls along a row, so its first bin at or
-    # above the target is the oracle's left-sided searchsorted against the
-    # same row total.  The last bin counts as reached when rounding leaves
-    # the whole row just below the target.
-    cumulative = np.cumsum(energy, axis=1, out=work)
-    rolloffs = []
-    for fraction in fractions:
-        reached = cumulative >= (fraction * energy_total)[:, None]
-        reached[:, -1] = True
-        rolloffs.append(frequencies[reached.argmax(axis=1)])
     # Bin frequencies ascend, so the bins at or above a cutoff are a suffix.
     brights = [energy[:, np.searchsorted(frequencies, cutoff) :].sum(axis=1) / energy_total
                for cutoff in cutoffs]
+    # Then energy becomes its running sum, in place, one chunk at a time.
+    # Each chunk starts at the last column of the one before, which holds
+    # the sum so far, so every value is np.cumsum's; the sum stops once each
+    # row has reached its largest target.  Cumulative energy never falls
+    # along a row, so its first bin at or above a target is the oracle's
+    # left-sided searchsorted against the same row total.  The last bin
+    # summed counts as reached: where the sum ran to the end, rounding may
+    # leave the whole row just below the target.
+    rolloffs = []
+    if fractions:
+        largest = max(fractions) * energy_total
+        bins = energy.shape[1]
+        end = min(_ROLLOFF_CHUNK, bins)
+        np.cumsum(energy[:, :end], axis=1, out=energy[:, :end])
+        while end < bins and not (energy[:, end - 1] >= largest).all():
+            start, end = end - 1, min(2 * end + _ROLLOFF_CHUNK, bins)
+            np.cumsum(energy[:, start:end], axis=1, out=energy[:, start:end])
+        for fraction in fractions:
+            reached = energy[:, :end] >= (fraction * energy_total)[:, None]
+            reached[:, -1] = True
+            rolloffs.append(frequencies[reached.argmax(axis=1)])
     return np.stack([centroid, spread, skewness, kurtosis, flatness, *rolloffs, *brights])
 
 
 def check_settings(
     frame_length: int, hop_length: int,
     rolloff_fractions: Sequence[float], brightness_cutoffs: Sequence[float],
+    window: str = "hann",
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """The rolloff and brightness columns of valid settings, each value by its column.
 
     FrameTooShort for a frame under two samples.  ValueError for a hop
-    under one, a rolloff fraction not strictly between 0 and 1, a
-    non-finite brightness cutoff, or two values that name one column.
+    under one, an unknown window, a rolloff fraction not strictly between 0
+    and 1, a non-finite brightness cutoff, or two values that name one
+    column.
     """
     _frame_count(frame_length, frame_length, hop_length)  # the framing of a one-frame clip
+    _check_window(window)
     rolloff_columns: Dict[str, float] = {}
     for fraction in rolloff_fractions:
         if not 0.0 < fraction < 1.0:
@@ -474,7 +518,7 @@ def extract_audio_features(
     anywhere in the stream wins over a description error.
     """
     rolloff_columns, bright_columns = check_settings(
-        frame_length, hop_length, rolloff_fractions, brightness_cutoffs)
+        frame_length, hop_length, rolloff_fractions, brightness_cutoffs, window)
     if isinstance(source, AudioClip):
         n, sample_rate = len(source.samples), source.sample_rate
     else:

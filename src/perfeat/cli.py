@@ -282,7 +282,7 @@ def _cmd_extract_audio(args):
     fractions = _floats(args.rolloff_fractions)
     cutoffs = _floats(args.brightness_cutoffs)
     # Argument errors are checked here, so that no file is blamed.
-    af.check_settings(args.frame_length, args.hop_length, fractions, cutoffs)
+    af.check_settings(args.frame_length, args.hop_length, fractions, cutoffs, args.window)
 
     def features(path: Path) -> Dict[str, float]:
         with open(path, "rb") as stream:

@@ -46,6 +46,8 @@ from perfeat.audio_features import (
     TruncatedData,
     UnsupportedCodec,
     _frame_descriptors,
+    _window,
+    check_settings,
     extract_audio_features,
     read_wav,
     stft_magnitudes,
@@ -387,6 +389,22 @@ class TestStft:
         series = stft_magnitudes(AudioClip(x, 8000), frame_length, hop_length, window)
         assert series.magnitudes.shape == expected.shape
         assert np.array_equal(series.magnitudes, expected)
+
+    def test_taper_and_bins_are_shared_and_read_only(self):
+        # Each taper and bin array is built once per setting and shared by
+        # every block, so none may be written to.
+        at_8k = stft_magnitudes(AudioClip(np.ones(4096), 8000), 2048, 1024)
+        again = stft_magnitudes(AudioClip(np.ones(4096), 8000), 2048, 1024)
+        at_16k = stft_magnitudes(AudioClip(np.ones(4096), 16000), 2048, 1024)
+        assert at_8k.bin_frequencies is again.bin_frequencies
+        assert at_8k.bin_frequencies[-1] == 4000.0
+        assert at_16k.bin_frequencies[-1] == 8000.0
+        for array in (at_8k.bin_frequencies, at_16k.bin_frequencies,
+                      _window("hann", 2048), _window("rect", 2048)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.5
+        assert _window("hann", 2048) is _window("hann", 2048)
 
     def test_hann_window_is_periodic(self):
         # A periodic window sums to exactly N/2 and its first sample is 0.
@@ -827,6 +845,34 @@ class TestDescriptorArguments:
             extract_audio_features(self.SHORT, brightness_cutoffs=(1000.0, cutoff))
         assert not isinstance(raised.value, ClipTooShort)
 
+    def test_unknown_window(self):
+        with pytest.raises(ValueError, match="unknown window 'bogus'") as raised:
+            extract_audio_features(AudioClip(np.zeros(100), 44100), window="bogus")
+        assert not isinstance(raised.value, ClipTooShort)
+        with pytest.raises(FrameTooShort):
+            extract_audio_features(AudioClip(np.zeros(100), 44100), frame_length=1,
+                                   window="bogus")
+        with pytest.raises(ValueError, match="unknown window 'bogus'"):
+            check_settings(2048, 1024, (0.85,), (1000.0,), "bogus")
+
+    def test_window_name_is_checked_without_building_a_taper(self):
+        # A frame far longer than any clip costs the check no memory.
+        before = _window.cache_info()
+        assert check_settings(2**40, 1, (), (), "rect") == ({}, {})
+        assert _window.cache_info() == before
+
+    def test_unknown_window_is_named_before_any_decode(self, tmp_path):
+        x = np.random.default_rng(24).normal(scale=0.1, size=8192)
+        x[10] = np.nan
+        path = tmp_path / "clip.wav"
+        path.write_bytes(wav(x, 44100, fmt=3, bits=32))
+        with open(path, "rb") as stream:
+            with pytest.raises(ValueError, match="unknown window 'bogus'") as raised:
+                extract_audio_features(stream, window="bogus")
+            assert not isinstance(raised.value, NonFiniteSample)
+            with pytest.raises(FrameTooShort):
+                extract_audio_features(stream, frame_length=1, window="bogus")
+
     @pytest.mark.parametrize("option, values, message", [
         ("rolloff_fractions", (0.85, 0.85),
          "rolloff fractions 0.85 and 0.85 both name column 'rolloff85'"),
@@ -948,6 +994,49 @@ def row_ranges(draw):
     return frames, first, draw(st.integers(first + 1, rows))
 
 
+# Bins where the rolloff's running sum passes from one chunk to the next.
+CHUNK_EDGES = [62, 63, 64, 65, 66, 190, 191, 192, 193, 194]
+
+
+@st.composite
+def crossing_spectra(draw):
+    """Frames x bins magnitudes, 2 to 1,025 bins, whose energy crosses its
+    rolloff targets where the running sum's chunks meet.
+
+    A row is a spike over a weak floor before it and a weak tail after it,
+    often at a chunk edge; flat or small integers, whose energies put
+    dyadic targets exactly on a cumulative sum (flat rows of 128, 256 or
+    384 bins, on a chunk's last bin); all its energy in the last bin, so
+    the sum must run to the end; or noise with zero bins.
+    """
+    bins = draw(st.sampled_from([2, 3, 64, 65, 128, 192, 193, 256, 384, 449, 1025])
+                | st.integers(2, 1025))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["spike", "flat", "integers", "last", "noise"]))
+        if kind == "spike":
+            at = min(draw(st.sampled_from(CHUNK_EDGES) | st.integers(0, bins - 1)), bins - 1)
+            row = np.zeros(bins)
+            row[:at] = draw(st.sampled_from([0.0, 0.01, 0.1]))
+            row[at + 1 :] = draw(st.sampled_from([0.0, 0.01, 0.1]))
+            row[at] = 1.0
+        elif kind == "flat":
+            row = np.ones(bins)
+        elif kind == "integers":
+            row = rng.integers(0, 4, bins).astype(float)
+            row[-1] += not row.any()
+        elif kind == "last":
+            row = np.zeros(bins)
+            row[-1] = 1.0
+        else:
+            row = rng.uniform(0.0, 1.0, bins)
+            row[rng.random(bins) < 0.1] = 0.0
+            row[rng.integers(bins)] = 0.5
+        rows.append(draw(st.sampled_from([1.0, 0.1, 1e-3, 1e4])) * row)
+    return np.array(rows)
+
+
 def _assert_equals_oracles(vector, live, frequencies, rolloffs, brights):
     """Each column is the mean of its single-frame oracle over the live frames."""
     moments = [spectral_moments(frame, frequencies) for frame in live]
@@ -1051,6 +1140,26 @@ class TestBatchedDescriptors:
             oracle = [spectral_rolloff(frame, frequencies, fraction) for frame in frames]
             assert row.tolist() == oracle, fraction
 
+    @PROPERTY
+    @given(frames=crossing_spectra(),
+           fractions=st.sampled_from([(), (0.5,), (0.25, 0.75), (0.85, 0.95, 0.99)]),
+           cutoffs=st.lists(st.floats(-100.0, 22100.0), max_size=3))
+    @example(frames=np.eye(1025)[[-1]], fractions=(0.85, 0.95, 0.99), cutoffs=[22050.0])
+    @example(frames=np.ones((2, 384)), fractions=(0.25, 0.5), cutoffs=[])
+    def test_running_sum_stops_where_every_frame_has_crossed(self, frames, fractions, cutoffs):
+        # The rolloffs read off the summed prefix are the oracle's, and the
+        # brightness shares, taken before the sum overwrites the energies,
+        # are too.
+        frequencies = np.linspace(0.0, 22050.0, frames.shape[1])
+        rows = _frame_descriptors(frames, frequencies, fractions, cutoffs)
+        assert len(rows) == 5 + len(fractions) + len(cutoffs)
+        for row, fraction in zip(rows[5:], fractions):
+            oracle = [spectral_rolloff(frame, frequencies, fraction) for frame in frames]
+            assert row.tolist() == oracle, fraction
+        for row, cutoff in zip(rows[5 + len(fractions) :], cutoffs):
+            oracle = [brightness(frame, frequencies, cutoff) for frame in frames]
+            assert row.tolist() == oracle, cutoff
+
     def test_block_size_moves_no_value(self):
         rng = np.random.default_rng(15)
         n_frames = 200
@@ -1127,5 +1236,5 @@ class TestBatchedDescriptors:
         assert vector["skewness"] == 0.0
         assert vector["kurtosis"] == pytest.approx(0.25, rel=1e-12)
         assert vector["flatness"] == pytest.approx(0.5, rel=1e-12)
-        assert batched["flatness"] == 0.0
+        assert batched["flatness"] == 0.0 and not np.signbit(batched["flatness"])
         assert batched["centroid"] == pytest.approx((4000.0 + 8000.0 / 3) / 3, rel=1e-12)
