@@ -23,6 +23,7 @@ FRAME_LENGTH = 2048
 HOP_LENGTH = 1024
 ROLLOFF_FRACTIONS = (0.85, 0.95)
 BRIGHTNESS_CUTOFFS = (1000.0, 1500.0, 3000.0)
+WINDOWS = ("hann", "rect")
 
 # Frames per STFT block.  Memory beyond the per-frame values grows with the
 # block, not the clip: with 2048-sample frames, one block's samples, windowed
@@ -214,7 +215,7 @@ def read_wav(source: Union[bytes, BinaryIO], start: int = 0,
 
 
 def _check_window(name: str) -> None:
-    if name not in ("hann", "rect"):
+    if name not in WINDOWS:
         raise ValueError(f"unknown window {name!r}")
 
 
@@ -354,20 +355,15 @@ def time_domain_features(clip: AudioClip) -> Tuple[float, float]:
     return time.features(clip.sample_rate)
 
 
-def _blocks(source: Union[AudioClip, BinaryIO], n: int, frame_length: int,
+def _blocks(read: Callable[[int, int], np.ndarray], n: int, frame_length: int,
             hop_length: int, time: _TimeDomain):
     """(first frame, samples) of each block of ``BLOCK_FRAMES`` frames, in order.
 
-    From a stream, each block is one :func:`read_wav` call.  Every sample of
-    the clip, those after its last frame too, is decoded and fed to ``time``
-    once, in order, so a decode error surfaces where a whole-clip decode
-    would raise it.
+    ``read(first, stop)`` gives samples ``[first, stop)``: one call per
+    block, then one for the rest.  Every sample of the clip, those after
+    its last frame too, is read and fed to ``time`` once, in order, so a
+    decode error surfaces where a whole-clip decode would raise it.
     """
-    def read(first, stop):
-        if isinstance(source, AudioClip):
-            return source.samples[first:stop]
-        return read_wav(source, first, stop).samples
-
     n_frames = max(0, (n - frame_length) // hop_length + 1)  # none in a clip under a frame
     fed = 0
     for start in range(0, n_frames, BLOCK_FRAMES):
@@ -521,13 +517,15 @@ def extract_audio_features(
         frame_length, hop_length, rolloff_fractions, brightness_cutoffs, window)
     if isinstance(source, AudioClip):
         n, sample_rate = len(source.samples), source.sample_rate
+        read = lambda first, stop: source.samples[first:stop]
     else:
         _, n, _, _, _, sample_rate = _wav_layout(source)
+        read = lambda first, stop: read_wav(source, first, stop).samples
     time = _TimeDomain(n)
     fractions, cutoffs = list(rolloff_columns.values()), list(bright_columns.values())
     # Flux carries the last live frame over from the block before.
     descriptors, steps, last = [], [], None
-    for start, samples in _blocks(source, n, frame_length, hop_length, time):
+    for start, samples in _blocks(read, n, frame_length, hop_length, time):
         series = stft_magnitudes(AudioClip(samples, sample_rate), frame_length, hop_length,
                                  window)
         live = series.magnitudes.any(axis=1)

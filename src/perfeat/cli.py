@@ -22,8 +22,6 @@ import zlib
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import audio_features as af
 from . import midi_features as mf
 from .io import (
@@ -40,7 +38,6 @@ from .io import (
 from .regress import Design, ols_fit, pls_fit, repeated_kfold_cv
 from .smf import annotate_tracks, parse_smf
 from .stats import (
-    MIN_COMPLETE_ITEMS,
     cross_correlation_matrix,
     flag_outlier_raters,
     inter_rater_agreement,
@@ -78,7 +75,7 @@ def _floats(items: List[str]) -> List[float]:
 
 def _typed(key: str, value, action: argparse.Action):
     """A config value as its option holds it; SchemaError when its JSON type does not fit."""
-    if isinstance(action, argparse._StoreTrueAction):
+    if action.nargs == 0:  # a flag
         kinds, what = (bool,), "true or false"
     elif action.type is int:
         kinds, what = (int,), "an integer"
@@ -347,10 +344,7 @@ def _cmd_agreement(args):
     for path, (matrix, report, flagged, trimmed, means) in _per_file(files, panel):
         feature = path.stem
         items.update(dict.fromkeys(matrix.item_ids))
-        mean_columns[feature] = {
-            item_id: None if np.isnan(mean) else float(mean)
-            for item_id, mean in zip(matrix.item_ids, means)
-        }
+        mean_columns[feature] = dict(zip(matrix.item_ids, means.tolist()))
         csv_rows.append([
             feature, report.n_raters, report.n_items, report.n_complete_items,
             report.mean_pairwise_r, report.alpha, len(flagged),
@@ -366,7 +360,7 @@ def _cmd_agreement(args):
             alpha_cell += f" ({fmt(trimmed.alpha)})"
         text_rows.append([feature, report.n_raters, report.n_items, r_cell, alpha_cell])
         if flagged:
-            listed = ", ".join(f"{rid} (mean r {fmt(value)})" for rid, value in flagged)
+            listed = ", ".join(f"{rid} (mean r {fmt(r) or 'undefined'})" for rid, r in flagged)
             if trimmed is not None:
                 notes.append(f"{feature}: flagged raters {listed}; values in"
                              " parentheses are with those raters removed.")
@@ -376,12 +370,8 @@ def _cmd_agreement(args):
                     f"{feature}: trimmed statistics undefined: flagging leaves"
                     f" {matrix.n_raters - len(flagged)} of {matrix.n_raters} raters, need 2."
                 )
-        if report.alpha is None:
-            complete = report.n_complete_items
-            reason = (f"{complete} complete items, need {MIN_COMPLETE_ITEMS}"
-                      if complete < MIN_COMPLETE_ITEMS else
-                      f"row sums are constant across the {complete} complete items")
-            notes.append(f"{feature}: alpha undefined: {reason}.")
+        if report.alpha_undefined:
+            notes.append(f"{feature}: alpha undefined: {report.alpha_undefined}.")
         if report.skipped_pairs:
             notes.append(
                 f"{feature}: {len(report.skipped_pairs)} rater pair(s) had no"
@@ -581,19 +571,19 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argumen
     p.add_argument("--tempos", help="CSV of song_id,beats_per_second")
     p.add_argument("--calibration", help="CSV of velocity,volume,dB")
     p.add_argument("--merge-window", dest="merge_window", type=float, default=mf.MERGE_WINDOW,
-                   help="onset cluster window in seconds (default: 0.05)")
+                   help="onset cluster window in seconds (default: %(default)s)")
 
     p = add("extract-audio", "spectral features from a WAV corpus", _cmd_extract_audio)
     p.add_argument("--wav-dir", dest="wav_dir", help="directory of .wav files")
     p.add_argument("--frame-length", dest="frame_length", type=int, default=af.FRAME_LENGTH)
     p.add_argument("--hop-length", dest="hop_length", type=int, default=af.HOP_LENGTH)
-    p.add_argument("--window", choices=["hann", "rect"], default="hann")
+    p.add_argument("--window", choices=af.WINDOWS, default="hann")
     p.add_argument("--rolloff-fractions", dest="rolloff_fractions", type=_split,
-                   default="0.85,0.95",
-                   help="comma list of energy fractions (default: 0.85,0.95)")
+                   default=",".join(f"{f:g}" for f in af.ROLLOFF_FRACTIONS),
+                   help="comma list of energy fractions (default: %(default)s)")
     p.add_argument("--brightness-cutoffs", dest="brightness_cutoffs", type=_split,
-                   default="1000,1500,3000",
-                   help="comma list of cutoff frequencies (default: 1000,1500,3000)")
+                   default=",".join(f"{c:g}" for c in af.BRIGHTNESS_CUTOFFS),
+                   help="comma list of cutoff frequencies (default: %(default)s)")
 
     p = add("agreement", "rater agreement per rated feature", _cmd_agreement)
     p.add_argument("--ratings", nargs="+",

@@ -36,17 +36,10 @@ class InvalidScale(ValueError):
     """A response scale with a NaN bound or a minimum above its maximum."""
 
 
-_CATEGORY_ALIASES = {
-    "melody": TrackCategory.MELODY,
-    "mel": TrackCategory.MELODY,
-    "accompaniment": TrackCategory.ACCOMPANIMENT,
-    "acc": TrackCategory.ACCOMPANIMENT,
-    "bass": TrackCategory.BASS,
-    "bas": TrackCategory.BASS,
-    "drums": TrackCategory.DRUMS,
-    "drum": TrackCategory.DRUMS,
-    "dru": TrackCategory.DRUMS,
-}
+# A role's name, its feature columns' suffix (the first three letters), or "drum".
+_CATEGORY_ALIASES = {alias: role for role in TrackCategory
+                     for alias in (role.value, role.value[:3])}
+_CATEGORY_ALIASES["drum"] = TrackCategory.DRUMS
 
 
 def _not_utf8(path: PathLike, err: UnicodeDecodeError) -> SchemaError:

@@ -8,6 +8,7 @@ song; roles with no qualifying notes leave the corresponding field absent.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -90,12 +91,9 @@ class TableCalibration:
             return 0, 0, 0.0
         if value >= axis[-1]:
             return len(axis) - 1, len(axis) - 1, 0.0
-        hi = 1
-        while axis[hi] < value:
-            hi += 1
-        lo = hi - 1
-        frac = (value - axis[lo]) / (axis[hi] - axis[lo])
-        return lo, hi, frac
+        hi = bisect.bisect_left(axis, value, 1)
+        frac = (value - axis[hi - 1]) / (axis[hi] - axis[hi - 1])
+        return hi - 1, hi, frac
 
     def __call__(self, velocity: int, volume_cc: int) -> float:
         i0, i1, fv = self._bracket(self.velocities, velocity)

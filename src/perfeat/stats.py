@@ -187,7 +187,7 @@ def cronbach_alpha(matrix: RatingMatrix) -> float:
     rater_variances = complete.var(axis=0, ddof=1)
     total_variance = complete.sum(axis=1).var(ddof=1)
     if total_variance == 0:
-        raise ConstantInput("row sums are constant across items")
+        raise ConstantInput(f"row sums are constant across the {len(complete)} complete items")
     return float(k / (k - 1) * (1.0 - rater_variances.sum() / total_variance))
 
 
@@ -196,7 +196,8 @@ class AgreementReport:
     """Panel-level agreement summary for one rating matrix.
 
     ``alpha`` is None when fewer than :data:`MIN_COMPLETE_ITEMS` items are
-    rated by every rater, or when their row sums are constant.
+    rated by every rater, or when their row sums are constant; ``alpha_undefined``
+    then holds :func:`cronbach_alpha`'s reason, and is ``""`` when alpha is defined.
     ``per_rater_mean_r`` holds each rater's mean r over their defined pairs,
     in rater order (NaN with none); it is what :func:`flag_outlier_raters`
     reads, so flagging computes no correlation of its own.
@@ -204,6 +205,7 @@ class AgreementReport:
 
     mean_pairwise_r: float
     alpha: Optional[float]
+    alpha_undefined: str
     n_items: int
     n_complete_items: int
     n_raters: int
@@ -285,12 +287,13 @@ def inter_rater_agreement(matrix: RatingMatrix) -> AgreementReport:
     rows[a, b] = rows[b, a] = pairs
     per_rater = [row[~np.isnan(row)] for row in rows]
     try:
-        alpha = cronbach_alpha(matrix)
-    except (TooFewItems, ConstantInput):
-        alpha = None
+        alpha, alpha_undefined = cronbach_alpha(matrix), ""
+    except (TooFewItems, ConstantInput) as error:
+        alpha, alpha_undefined = None, str(error)
     return AgreementReport(
         mean_pairwise_r=math.fsum(defined) / len(defined),
         alpha=alpha,
+        alpha_undefined=alpha_undefined,
         n_items=matrix.n_items,
         n_complete_items=int(np.isfinite(matrix.values).all(axis=1).sum()),
         n_raters=matrix.n_raters,

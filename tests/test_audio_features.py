@@ -312,6 +312,22 @@ class TestWavReader:
         with pytest.raises(TruncatedData):
             read_wav(data)
 
+    def test_fmt_chunk_under_16_bytes(self):
+        fmt_chunk = struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)  # no bits-per-sample field
+        body = (b"fmt " + struct.pack("<I", len(fmt_chunk)) + fmt_chunk
+                + b"data" + struct.pack("<I", 2) + bytes(2))
+        data = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+        with pytest.raises(TruncatedData, match="^fmt chunk shorter than 16 bytes$"):
+            read_wav(data)
+
+    @pytest.mark.parametrize("data, message", [
+        (wav([0, 1], 8000, channels=0), "fmt chunk declares zero channels"),
+        (wav([0, 1, 2], 8000, channels=2), "sample payload is not a whole number of frames"),
+    ], ids=["zero-channels", "partial-frame"])
+    def test_header_that_frames_no_samples(self, data, message):
+        with pytest.raises(TruncatedData, match=f"^{message}$"):
+            read_wav(data)
+
 
 class TestStft:
     def test_frame_count(self):

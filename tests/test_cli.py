@@ -494,6 +494,21 @@ class TestExtractAudio:
                    "--frame-length", "8192") == 1
         assert capsys.readouterr().err == "error: clip_high.wav: 8000 samples, need 8192\n"
 
+    def test_number_list_that_does_not_parse_is_usage_error(self, wav_corpus, tmp_path,
+                                                             capsys):
+        out = tmp_path / "out"
+        assert run("extract-audio", "--wav-dir", wav_corpus, "--out-dir", out,
+                   "--rolloff-fractions", "0.85,x") == 2
+        assert capsys.readouterr().err == (
+            "usage error: '0.85,x' is not a comma-separated number list\n")
+        assert not out.exists()
+
+    def test_directory_without_clips_fails(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run("extract-audio", "--wav-dir", empty, "--out-dir", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: no *.wav files in {empty}\n"
+
 
 class TestAgreement:
     def test_directory_suffixes_match_in_any_case(self, ratings_dir, tmp_path):
@@ -553,6 +568,15 @@ class TestAgreement:
         assert str(ratings_dir / "speed.csv") in err and str(ratings_dir / second) in err
         assert not out.exists()
 
+    def test_directory_without_csv_fails(self, tmp_path, capsys):
+        empty = tmp_path / "ratings"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not ratings\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", empty, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: no .csv files in {empty}\n"
+        assert not out.exists()
+
     def test_flagged_rater_reported(self, ratings_dir, tmp_path, capsys):
         path = ratings_dir / "speed.csv"
         add_deviant_rater(path)
@@ -562,6 +586,22 @@ class TestAgreement:
         assert record["n_flagged"] == "1"
         assert record["flagged_raters"] == "r5"
         assert float(record["mean_r_trimmed"]) > float(record["mean_r"])
+
+    def test_flagged_rater_with_no_defined_pair(self, tmp_path):
+        # r3 gives every item the same rating, so each of its three pairs is
+        # undefined and its mean r is NaN: the note says so in words.
+        path = tmp_path / "panel.csv"
+        path.write_text("item,r1,r2,r3,r4\ns1,2,3,5,2\ns2,4,4,5,5\ns3,6,7,5,6\n"
+                        "s4,8,8,5,7\ns5,3,2,5,3\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("agreement", "--ratings", path, "--out-dir", out) == 0
+        record = read_records(out / "agreement.csv")[0]
+        assert record["flagged_raters"] == "r3" and record["n_skipped_pairs"] == "3"
+        text = (out / "agreement.txt").read_text(encoding="utf-8")
+        assert ("panel: flagged raters r3 (mean r undefined); values in parentheses are"
+                " with those raters removed.\n") in text
+        assert ("panel: 3 rater pair(s) had no defined correlation and were skipped.\n"
+                in text)
 
     def test_each_panel_computed_once(self, ratings_dir, tmp_path, monkeypatch):
         add_deviant_rater(ratings_dir / "speed.csv")
@@ -1019,6 +1059,17 @@ class TestFit:
             "fit", "--table", path, "--target", "y", "--predictors", "y,x1"
         ) == 2
 
+    def test_unknown_predictor_fails(self, feature_table, capsys):
+        path, _, _ = feature_table
+        assert run("fit", "--table", path, "--target", "y", "--predictors", "x1,x9") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: unknown predictor columns ['x9']\n")
+
+    def test_repeated_predictor_is_usage_error(self, feature_table, capsys):
+        path, _, _ = feature_table
+        assert run("fit", "--table", path, "--target", "y", "--predictors", "x1,x2,x1") == 2
+        assert capsys.readouterr().err == "usage error: duplicate predictor names\n"
+
 
 @pytest.mark.parametrize("argv", [
     ("fit", "--target", "y"),
@@ -1153,7 +1204,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("folds", [4]), ("folds", 4.7), ("trim", "false"), ("method", "PLS"),
-        ("window", "hamming"), ("ratings", []),
+        ("window", "hamming"), ("ratings", []), ("merge_window", "x"),
     ])
     def test_mistyped_value_names_the_key(self, feature_table, tmp_path, key, value,
                                           capsys):
@@ -1180,6 +1231,15 @@ class TestConfig:
                                       "out_dir": str(out)}), encoding="utf-8")
         assert run("extract-midi", "--config", config) == 0
         assert (out / "midi_features.csv").is_file()
+
+    def test_number_key(self, midi_corpus, tmp_path):
+        corpus, _, _ = midi_corpus
+        out = tmp_path / "out"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"midi_dir": str(corpus), "merge_window": 0.1,
+                                      "out_dir": str(out)}), encoding="utf-8")
+        assert run("extract-midi", "--config", config) == 0
+        assert "# merge_window=0.1\n" in (out / "midi_features.csv").read_text(encoding="utf-8")
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as err:

@@ -150,6 +150,9 @@ class TestSidecarLoaders:
         with pytest.raises(SchemaError) as err:
             load_annotations(path)
         assert "lead" in str(err.value)
+        assert str(err.value).endswith(
+            "unknown category 'lead'; expected one of ['acc', 'accompaniment', 'bas', 'bass',"
+            " 'dru', 'drum', 'drums', 'mel', 'melody']")
 
     def test_annotations_repeated_track_rejected(self, tmp_path):
         path = write(

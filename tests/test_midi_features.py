@@ -99,6 +99,29 @@ class TestCalibration:
         for order in itertools.permutations(triples):
             assert TableCalibration(order).level_db == table.level_db
 
+    def test_table_interior_against_scipy(self):
+        # A 3 x 4 grid has interior brackets on both axes.  Between grid
+        # points the table is linear interpolation on the grid clamped to
+        # its edges; at grid points and outside the grid it reads the
+        # cells exactly.
+        interpolate = pytest.importorskip("scipy.interpolate")
+        velocities, volumes = [10, 64, 127], [1, 40, 90, 127]
+        rng = np.random.default_rng(5)
+        levels = rng.uniform(-60.0, 0.0, size=(3, 4))
+        table = TableCalibration([(v, w, levels[i, j]) for i, v in enumerate(velocities)
+                                  for j, w in enumerate(volumes)])
+        oracle = interpolate.RegularGridInterpolator((velocities, volumes), levels)
+        for velocity, volume in rng.uniform(10, 127, size=(200, 2)).tolist():
+            assert table(velocity, volume) == pytest.approx(
+                oracle([velocity, volume])[0], abs=1e-12)
+        for i, velocity in enumerate(velocities):
+            for j, volume in enumerate(volumes):
+                assert table(velocity, volume) == levels[i, j]
+        clamped = {(0, 0): (0, 0), (200, 0): (2, 0), (0, 300): (0, 3), (127, 300): (2, 3),
+                   (64, -5): (1, 0), (-5, 90): (0, 2)}
+        for (velocity, volume), (i, j) in clamped.items():
+            assert table(velocity, volume) == levels[i, j]
+
     def test_table_rejects_incomplete_grid(self):
         with pytest.raises(ValueError):
             TableCalibration(

@@ -692,6 +692,26 @@ class TestCrossValidation:
         with pytest.raises(TooFewRows):
             repeated_kfold_cv(design, "ols", folds=10)
 
+    @pytest.mark.parametrize("method, folds, message", [
+        ("ridge", 5, "unknown method 'ridge'"),
+        ("ols", 1, "at least two folds are required"),
+    ])
+    def test_bad_method_or_fold_count(self, method, folds, message):
+        design = random_design(np.random.default_rng(79), n=20, k=2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            repeated_kfold_cv(design, method, folds=folds, repeats=2)
+
+    def test_too_few_training_rows_for_the_predictors(self):
+        # n = 20 in 10 folds: fold 1 holds out 2 rows and trains on 18,
+        # too few for 17 predictors and an intercept.
+        rng = np.random.default_rng(80)
+        design = Design(rng.normal(size=(20, 17)), rng.normal(size=20),
+                        tuple(f"x{j}" for j in range(17)))
+        with pytest.raises(TooFewRows) as raised:
+            repeated_kfold_cv(design, "ols", folds=10, repeats=3)
+        assert str(raised.value) == (
+            "repeat 1 of 3, fold 1 of 10: 18 rows cannot support 17 predictors")
+
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_needs_one_repeat(self, repeats):
         design = random_design(np.random.default_rng(78), n=20, k=2)

@@ -329,7 +329,7 @@ class TestAgreementReport:
         m = matrix([[1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4, 4]])
         report = inter_rater_agreement(m)
         assert report.mean_pairwise_r == pytest.approx(1.0, abs=1e-12)
-        assert report.alpha == pytest.approx(1.0, abs=1e-12)
+        assert report.alpha == pytest.approx(1.0, abs=1e-12) and report.alpha_undefined == ""
         assert report.n_raters == 3 and report.n_items == 4
         assert report.skipped_pairs == ()
 
@@ -377,6 +377,7 @@ class TestAgreementReport:
         )
         report = inter_rater_agreement(matrix(values))
         assert report.alpha is None
+        assert report.alpha_undefined == "2 complete items, need 3"
         assert report.n_complete_items == 2
         r01 = pearson(values[:, 0], values[:, 1])
         r02 = pearson(values[:, 0], values[:, 2])
@@ -461,10 +462,11 @@ class TestAgreementReport:
     def test_constant_row_sums_leave_alpha_absent(self):
         # Every row sums to 10: alpha's denominator is zero, r is -1.
         m = matrix([[1, 9], [2, 8], [3, 7], [4, 6]])
-        with pytest.raises(ConstantInput):
+        message = "row sums are constant across the 4 complete items"
+        with pytest.raises(ConstantInput, match=f"^{message}$"):
             cronbach_alpha(m)
         report = inter_rater_agreement(m)
-        assert report.alpha is None
+        assert report.alpha is None and report.alpha_undefined == message
         assert report.n_complete_items == 4
         assert report.mean_pairwise_r == pytest.approx(-1.0, abs=1e-12)
 
